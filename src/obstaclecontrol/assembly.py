@@ -126,6 +126,8 @@ class FEMatrices:
     K_int: sp.csr_matrix  # stiffness on V_h (all interior nodes)
     _a_fact: object = field(default=None, repr=False)
     _kint_fact: object = field(default=None, repr=False)
+    _free_key: np.ndarray | None = field(default=None, repr=False)
+    _free_fact: object = field(default=None, repr=False)
 
     def a_factorization(self):
         """Cached factorization of K + M (Neumann Helmholtz operator)."""
@@ -142,6 +144,25 @@ class FEMatrices:
 
             self._kint_fact = factorize(self.K_int)
         return self._kint_fact
+
+    def free_factorization(self, free: np.ndarray):
+        """Factorization of K_int[free, free] for sorted unique interior
+        indices; the only place a submatrix of K_int is factorized.
+
+        Keeps the whole-interior factor and the last other free set, so
+        the final PDAS iterate and G_N on the same set share one factor.
+        The key compares values, since int32 and int64 arrays can share bytes.
+        """
+        if free.size == self.interior.size:
+            return self.kint_factorization()
+        if not np.array_equal(self._free_key, free):
+            from .linalg import factorize
+
+            # release the old factor first: holding two at once raises peak memory
+            self._free_key = self._free_fact = None
+            self._free_fact = factorize(self.K_int[np.ix_(free, free)])
+            self._free_key = np.array(free)
+        return self._free_fact
 
 
 def build_matrices(mesh: Mesh) -> FEMatrices:

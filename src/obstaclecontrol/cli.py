@@ -12,22 +12,24 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .assembly import SPACE_W, FEMatrices, NodalFunction, build_matrices, vector_norm
+from .assembly import (
+    SPACE_V, SPACE_W, FEMatrices, NodalFunction, build_matrices, interpolate, vector_norm,
+)
 from .diagnostics import (
-    CheckReport,
     check_contraction,
     check_derivative_monotonicity,
     check_lipschitz_scaling,
     check_newton_differentiability,
     check_pointwise_convexity,
-    registered_checks,
 )
 from .mesh import Mesh, build_friedrichs_keller
 from .newton import NewtonConfig, NewtonReport, run
+from .obstacle import InfeasibleConstraintsError
 from .operators import apply_P, extend_interior
 
 # The reference configuration of the mesh-independence study.  These
@@ -126,12 +128,10 @@ def run_sweep(
 ) -> SweepResult:
     if not sizes:
         raise UsageError("sweep needs at least one mesh size")
-    runs = []
-    for n in sorted(sizes):
-        config = NewtonConfig(
-            alpha=alpha, tol=tol, max_iter=max_iter, selector_policy=selector_policy
-        )
-        runs.append(run_single(config, y_d_spec, psi_spec, n))
+    config = NewtonConfig(
+        alpha=alpha, tol=tol, max_iter=max_iter, selector_policy=selector_policy
+    )
+    runs = [run_single(config, y_d_spec, psi_spec, n) for n in sorted(sizes)]
     # EOCs are evaluated at the largest iteration index reached in every
     # run of the sweep, so the difference quotients compare like with like
     common = min(report.iterations for _, _, report in runs)
@@ -200,16 +200,11 @@ def write_sweep_csv(result: SweepResult, path: str):
 def export_fields(report: NewtonReport, mesh: Mesh, path: str, y_d: np.ndarray):
     """Write the desired state, final state, control and multiplier as
     point scalars of a legacy ASCII VTK unstructured grid."""
-    mats_interior = np.flatnonzero(~mesh.boundary_mask)
-    u_full = np.zeros(mesh.num_nodes)
-    u_full[mats_interior] = report.u
-    lam_full = np.zeros(mesh.num_nodes)
-    lam_full[mats_interior] = report.lam
     fields = {
         "y_D": y_d,
         "y_tilde": report.ytilde,
-        "u": u_full,
-        "lambda": lam_full,
+        "u": NodalFunction(report.u, SPACE_V, mesh).extended(),
+        "lambda": NodalFunction(report.lam, SPACE_V, mesh).extended(),
     }
     write_vtk(mesh, fields, path)
 
@@ -280,6 +275,41 @@ def read_vtk(path: str):
     return points, cells, fields
 
 
+class RegisteredCheck(NamedTuple):
+    run: Callable  # run(seed, **kwargs) -> CheckReport
+    takes_trials: bool = True
+
+
+def _mesh_and_mats(n: int):
+    mesh = build_friedrichs_keller(n)
+    return mesh, build_matrices(mesh)
+
+
+def registered_checks() -> dict:
+    """The diagnostics suite: check name -> runner with its mesh size
+    and arguments.  newton_diff runs a fixed ladder of scales around the
+    converged paper solution, so it takes no trial count."""
+    alpha = PAPER_PRESET["alpha"]
+    return {
+        "convexity": RegisteredCheck(
+            lambda seed, **kw: check_pointwise_convexity(*_mesh_and_mats(16), seed=seed, **kw)
+        ),
+        "monotonicity": RegisteredCheck(
+            lambda seed, **kw: check_derivative_monotonicity(*_mesh_and_mats(8), seed=seed, **kw)
+        ),
+        "newton_diff": RegisteredCheck(
+            lambda seed: check_newton_differentiability(*paper_converged_zeta(16), seed=seed),
+            takes_trials=False,
+        ),
+        "contraction": RegisteredCheck(
+            lambda seed, **kw: check_contraction(*_mesh_and_mats(8), seed=seed, alpha=alpha, **kw)
+        ),
+        "lipschitz": RegisteredCheck(
+            lambda seed, **kw: check_lipschitz_scaling(seed=seed, **kw)
+        ),
+    }
+
+
 def run_checks(names, seed: int, out_path: str | None, trials: int | None = None) -> int:
     registry = registered_checks()
     unknown = [n for n in names if n not in registry]
@@ -287,11 +317,15 @@ def run_checks(names, seed: int, out_path: str | None, trials: int | None = None
         raise UsageError(
             f"unknown check(s) {unknown}; registered: {sorted(registry)}"
         )
-    if trials is not None and trials < 1:
-        raise UsageError("trials must be at least 1")
-    reports = []
-    for name in names:
-        reports.append(_run_named_check(name, seed, trials))
+    kwargs = {}
+    if trials is not None:
+        if trials < 1:
+            raise UsageError("trials must be at least 1")
+        fixed = [n for n in names if not registry[n].takes_trials]
+        if fixed:
+            raise UsageError(f"check(s) {fixed} take no --trials")
+        kwargs["trials"] = trials
+    reports = [registry[name].run(seed, **kwargs) for name in names]
     payload = {"seed": seed, "checks": [r.as_dict() for r in reports]}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out_path is not None:
@@ -303,40 +337,15 @@ def run_checks(names, seed: int, out_path: str | None, trials: int | None = None
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _run_named_check(name: str, seed: int, trials: int | None) -> CheckReport:
-    kwargs = {} if trials is None else {"trials": trials}
-    if name == "convexity":
-        mesh = build_friedrichs_keller(16)
-        return check_pointwise_convexity(mesh, build_matrices(mesh), seed=seed, **kwargs)
-    if name == "monotonicity":
-        mesh = build_friedrichs_keller(8)
-        return check_derivative_monotonicity(mesh, build_matrices(mesh), seed=seed, **kwargs)
-    if name == "contraction":
-        mesh = build_friedrichs_keller(8)
-        return check_contraction(
-            mesh, build_matrices(mesh), seed=seed, alpha=PAPER_PRESET["alpha"], **kwargs
-        )
-    if name == "newton_diff":
-        return check_newton_differentiability(*paper_converged_zeta(16), seed=seed)
-    if name == "lipschitz":
-        return check_lipschitz_scaling(seed=seed, **kwargs)
-    raise UsageError(f"unknown check {name!r}")
-
-
 def paper_converged_zeta(n: int):
     """Mesh, matrices, converged adjoint field and obstacle of the
     reference configuration; base point for the semismoothness check."""
     p = PAPER_PRESET
     config = NewtonConfig(alpha=p["alpha"], tol=p["tol"], max_iter=p["max_iter"])
     mesh, mats, report = run_single(config, p["y_d"], p["psi"], n)
-    y_d = parse_field(p["y_d"])
-    yd_vals = NodalFunction(
-        y_d(mesh.nodes[:, 0], mesh.nodes[:, 1]), SPACE_W, mesh
-    )
-    zeta = (apply_P(yd_vals.values, mats) - apply_P(report.y, mats)) / p["alpha"]
-    psi = NodalFunction(
-        parse_field(p["psi"])(mesh.nodes[:, 0], mesh.nodes[:, 1]), SPACE_W, mesh
-    )
+    y_d = interpolate(parse_field(p["y_d"]), mesh)
+    zeta = (apply_P(y_d.values, mats) - apply_P(report.y, mats)) / p["alpha"]
+    psi = interpolate(parse_field(p["psi"]), mesh)
     return mesh, mats, NodalFunction(zeta, SPACE_W, mesh), psi
 
 
@@ -365,20 +374,35 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _newton_config(cfg: dict) -> NewtonConfig:
+    try:
+        return NewtonConfig(
+            alpha=_require(cfg, "alpha"),
+            tol=_require(cfg, "tol"),
+            max_iter=cfg.get("max_iter", 50),
+            selector_policy=cfg.get("selector_policy", "strict_only"),
+        )
+    except ValueError as exc:  # NewtonConfig validates its fields
+        raise UsageError(str(exc)) from exc
+
+
+def _check_mesh_sizes(sizes):
+    if any(n < 2 for n in sizes):
+        raise UsageError(f"mesh sizes must be at least 2, got {list(sizes)}")
+
+
 def _cmd_solve(args) -> int:
+    """The solve and export commands: config -> NewtonConfig ->
+    run_single -> VTK export when --out is given."""
     cfg = _load_config(args)
-    n = args.n if args.n is not None else cfg.get("n", 16)
-    config = NewtonConfig(
-        alpha=_require(cfg, "alpha"),
-        tol=_require(cfg, "tol"),
-        max_iter=cfg.get("max_iter", 50),
-        selector_policy=cfg.get("selector_policy", "strict_only"),
-    )
+    n = args.n if args.n is not None else cfg.get("n", args.default_n)
+    _check_mesh_sizes([n])
+    config = _newton_config(cfg)
     mesh, mats, report = run_single(config, _require(cfg, "y_d"), _require(cfg, "psi"), n)
     print(f"n={n} h={mesh.h} status={report.status} iterations={report.iterations} "
           f"final_residue={report.residuals[-1]:.4e}")
     if args.out:
-        y_d = parse_field(cfg["y_d"])(mesh.nodes[:, 0], mesh.nodes[:, 1])
+        y_d = interpolate(parse_field(cfg["y_d"]), mesh).values
         export_fields(report, mesh, args.out, y_d)
         print(f"fields written to {args.out}")
     return 0 if report.status == "converged" else 1
@@ -391,14 +415,16 @@ def _cmd_sweep(args) -> int:
     )
     if args.large:
         sizes.append(cfg.get("large_size", 512))
+    _check_mesh_sizes(sizes)
+    config = _newton_config(cfg)
     result = run_sweep(
-        alpha=_require(cfg, "alpha"),
-        tol=_require(cfg, "tol"),
+        alpha=config.alpha,
+        tol=config.tol,
         y_d_spec=_require(cfg, "y_d"),
         psi_spec=_require(cfg, "psi"),
         sizes=sizes,
-        max_iter=cfg.get("max_iter", 50),
-        selector_policy=cfg.get("selector_policy", "strict_only"),
+        max_iter=config.max_iter,
+        selector_policy=config.selector_policy,
         out_csv=args.out,
     )
     print("h,iterations,final_residue,eoc_l2_y,eoc_h1_ytilde,eoc_h10_u")
@@ -416,22 +442,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     names = args.names.split(",") if args.names else sorted(registered_checks())
     return run_checks(names, seed=args.seed, out_path=args.out, trials=args.trials)
-
-
-def _cmd_export(args) -> int:
-    cfg = _load_config(args)
-    n = args.n if args.n is not None else cfg.get("n", 64)
-    config = NewtonConfig(
-        alpha=_require(cfg, "alpha"),
-        tol=_require(cfg, "tol"),
-        max_iter=cfg.get("max_iter", 50),
-        selector_policy=cfg.get("selector_policy", "strict_only"),
-    )
-    mesh, mats, report = run_single(config, _require(cfg, "y_d"), _require(cfg, "psi"), n)
-    y_d = parse_field(cfg["y_d"])(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    export_fields(report, mesh, args.out, y_d)
-    print(f"fields written to {args.out}")
-    return 0 if report.status == "converged" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="single Newton run")
     common(p_solve)
     p_solve.add_argument("--out", help="optional VTK output path")
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.set_defaults(func=_cmd_solve, default_n=16)
 
     p_sweep = sub.add_parser("sweep", help="mesh-independence study with EOC columns")
     common(p_sweep)
@@ -476,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export", help="solve and export fields to VTK")
     common(p_export)
     p_export.add_argument("--out", required=True, help="VTK output path")
-    p_export.set_defaults(func=_cmd_export)
+    p_export.set_defaults(func=_cmd_solve, default_n=64)
     return parser
 
 
@@ -485,7 +495,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, InfeasibleConstraintsError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -224,12 +224,3 @@ def check_lipschitz_scaling(
         details={"per_mesh_maxima": {str(n): maxima[n] for n in mesh_sizes}},
     )
 
-
-def registered_checks() -> dict:
-    return {
-        "convexity": check_pointwise_convexity,
-        "monotonicity": check_derivative_monotonicity,
-        "newton_diff": check_newton_differentiability,
-        "contraction": check_contraction,
-        "lipschitz": check_lipschitz_scaling,
-    }

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SPACE_V, FEMatrices, NodalFunction
-from .linalg import factorize
 from .mesh import Mesh
 
 TOL_STRICT = 1e-10  # multiplier threshold separating strictly active from biactive
@@ -109,10 +108,7 @@ def solve_obstacle(
             rhs_f = load[free]
             if act.size:
                 rhs_f = rhs_f - k_int[np.ix_(free, act)] @ psi_int[act]
-            if free.size == m:
-                w[free] = mats.kint_factorization().solve(rhs_f)
-            else:
-                w[free] = factorize(k_int[np.ix_(free, free)].tocsc()).solve(rhs_f)
+            w[free] = mats.free_factorization(free).solve(rhs_f)
         lam = k_int @ w - load
         next_active = lam + (psi_int - w) > 0.0
         if np.array_equal(next_active, active):

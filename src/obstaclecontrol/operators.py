@@ -6,23 +6,21 @@ obstacle solution map: a Dirichlet solve on the subspace of V_h
 functions vanishing on a chosen node set N.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import SPACE_V, FEMatrices, NodalFunction
-from .linalg import Factorization, factorize
+from .assembly import FEMatrices
 from .obstacle import ObstacleSolution
 
 
 @dataclass
 class DerivativeSelector:
-    """Node set N (interior indices, local numbering) and the cached
-    factorization of the stiffness matrix on the complementary free set."""
+    """Node set N (interior indices, local numbering) and its complement,
+    the free set on which apply_G solves."""
 
     constrained: np.ndarray  # indices into mats.interior
     free: np.ndarray
-    _fact: Factorization | None = field(default=None, repr=False)
 
     @classmethod
     def from_node_set(cls, constrained, mats: FEMatrices) -> "DerivativeSelector":
@@ -43,26 +41,10 @@ class DerivativeSelector:
             n = np.union1d(n, sol.biactive)
         return cls.from_node_set(n, mats)
 
-    def factorization(self, mats: FEMatrices) -> Factorization:
-        if self._fact is None:
-            if self.free.size == mats.interior.size:
-                self._fact = mats.kint_factorization()
-            else:
-                self._fact = factorize(
-                    mats.K_int[np.ix_(self.free, self.free)].tocsc()
-                )
-        return self._fact
-
 
 def apply_P(u: np.ndarray, mats: FEMatrices) -> np.ndarray:
     """Riesz map: y with (K+M) y = M u, for a full-node coefficient vector."""
     return mats.a_factorization().solve(mats.M @ u)
-
-
-def apply_P_fn(u: NodalFunction, mats: FEMatrices) -> NodalFunction:
-    from .assembly import SPACE_W
-
-    return NodalFunction(apply_P(u.extended(), mats), SPACE_W, mats.mesh)
 
 
 def apply_G(selector: DerivativeSelector, a: np.ndarray, mats: FEMatrices) -> np.ndarray:
@@ -73,12 +55,8 @@ def apply_G(selector: DerivativeSelector, a: np.ndarray, mats: FEMatrices) -> np
     free = selector.free
     if free.size:
         load = (mats.M @ a)[mats.interior]
-        w[free] = selector.factorization(mats).solve(load[free])
+        w[free] = mats.free_factorization(free).solve(load[free])
     return w
-
-
-def apply_G_fn(selector: DerivativeSelector, a: NodalFunction, mats: FEMatrices) -> NodalFunction:
-    return NodalFunction(apply_G(selector, a.extended(), mats), SPACE_V, mats.mesh)
 
 
 def extend_interior(w_int: np.ndarray, mats: FEMatrices) -> np.ndarray:

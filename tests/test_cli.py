@@ -180,6 +180,26 @@ def test_cli_check_zero_trials(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--preset", "paper", "--alpha", "-1"],
+        ["solve", "--preset", "paper", "--n", "1"],
+        ["solve", "--preset", "paper", "--max-iter", "0"],
+        ["solve", "--preset", "paper", "--n", "8", "--psi", "const:1"],
+        ["sweep", "--preset", "paper", "--sizes", "1"],
+        ["export", "--preset", "paper", "--n", "1"],
+        ["check", "--names", "newton_diff", "--trials", "3"],
+    ],
+)
+def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
+    if argv[0] == "export":
+        argv = argv + ["--out", str(tmp_path / "never.vtk")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+
 def test_cli_check_runs_and_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main([

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from obstaclecontrol.assembly import SPACE_W, NodalFunction
+from obstaclecontrol.cli import registered_checks
 from obstaclecontrol.diagnostics import (
     check_contraction,
     check_derivative_monotonicity,
     check_lipschitz_scaling,
     check_newton_differentiability,
     check_pointwise_convexity,
-    registered_checks,
 )
 
 from conftest import mesh_and_mats

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from obstaclecontrol.assembly import SPACE_W, NodalFunction, interpolate
+from obstaclecontrol import linalg
+from obstaclecontrol.assembly import (
+    SPACE_W,
+    FEMatrices,
+    NodalFunction,
+    build_matrices,
+    interpolate,
+)
+from obstaclecontrol.cli import run_single
+from obstaclecontrol.mesh import build_friedrichs_keller
+from obstaclecontrol.newton import NewtonConfig
 from obstaclecontrol.obstacle import solve_obstacle
 from obstaclecontrol.operators import (
     DerivativeSelector,
@@ -118,3 +128,60 @@ def test_selector_rejects_out_of_range(mesh4):
     mesh, mats = mesh4
     with pytest.raises(ValueError):
         DerivativeSelector.from_node_set(np.array([mats.interior.size]), mats)
+
+
+def _fresh_mats(n):
+    return build_matrices(build_friedrichs_keller(n))
+
+
+def test_free_factorization_alternating_sets_match_fresh_factorizations(rng):
+    mats = _fresh_mats(8)
+    m = mats.interior.size
+    set_a = np.flatnonzero(rng.random(m) < 0.5)
+    set_b = np.flatnonzero(rng.random(m) < 0.5)
+    assert not np.array_equal(set_a, set_b)
+    load = rng.standard_normal(m)
+    for free in (set_a, set_b, set_a):
+        got = mats.free_factorization(free).solve(load[free])
+        fresh = linalg.factorize(mats.K_int[np.ix_(free, free)].tocsc())
+        assert np.array_equal(got, fresh.solve(load[free]))
+
+
+def test_free_factorization_key_compares_values_not_dtype():
+    mats = _fresh_mats(8)
+    free = np.arange(0, mats.interior.size, 2)
+    fact = mats.free_factorization(free.astype(np.int64))
+    assert mats.free_factorization(free.astype(np.int32)) is fact
+
+
+def test_free_factorization_of_whole_interior_is_kint_factorization():
+    mats = _fresh_mats(8)
+    whole = np.arange(mats.interior.size)
+    assert mats.free_factorization(whole) is mats.kint_factorization()
+
+
+def test_paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
+    count = [0]
+    factorized = []  # free sets whose request built a new factorization
+    init = linalg.Factorization.__init__
+    owner = FEMatrices.free_factorization
+
+    def counting_init(self, a):
+        count[0] += 1
+        init(self, a)
+
+    def recording_owner(self, free):
+        before = count[0]
+        fact = owner(self, free)
+        if count[0] > before:
+            factorized.append(np.array(free))
+        return fact
+
+    monkeypatch.setattr(linalg.Factorization, "__init__", counting_init)
+    monkeypatch.setattr(FEMatrices, "free_factorization", recording_owner)
+    config = NewtonConfig(alpha=1e-5, tol=1e-7)
+    _, _, report = run_single(config, "affine:0,-1,-1", "const:-5", 16)
+    assert report.status == "converged"
+    assert len(factorized) > 1
+    for prev, cur in zip(factorized, factorized[1:]):
+        assert not np.array_equal(prev, cur)
