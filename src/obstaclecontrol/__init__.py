@@ -10,13 +10,12 @@ from .assembly import (
     h1_matrix,
     interpolate,
     mass_matrix,
-    norm,
     restrict_to_interior,
     stiffness_matrix,
 )
 from .mesh import Mesh, build_friedrichs_keller, interior_nodes
 from .newton import NewtonConfig, NewtonReport, run
-from .obstacle import ObstacleSolution, brute_force_oracle, solve_obstacle
+from .obstacle import ObstacleSolution, solve_obstacle
 
 __all__ = [
     "Mesh",
@@ -26,12 +25,10 @@ __all__ = [
     "ObstacleSolution",
     "build_friedrichs_keller",
     "build_matrices",
-    "brute_force_oracle",
     "h1_matrix",
     "interior_nodes",
     "interpolate",
     "mass_matrix",
-    "norm",
     "restrict_to_interior",
     "run",
     "solve_obstacle",

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from . import linalg
 from .mesh import Mesh, interior_nodes, signed_areas
 
 SPACE_W = "W_h"
@@ -132,17 +133,13 @@ class FEMatrices:
     def a_factorization(self):
         """Cached factorization of K + M (Neumann Helmholtz operator)."""
         if self._a_fact is None:
-            from .linalg import factorize
-
-            self._a_fact = factorize(self.A)
+            self._a_fact = linalg.factorize(self.A)
         return self._a_fact
 
     def kint_factorization(self):
         """Cached factorization of the interior (Dirichlet) stiffness matrix."""
         if self._kint_fact is None:
-            from .linalg import factorize
-
-            self._kint_fact = factorize(self.K_int)
+            self._kint_fact = linalg.factorize(self.K_int)
         return self._kint_fact
 
     def free_factorization(self, free: np.ndarray):
@@ -156,11 +153,9 @@ class FEMatrices:
         if free.size == self.interior.size:
             return self.kint_factorization()
         if not np.array_equal(self._free_key, free):
-            from .linalg import factorize
-
             # release the old factor first: holding two at once raises peak memory
             self._free_key = self._free_fact = None
-            self._free_fact = factorize(self.K_int[np.ix_(free, free)])
+            self._free_fact = linalg.factorize(self.K_int[np.ix_(free, free)])
             self._free_key = np.array(free)
         return self._free_fact
 
@@ -170,23 +165,12 @@ def build_matrices(mesh: Mesh) -> FEMatrices:
     M = mass_matrix(mesh)
     A = (K + M).tocsr()
     inter = interior_nodes(mesh)
-    K_int = K[np.ix_(inter, inter)].tocsr()
+    K_int = restrict_to_interior(K, mesh, inter)
     return FEMatrices(mesh=mesh, K=K, M=M, A=A, interior=inter, K_int=K_int)
 
 
-def norm(v: NodalFunction, kind: str, mats: "FEMatrices | None" = None) -> float:
-    """Discrete L2, H1 or H1-seminorm of a P1 function.
-
-    V_h vectors are zero-extended to the full node set first.
-    """
-    if mats is None:
-        K, M = stiffness_matrix(v.mesh), mass_matrix(v.mesh)
-    else:
-        K, M = mats.K, mats.M
-    return vector_norm(v.extended(), kind, K, M)
-
-
 def vector_norm(full: np.ndarray, kind: str, K: sp.spmatrix, M: sp.spmatrix) -> float:
+    """Discrete L2, H1 or H1-seminorm of a full-node coefficient vector."""
     if kind == "L2":
         q = full @ (M @ full)
     elif kind == "H1":

@@ -39,7 +39,6 @@ PAPER_PRESET = {
     "tol": 1e-7,
     "y_d": "affine:0,-1,-1",  # y_D(x1, x2) = -x1 - x2
     "psi": "const:-5",
-    "y0_policy": "interpolate_yD",
     "selector_policy": "strict_only",
     "sizes": [16, 32, 64, 128, 256],
     "large_size": 512,
@@ -105,8 +104,16 @@ class SweepResult:
     provenance: dict = field(default_factory=dict)
 
 
-def _fmt(x) -> str:
-    return "" if x is None else repr(float(x))
+_SWEEP_COLUMNS = ["h", "iterations", "final_residue", "eoc_l2_y", "eoc_h1_ytilde", "eoc_h10_u"]
+
+
+def _sweep_cells(r: SweepRow) -> list[str]:
+    """The _SWEEP_COLUMNS values of one row, as written to CSV and stdout;
+    an undefined EOC is an empty cell."""
+    eocs = (r.eoc_l2_y, r.eoc_h1_ytilde, r.eoc_h10_u)
+    return [repr(r.h), str(r.iterations), repr(r.final_residue)] + [
+        "" if x is None else repr(float(x)) for x in eocs
+    ]
 
 
 def run_single(config: NewtonConfig, y_d_spec: str, psi_spec: str, n: int):
@@ -176,25 +183,12 @@ def run_sweep(
 def write_sweep_csv(result: SweepResult, path: str):
     """Six fixed columns; a status column is appended only when some run
     failed to converge, keeping the green-path header exact."""
-    header = ["h", "iterations", "final_residue", "eoc_l2_y", "eoc_h1_ytilde", "eoc_h10_u"]
     any_failed = any(r.status != "converged" for r in result.rows)
-    if any_failed:
-        header = header + ["status"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(_SWEEP_COLUMNS + (["status"] if any_failed else []))
         for r in result.rows:
-            row = [
-                repr(r.h),
-                str(r.iterations),
-                repr(r.final_residue),
-                _fmt(r.eoc_l2_y),
-                _fmt(r.eoc_h1_ytilde),
-                _fmt(r.eoc_h10_u),
-            ]
-            if any_failed:
-                row.append(r.status)
-            writer.writerow(row)
+            writer.writerow(_sweep_cells(r) + ([r.status] if any_failed else []))
 
 
 def export_fields(report: NewtonReport, mesh: Mesh, path: str, y_d: np.ndarray):
@@ -232,47 +226,6 @@ def write_vtk(mesh: Mesh, fields: dict, path: str):
         lines.extend(repr(float(v)) for v in values)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_vtk(path: str):
-    """Parse files produced by write_vtk (round-trip checks and tests)."""
-    with open(path) as fh:
-        tokens = fh.read().split("\n")
-    it = iter(tokens)
-    points = None
-    cells = None
-    fields = {}
-    line = next(it)
-    while True:
-        try:
-            if line.startswith("POINTS"):
-                count = int(line.split()[1])
-                points = np.array(
-                    [[float(t) for t in next(it).split()] for _ in range(count)]
-                )
-                line = next(it)
-            elif line.startswith("CELLS"):
-                count = int(line.split()[1])
-                cells = np.array(
-                    [[int(t) for t in next(it).split()[1:]] for _ in range(count)]
-                )
-                line = next(it)
-            elif line.startswith("SCALARS"):
-                name = line.split()[1]
-                next(it)  # LOOKUP_TABLE
-                vals = []
-                for line in it:
-                    if not line or not line[0].isdigit() and line[0] != "-":
-                        break
-                    vals.append(float(line))
-                else:
-                    line = ""
-                fields[name] = np.array(vals)
-            else:
-                line = next(it)
-        except StopIteration:
-            break
-    return points, cells, fields
 
 
 class RegisteredCheck(NamedTuple):
@@ -427,12 +380,9 @@ def _cmd_sweep(args) -> int:
         selector_policy=config.selector_policy,
         out_csv=args.out,
     )
-    print("h,iterations,final_residue,eoc_l2_y,eoc_h1_ytilde,eoc_h10_u")
+    print(",".join(_SWEEP_COLUMNS))
     for r in result.rows:
-        print(
-            f"{r.h!r},{r.iterations},{r.final_residue!r},"
-            f"{_fmt(r.eoc_l2_y)},{_fmt(r.eoc_h1_ytilde)},{_fmt(r.eoc_h10_u)}"
-        )
+        print(",".join(_sweep_cells(r)))
     failed = any(r.status != "converged" for r in result.rows)
     if failed:
         print("warning: some runs hit the iteration cap", file=sys.stderr)

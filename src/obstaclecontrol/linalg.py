@@ -52,10 +52,6 @@ def factorize(a: sp.spmatrix) -> Factorization:
     return Factorization(a)
 
 
-def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
-    return f.solve(b)
-
-
 def solve_block_newton(
     a_mat: sp.spmatrix,
     m_mat: sp.spmatrix,

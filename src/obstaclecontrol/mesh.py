@@ -6,7 +6,8 @@ is lexicographic with x running fastest, so node (i, j) has index
 j*(n+1) + i and coordinates (i/n, j/n).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,11 @@ class Mesh:
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_mask: np.ndarray
-    _interior: np.ndarray = field(repr=False, default=None)
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """Indices of nodes strictly inside the square, ascending."""
+        return np.flatnonzero(~self.boundary_mask)
 
     @property
     def num_nodes(self) -> int:
@@ -67,20 +72,18 @@ def build_friedrichs_keller(n: int) -> Mesh:
         | (nodes[:, 1] == 0.0)
         | (nodes[:, 1] == 1.0)
     )
-    interior = np.flatnonzero(~on_boundary)
     return Mesh(
         n=n,
         h=1.0 / n,
         nodes=nodes,
         triangles=triangles,
         boundary_mask=on_boundary,
-        _interior=interior,
     )
 
 
 def interior_nodes(mesh: Mesh) -> np.ndarray:
     """Indices of nodes strictly inside the square, ascending."""
-    return mesh._interior
+    return mesh.interior
 
 
 def signed_areas(mesh: Mesh) -> np.ndarray:

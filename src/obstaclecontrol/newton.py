@@ -10,7 +10,8 @@ L2 residual ||y_i - ytilde_i|| and, if necessary, solves
 with N the strictly active node set of the obstacle solve.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +36,10 @@ class NewtonConfig:
     y0_custom: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
+        if not self.tol >= 0:  # also rejects NaN; tol = inf stops at iteration 0
+            raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.selector_policy not in ("strict_only", "strict_plus_biactive"):
@@ -52,9 +53,6 @@ class IterationRecord:
     index: int
     residual: float
     n_constrained: int
-    norm_y: float
-    norm_ytilde: float
-    norm_u: float
     y: np.ndarray
     ytilde: np.ndarray
     u: np.ndarray  # interior values
@@ -91,23 +89,12 @@ def solve_newton_system(
     alpha: float,
     mats: FEMatrices,
 ) -> np.ndarray:
-    """Direct block solve of the Newton update equation.
-
-    Verifies the unit bound on the inverse (the solution cannot be
-    longer than the right-hand side in L2) before returning.
-    """
+    """Direct block solve of the Newton update equation."""
     free_local = selector.free
     k_ff = mats.K_int[np.ix_(free_local, free_local)].tocsr()
-    y = solve_block_newton(
+    return solve_block_newton(
         mats.A, mats.M, k_ff, mats.interior[free_local], alpha, rhs
     )
-    norm_y = vector_norm(y, "L2", mats.K, mats.M)
-    norm_rhs = vector_norm(rhs, "L2", mats.K, mats.M)
-    if norm_y > (1.0 + 1e-9) * norm_rhs + 1e-300:
-        raise ContractionViolationError(
-            f"||y|| = {norm_y:.6e} exceeds ||rhs|| = {norm_rhs:.6e}"
-        )
-    return y
 
 
 def solve_newton_system_cg(
@@ -160,8 +147,7 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
         )
         warm_active = sol.active
         u_int = sol.w.values
-        u_full = extend_interior(u_int, mats)
-        ytilde = apply_P(u_full, mats)
+        ytilde = apply_P(extend_interior(u_int, mats), mats)
         residual = vector_norm(y - ytilde, "L2", mats.K, mats.M)
 
         selector = DerivativeSelector.from_solution(sol, mats, include_biactive)
@@ -170,9 +156,6 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
                 index=i,
                 residual=residual,
                 n_constrained=selector.constrained.size,
-                norm_y=vector_norm(y, "L2", mats.K, mats.M),
-                norm_ytilde=vector_norm(ytilde, "L2", mats.K, mats.M),
-                norm_u=vector_norm(u_full, "H1_semi", mats.K, mats.M),
                 y=y.copy(),
                 ytilde=ytilde,
                 u=u_int.copy(),
@@ -187,6 +170,13 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
         w = apply_G(selector, py, mats)
         rhs = ytilde + apply_P(extend_interior(w, mats), mats) / config.alpha
         y = solve_newton_system(rhs, selector, config.alpha, mats)
+        # the inverse Newton operator has unit L2 bound: y cannot be longer than rhs
+        norm_y = vector_norm(y, "L2", mats.K, mats.M)
+        norm_rhs = vector_norm(rhs, "L2", mats.K, mats.M)
+        if norm_y > (1.0 + 1e-9) * norm_rhs + 1e-300:
+            raise ContractionViolationError(
+                f"outer iteration {i}: ||y|| = {norm_y:.6e} exceeds ||rhs|| = {norm_rhs:.6e}"
+            )
 
     last = history[-1]
     return NewtonReport(

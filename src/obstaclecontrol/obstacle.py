@@ -49,10 +49,6 @@ def _check_feasible(psi_full: np.ndarray, mesh: Mesh):
         )
 
 
-def _interior_load(z: NodalFunction, mats: FEMatrices) -> np.ndarray:
-    return (mats.M @ z.extended())[mats.interior]
-
-
 def classify_nodes(
     w_int: np.ndarray,
     lam: np.ndarray,
@@ -91,7 +87,7 @@ def solve_obstacle(
     _check_feasible(psi_full, mesh)
     inter = mats.interior
     psi_int = psi_full[inter]
-    load = _interior_load(z, mats)
+    load = (mats.M @ z.extended())[inter]
     m = inter.size
 
     active = np.zeros(m, dtype=bool)
@@ -99,16 +95,11 @@ def solve_obstacle(
         active[np.asarray(warm_start_active, dtype=int)] = True
 
     k_int = mats.K_int
-    w = np.empty(m)
     for it in range(1, max_iterations + 1):
         free = np.flatnonzero(~active)
-        act = np.flatnonzero(active)
-        w[act] = psi_int[act]
+        w = np.where(active, psi_int, 0.0)
         if free.size:
-            rhs_f = load[free]
-            if act.size:
-                rhs_f = rhs_f - k_int[np.ix_(free, act)] @ psi_int[act]
-            w[free] = mats.free_factorization(free).solve(rhs_f)
+            w[free] = mats.free_factorization(free).solve((load - k_int @ w)[free])
         lam = k_int @ w - load
         next_active = lam + (psi_int - w) > 0.0
         if np.array_equal(next_active, active):
@@ -127,57 +118,4 @@ def solve_obstacle(
         strictly_active=strict,
         biactive=biactive,
         pdas_iterations=it,
-    )
-
-
-def brute_force_oracle(
-    z: NodalFunction,
-    psi: NodalFunction,
-    mesh: Mesh,
-    mats: FEMatrices,
-    tol: float = 1e-10,
-) -> ObstacleSolution:
-    """KKT enumeration over all active sets; independent of the PDAS path.
-
-    Only usable on meshes with at most 16 interior nodes.
-    """
-    psi_full = psi.extended()
-    _check_feasible(psi_full, mesh)
-    inter = mats.interior
-    m = inter.size
-    if m > 16:
-        raise ValueError(f"oracle limited to 16 interior nodes, mesh has {m}")
-    psi_int = psi_full[inter]
-    load = _interior_load(z, mats)
-    k_dense = mats.K_int.toarray()
-
-    best = None
-    for bits in range(1 << m):
-        act_mask = np.array([(bits >> k) & 1 for k in range(m)], dtype=bool)
-        free = np.flatnonzero(~act_mask)
-        act = np.flatnonzero(act_mask)
-        w = np.empty(m)
-        w[act] = psi_int[act]
-        if free.size:
-            rhs_f = load[free] - k_dense[np.ix_(free, act)] @ psi_int[act]
-            w[free] = np.linalg.solve(k_dense[np.ix_(free, free)], rhs_f)
-        lam = k_dense @ w - load
-        feasible = np.all(w >= psi_int - tol * (1.0 + np.abs(psi_int)))
-        dual_ok = np.all(lam[act] >= -tol)
-        if feasible and dual_ok and np.all(np.abs(lam[free]) <= tol * (1.0 + np.abs(load[free]))):
-            candidate = (w, lam)
-            if best is None:
-                best = candidate
-    if best is None:
-        raise RuntimeError("enumeration found no KKT point; assembly is broken")
-
-    w, lam = best
-    inactive, strict, biactive = classify_nodes(w, lam, psi_int)
-    return ObstacleSolution(
-        w=NodalFunction(w, SPACE_V, mesh),
-        lam=lam,
-        inactive=inactive,
-        strictly_active=strict,
-        biactive=biactive,
-        pdas_iterations=0,
     )

@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
-from obstaclecontrol.assembly import build_matrices
-from obstaclecontrol.mesh import build_friedrichs_keller
+from obstaclecontrol.assembly import (
+    SPACE_V,
+    FEMatrices,
+    NodalFunction,
+    build_matrices,
+    mass_matrix,
+    stiffness_matrix,
+    vector_norm,
+)
+from obstaclecontrol.linalg import Factorization
+from obstaclecontrol.mesh import Mesh, build_friedrichs_keller
+from obstaclecontrol.obstacle import (
+    InfeasibleConstraintsError,
+    ObstacleSolution,
+    classify_nodes,
+)
 
 _CACHE = {}
 
@@ -12,6 +26,119 @@ def mesh_and_mats(n):
         mesh = build_friedrichs_keller(n)
         _CACHE[n] = (mesh, build_matrices(mesh))
     return _CACHE[n]
+
+
+def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
+    return f.solve(b)
+
+
+def norm(v: NodalFunction, kind: str, mats: "FEMatrices | None" = None) -> float:
+    """Discrete L2, H1 or H1-seminorm of a P1 function.
+
+    V_h vectors are zero-extended to the full node set first.
+    """
+    if mats is None:
+        K, M = stiffness_matrix(v.mesh), mass_matrix(v.mesh)
+    else:
+        K, M = mats.K, mats.M
+    return vector_norm(v.extended(), kind, K, M)
+
+
+def brute_force_oracle(
+    z: NodalFunction,
+    psi: NodalFunction,
+    mesh: Mesh,
+    mats: FEMatrices,
+    tol: float = 1e-10,
+) -> ObstacleSolution:
+    """KKT enumeration over all active sets; independent of the PDAS path.
+
+    Only usable on meshes with at most 16 interior nodes.
+    """
+    psi_full = psi.extended()
+    if np.any(psi_full[mesh.boundary_mask] >= 0.0):
+        raise InfeasibleConstraintsError(
+            "obstacle must be negative on the boundary (zero boundary data)"
+        )
+    inter = mats.interior
+    m = inter.size
+    if m > 16:
+        raise ValueError(f"oracle limited to 16 interior nodes, mesh has {m}")
+    psi_int = psi_full[inter]
+    load = (mats.M @ z.extended())[inter]
+    k_dense = mats.K_int.toarray()
+
+    best = None
+    for bits in range(1 << m):
+        act_mask = np.array([(bits >> k) & 1 for k in range(m)], dtype=bool)
+        free = np.flatnonzero(~act_mask)
+        act = np.flatnonzero(act_mask)
+        w = np.empty(m)
+        w[act] = psi_int[act]
+        if free.size:
+            rhs_f = load[free] - k_dense[np.ix_(free, act)] @ psi_int[act]
+            w[free] = np.linalg.solve(k_dense[np.ix_(free, free)], rhs_f)
+        lam = k_dense @ w - load
+        feasible = np.all(w >= psi_int - tol * (1.0 + np.abs(psi_int)))
+        dual_ok = np.all(lam[act] >= -tol)
+        if feasible and dual_ok and np.all(np.abs(lam[free]) <= tol * (1.0 + np.abs(load[free]))):
+            candidate = (w, lam)
+            if best is None:
+                best = candidate
+    if best is None:
+        raise RuntimeError("enumeration found no KKT point; assembly is broken")
+
+    w, lam = best
+    inactive, strict, biactive = classify_nodes(w, lam, psi_int)
+    return ObstacleSolution(
+        w=NodalFunction(w, SPACE_V, mesh),
+        lam=lam,
+        inactive=inactive,
+        strictly_active=strict,
+        biactive=biactive,
+        pdas_iterations=0,
+    )
+
+
+def read_vtk(path: str):
+    """Parse files produced by cli.write_vtk (round-trip checks)."""
+    with open(path) as fh:
+        tokens = fh.read().split("\n")
+    it = iter(tokens)
+    points = None
+    cells = None
+    fields = {}
+    line = next(it)
+    while True:
+        try:
+            if line.startswith("POINTS"):
+                count = int(line.split()[1])
+                points = np.array(
+                    [[float(t) for t in next(it).split()] for _ in range(count)]
+                )
+                line = next(it)
+            elif line.startswith("CELLS"):
+                count = int(line.split()[1])
+                cells = np.array(
+                    [[int(t) for t in next(it).split()[1:]] for _ in range(count)]
+                )
+                line = next(it)
+            elif line.startswith("SCALARS"):
+                name = line.split()[1]
+                next(it)  # LOOKUP_TABLE
+                vals = []
+                for line in it:
+                    if not line or not line[0].isdigit() and line[0] != "-":
+                        break
+                    vals.append(float(line))
+                else:
+                    line = ""
+                fields[name] = np.array(vals)
+            else:
+                line = next(it)
+        except StopIteration:
+            break
+    return points, cells, fields
 
 
 @pytest.fixture

@@ -25,8 +25,10 @@ from obstaclecontrol.newton import (
     solve_newton_system,
     solve_newton_system_cg,
 )
-from obstaclecontrol.obstacle import brute_force_oracle, solve_obstacle
+from obstaclecontrol.obstacle import solve_obstacle
 from obstaclecontrol.operators import DerivativeSelector
+
+from conftest import brute_force_oracle
 
 REFERENCE_ITERATIONS = {16: 6, 32: 6, 64: 6, 128: 7, 256: 6}
 

@@ -10,13 +10,12 @@ from obstaclecontrol.assembly import (
     h1_matrix,
     interpolate,
     mass_matrix,
-    norm,
     restrict_to_interior,
     stiffness_matrix,
 )
 from obstaclecontrol.mesh import build_friedrichs_keller, interior_nodes
 
-from conftest import mesh_and_mats
+from conftest import mesh_and_mats, norm
 
 
 def test_stiffness_center_row_n2():

@@ -11,14 +11,13 @@ from obstaclecontrol.cli import (
     export_fields,
     main,
     parse_field,
-    read_vtk,
     run_single,
     run_sweep,
     write_vtk,
 )
 from obstaclecontrol.newton import NewtonConfig
 
-from conftest import mesh_and_mats
+from conftest import mesh_and_mats, read_vtk
 
 
 def test_parse_const_field():
@@ -190,6 +189,9 @@ def test_cli_check_zero_trials(capsys):
         ["sweep", "--preset", "paper", "--sizes", "1"],
         ["export", "--preset", "paper", "--n", "1"],
         ["check", "--names", "newton_diff", "--trials", "3"],
+        ["solve", "--preset", "paper", "--n", "8", "--alpha", "nan"],
+        ["solve", "--preset", "paper", "--n", "8", "--tol", "nan"],
+        ["solve", "--preset", "paper", "--n", "8", "--alpha", "inf"],
     ],
 )
 def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from obstaclecontrol import newton
 from obstaclecontrol.assembly import SPACE_W, NodalFunction
 from obstaclecontrol.cli import registered_checks
 from obstaclecontrol.diagnostics import (
@@ -45,6 +46,23 @@ def test_contraction_passes():
     report = check_contraction(mesh, mats, trials=25, seed=2, alpha=1e-5)
     assert report.passed
     assert report.max_violation <= 1e-9
+
+
+def test_contraction_fails_on_expanding_solve_and_run_raises(monkeypatch):
+    # a Newton solve that doubles its rhs breaks the unit bound of the inverse
+    monkeypatch.setattr(newton, "solve_block_newton", lambda a, m, k, free, alpha, rhs: 2.0 * rhs)
+    mesh, mats = mesh_and_mats(8)
+    report = check_contraction(mesh, mats, trials=3, seed=0)
+    assert not report.passed
+    assert report.max_violation == pytest.approx(1.0)
+    with pytest.raises(newton.ContractionViolationError):
+        newton.run(
+            newton.NewtonConfig(alpha=1e-5),
+            lambda x1, x2: -x1 - x2,
+            lambda x1, x2: np.full_like(x1, -5.0),
+            mesh,
+            mats,
+        )
 
 
 def test_newton_diff_linear_regime_is_exactly_zero():

@@ -6,13 +6,12 @@ from obstaclecontrol.linalg import (
     Factorization,
     NotPositiveDefiniteError,
     factorize,
-    solve,
     solve_block_newton,
 )
 from obstaclecontrol.newton import newton_step_matrix_apply
 from obstaclecontrol.operators import DerivativeSelector
 
-from conftest import mesh_and_mats
+from conftest import mesh_and_mats, solve
 
 
 def test_identity_roundtrip():

@@ -7,12 +7,12 @@ from obstaclecontrol.assembly import SPACE_W, NodalFunction, interpolate
 from obstaclecontrol.obstacle import (
     InfeasibleConstraintsError,
     ObstacleSolution,
-    brute_force_oracle,
+    PdasNoConvergenceError,
     classify_nodes,
     solve_obstacle,
 )
 
-from conftest import mesh_and_mats
+from conftest import brute_force_oracle, mesh_and_mats
 
 
 def const_field(mesh, c):
@@ -104,6 +104,15 @@ def test_infeasible_obstacle():
     mesh, mats = mesh_and_mats(4)
     with pytest.raises(InfeasibleConstraintsError):
         solve_obstacle(const_field(mesh, 0.0), const_field(mesh, 0.0), mesh, mats)
+
+
+def test_pdas_cap_raises():
+    mesh, mats = mesh_and_mats(8)
+    z = const_field(mesh, -10.0)
+    psi = const_field(mesh, -0.01)
+    assert solve_obstacle(z, psi, mesh, mats).pdas_iterations >= 2
+    with pytest.raises(PdasNoConvergenceError):
+        solve_obstacle(z, psi, mesh, mats, max_iterations=1)
 
 
 def test_warm_start_reaches_same_solution(rng):
