@@ -30,7 +30,7 @@ from .diagnostics import (
 from .mesh import Mesh, build_friedrichs_keller
 from .newton import NewtonConfig, NewtonReport, run
 from .obstacle import InfeasibleConstraintsError
-from .operators import apply_P, extend_interior
+from .operators import extend_interior
 
 # The reference configuration of the mesh-independence study.  These
 # constants live here and nowhere else.
@@ -41,7 +41,7 @@ PAPER_PRESET = {
     "psi": "const:-5",
     "selector_policy": "strict_only",
     "sizes": [16, 32, 64, 128, 256],
-    "large_size": 512,
+    "large_size": 512,  # appended by sweep --large
     "max_iter": 50,
 }
 
@@ -51,19 +51,26 @@ class UsageError(Exception):
 
 
 def parse_field(spec: str):
-    """Named scalar fields: 'const:c' or 'affine:a,b,c' for a + b*x1 + c*x2."""
+    """Named scalar fields: 'const:c' or 'affine:a,b,c' for a + b*x1 + c*x2,
+    with finite coefficients."""
+    if not isinstance(spec, str):
+        raise UsageError(f"field spec must be a string, got {spec!r}")
     kind, _, arg = spec.partition(":")
     if kind == "const":
         try:
             c = float(arg)
         except ValueError as exc:
             raise UsageError(f"bad constant field {spec!r}") from exc
+        if not math.isfinite(c):
+            raise UsageError(f"constant of field {spec!r} is not finite")
         return lambda x1, x2: np.full_like(x1, c)
     if kind == "affine":
         try:
             a, b, c = (float(s) for s in arg.split(","))
         except ValueError as exc:
             raise UsageError(f"bad affine field {spec!r}, expected affine:a,b,c") from exc
+        if not all(math.isfinite(x) for x in (a, b, c)):
+            raise UsageError(f"coefficients of field {spec!r} are not finite")
         return lambda x1, x2: a + b * x1 + c * x2
     raise UsageError(f"unknown field kind {spec!r}; use const:c or affine:a,b,c")
 
@@ -270,6 +277,8 @@ def run_checks(names, seed: int, out_path: str | None, trials: int | None = None
         raise UsageError(
             f"unknown check(s) {unknown}; registered: {sorted(registry)}"
         )
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
     kwargs = {}
     if trials is not None:
         if trials < 1:
@@ -296,17 +305,20 @@ def paper_converged_zeta(n: int):
     p = PAPER_PRESET
     config = NewtonConfig(alpha=p["alpha"], tol=p["tol"], max_iter=p["max_iter"])
     mesh, mats, report = run_single(config, p["y_d"], p["psi"], n)
-    y_d = interpolate(parse_field(p["y_d"]), mesh)
-    zeta = (apply_P(y_d.values, mats) - apply_P(report.y, mats)) / p["alpha"]
     psi = interpolate(parse_field(p["psi"]), mesh)
-    return mesh, mats, NodalFunction(zeta, SPACE_W, mesh), psi
+    return mesh, mats, NodalFunction(report.zeta, SPACE_W, mesh), psi
 
 
 def _load_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise UsageError(f"config {args.config!r} must hold a JSON object")
     if getattr(args, "preset", None) == "paper":
         merged = dict(PAPER_PRESET)
         merged.update(cfg)
@@ -340,8 +352,8 @@ def _newton_config(cfg: dict) -> NewtonConfig:
 
 
 def _check_mesh_sizes(sizes):
-    if any(n < 2 for n in sizes):
-        raise UsageError(f"mesh sizes must be at least 2, got {list(sizes)}")
+    if not (isinstance(sizes, list) and all(isinstance(n, int) and n >= 2 for n in sizes)):
+        raise UsageError(f"mesh sizes must be integers of at least 2, got {sizes!r}")
 
 
 def _cmd_solve(args) -> int:
@@ -363,12 +375,16 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    sizes = (
-        [int(s) for s in args.sizes.split(",")] if args.sizes else list(_require(cfg, "sizes"))
-    )
-    if args.large:
-        sizes.append(cfg.get("large_size", 512))
+    if args.sizes:
+        try:
+            sizes = [int(s) for s in args.sizes.split(",")]
+        except ValueError as exc:
+            raise UsageError(f"bad --sizes {args.sizes!r}, expected integers like 16,32") from exc
+    else:
+        sizes = _require(cfg, "sizes")
     _check_mesh_sizes(sizes)
+    if args.large:
+        sizes = sizes + [PAPER_PRESET["large_size"]]
     config = _newton_config(cfg)
     result = run_sweep(
         alpha=config.alpha,

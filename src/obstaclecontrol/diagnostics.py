@@ -6,7 +6,7 @@ tolerance.  The slack of 1e-9 on the solver-mediated checks is the
 direct-solve residual bound (1e-10) times a safety factor of ten.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .operators import DerivativeSelector, apply_G, extend_interior
 CONVEXITY_SLACK = 1e-9
 MONOTONICITY_SLACK = 1e-12
 CONTRACTION_SLACK = 1e-9
+NEWTON_DIFF_SCALES = tuple(10.0 ** (-k) for k in range(1, 7))  # Taylor-remainder ladder
 
 
 @dataclass
@@ -27,20 +28,19 @@ class CheckReport:
     trials: int
     max_violation: float
     tolerance: float
-    passed: bool
     seed: int
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
+
+    @property
+    def passed(self) -> bool:
+        return self.max_violation <= self.tolerance
+
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "seed": self.seed,
-            "details": self.details,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _random_field(rng, mesh: Mesh) -> NodalFunction:
@@ -51,16 +51,16 @@ def _const_psi(mesh: Mesh, value: float = -1.0) -> NodalFunction:
     return NodalFunction(np.full(mesh.num_nodes, value), SPACE_W, mesh)
 
 
-def _solve_state(z: NodalFunction, psi, mesh, mats) -> np.ndarray:
-    return solve_obstacle(z, psi, mesh, mats).w.values
+def _random_selector(rng, mats: FEMatrices) -> DerivativeSelector:
+    """Selector for a random constrained set of random density."""
+    constrained = np.flatnonzero(rng.random(mats.interior.size) < rng.uniform(0.0, 1.0))
+    return DerivativeSelector.from_node_set(constrained, mats)
 
 
 def check_pointwise_convexity(
     mesh: Mesh, mats: FEMatrices, trials: int = 100, seed: int = 42
 ) -> CheckReport:
     """Nodal convexity of the obstacle solution map in its load."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     psi = _const_psi(mesh)
     worst = 0.0
@@ -68,11 +68,11 @@ def check_pointwise_convexity(
     for _ in range(trials):
         z1 = _random_field(rng, mesh)
         z2 = _random_field(rng, mesh)
-        s1 = _solve_state(z1, psi, mesh, mats)
-        s2 = _solve_state(z2, psi, mesh, mats)
+        s1 = solve_obstacle(z1, psi, mesh, mats).w.values
+        s2 = solve_obstacle(z2, psi, mesh, mats).w.values
         lam = lambdas[rng.integers(len(lambdas))]
         mix = NodalFunction(lam * z1.values + (1 - lam) * z2.values, SPACE_W, mesh)
-        s_mix = _solve_state(mix, psi, mesh, mats)
+        s_mix = solve_obstacle(mix, psi, mesh, mats).w.values
         violation = float(np.max(s_mix - (lam * s1 + (1 - lam) * s2)))
         worst = max(worst, violation)
     return CheckReport(
@@ -80,7 +80,6 @@ def check_pointwise_convexity(
         trials=trials,
         max_violation=worst,
         tolerance=CONVEXITY_SLACK,
-        passed=worst <= CONVEXITY_SLACK,
         seed=seed,
     )
 
@@ -89,16 +88,11 @@ def check_derivative_monotonicity(
     mesh: Mesh, mats: FEMatrices, trials: int = 100, seed: int = 0
 ) -> CheckReport:
     """Nonnegativity of the pairing (M a, extension of G a)."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    m = mats.interior.size
     worst = 0.0  # most negative scaled pairing, flipped in sign
     for _ in range(trials):
         a = rng.uniform(-10.0, 10.0, mesh.num_nodes)
-        constrained = np.flatnonzero(rng.random(m) < rng.uniform(0.0, 1.0))
-        sel = DerivativeSelector.from_node_set(constrained, mats)
-        w = apply_G(sel, a, mats)
+        w = apply_G(_random_selector(rng, mats), a, mats)
         pairing = float((mats.M @ a) @ extend_interior(w, mats))
         scale = 1.0 + abs(pairing)
         worst = max(worst, -pairing / scale)
@@ -107,7 +101,6 @@ def check_derivative_monotonicity(
         trials=trials,
         max_violation=worst,
         tolerance=MONOTONICITY_SLACK,
-        passed=worst <= MONOTONICITY_SLACK,
         seed=seed,
     )
 
@@ -118,7 +111,6 @@ def check_newton_differentiability(
     base: NodalFunction,
     psi: NodalFunction | None = None,
     seed: int = 0,
-    scales=tuple(10.0 ** (-k) for k in range(1, 7)),
 ) -> CheckReport:
     """Taylor-remainder decay of the obstacle map along a fixed random
     direction, with the derivative chosen at the perturbed point."""
@@ -130,9 +122,9 @@ def check_newton_differentiability(
     if d_norm == 0.0:
         raise ValueError("zero perturbation direction")
     d = d / d_norm
-    s_base = _solve_state(base, psi, mesh, mats)
+    s_base = solve_obstacle(base, psi, mesh, mats).w.values
     ratios = []
-    for t in scales:
+    for t in NEWTON_DIFF_SCALES:
         z = t * d
         perturbed = NodalFunction(base.values + z, SPACE_W, mesh)
         sol = solve_obstacle(perturbed, psi, mesh, mats)
@@ -143,15 +135,13 @@ def check_newton_differentiability(
     final, initial = ratios[-1], ratios[0]
     # remainders at or below the direct-solver noise floor count as zero
     zero_floor = 1e-9
-    passed = final <= max(0.1 * initial, zero_floor)
     return CheckReport(
         name="newton_diff",
-        trials=len(scales),
+        trials=len(NEWTON_DIFF_SCALES),
         max_violation=final,
         tolerance=max(0.1 * initial, zero_floor),
-        passed=passed,
         seed=seed,
-        details={"scales": list(scales), "ratios": ratios},
+        details={"scales": list(NEWTON_DIFF_SCALES), "ratios": ratios},
     )
 
 
@@ -159,16 +149,11 @@ def check_contraction(
     mesh: Mesh, mats: FEMatrices, trials: int = 100, seed: int = 0, alpha: float = 1e-5
 ) -> CheckReport:
     """Unit bound of the inverse Newton operator in the L2 norm."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    m = mats.interior.size
     worst = 0.0
     for _ in range(trials):
         rhs = rng.uniform(-10.0, 10.0, mesh.num_nodes)
-        constrained = np.flatnonzero(rng.random(m) < rng.uniform(0.0, 1.0))
-        sel = DerivativeSelector.from_node_set(constrained, mats)
-        y = solve_newton_system(rhs, sel, alpha, mats)
+        y = solve_newton_system(rhs, _random_selector(rng, mats), alpha, mats)
         ratio = vector_norm(y, "L2", mats.K, mats.M) / vector_norm(
             rhs, "L2", mats.K, mats.M
         )
@@ -178,7 +163,6 @@ def check_contraction(
         trials=trials,
         max_violation=worst,
         tolerance=CONTRACTION_SLACK,
-        passed=worst <= CONTRACTION_SLACK,
         seed=seed,
     )
 
@@ -189,8 +173,6 @@ def check_lipschitz_scaling(
     """Stability of the perturbation ratio ||S(u+z)-S(u)|| / ||z|| across
     meshes.  Evidence for a mesh-independent Lipschitz constant, not a
     proof; only the L2 -> L2 ratio is sampled."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     maxima = {}
     for n in mesh_sizes:
         rng = np.random.default_rng(seed)
@@ -202,24 +184,21 @@ def check_lipschitz_scaling(
             u = _random_field(rng, mesh)
             d = rng.uniform(-1.0, 1.0, mesh.num_nodes)
             d /= vector_norm(d, "L2", mats.K, mats.M)
+            su = solve_obstacle(u, psi, mesh, mats).w.values
             for t in (1e-1, 1e-2, 1e-3):
                 z = t * d
-                su = _solve_state(u, psi, mesh, mats)
-                suz = _solve_state(
-                    NodalFunction(u.values + z, SPACE_W, mesh), psi, mesh, mats
-                )
+                perturbed = NodalFunction(u.values + z, SPACE_W, mesh)
+                suz = solve_obstacle(perturbed, psi, mesh, mats).w.values
                 diff = extend_interior(suz - su, mats)
                 worst = max(worst, vector_norm(diff, "L2", mats.K, mats.M) / t)
         maxima[n] = worst
     coarsest = maxima[mesh_sizes[0]]
     overall = max(maxima.values())
-    passed = overall <= 2.0 * coarsest
     return CheckReport(
         name="lipschitz",
         trials=trials,
         max_violation=overall,
         tolerance=2.0 * coarsest,
-        passed=passed,
         seed=seed,
         details={"per_mesh_maxima": {str(n): maxima[n] for n in mesh_sizes}},
     )

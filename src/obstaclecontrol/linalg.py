@@ -80,20 +80,14 @@ def solve_block_newton(
         return np.asarray(rhs, dtype=float).copy()
 
     m_csr = m_mat.tocsr()
-    m_free_rows = m_csr[free, :]  # (nf, nw), rows of M at free nodes
     ext = sp.csr_matrix(
         (np.ones(nf), (free, np.arange(nf))), shape=(nw, nf)
     )  # zero-extension of the free unknowns
-    m_ext = (m_csr @ ext).tocsr()
-
-    zero_ww = sp.csr_matrix((nw, nw))
-    zero_wf = sp.csr_matrix((nw, nf))
-    zero_fw = sp.csr_matrix((nf, nw))
     block = sp.bmat(
         [
-            [a_mat, zero_wf, m_csr / alpha],
-            [-m_free_rows, k_ff, zero_fw],
-            [zero_ww, -m_ext, a_mat],
+            [a_mat, None, m_csr / alpha],
+            [-m_csr[free, :], k_ff, None],
+            [None, -(m_csr @ ext), a_mat],
         ],
         format="csc",
     )

@@ -11,6 +11,7 @@ with N the strictly active node set of the obstacle solve.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,20 +33,18 @@ class NewtonConfig:
     tol: float = 1e-7
     max_iter: int = 50
     selector_policy: str = "strict_only"  # or "strict_plus_biactive"
-    y0_policy: str = "interpolate_yD"  # "zero" or "custom"
-    y0_custom: np.ndarray | None = None
+    y0: np.ndarray | None = None  # initial guess on all nodes; None means I_h(y_D)
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
+        if not (isinstance(self.alpha, numbers.Real) and 0 < self.alpha < math.inf):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
-        if not self.tol >= 0:  # also rejects NaN; tol = inf stops at iteration 0
+        # also rejects NaN; tol = inf stops at iteration 0
+        if not (isinstance(self.tol, numbers.Real) and self.tol >= 0):
             raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if self.selector_policy not in ("strict_only", "strict_plus_biactive"):
             raise ValueError(f"unknown selector policy {self.selector_policy!r}")
-        if self.y0_policy not in ("interpolate_yD", "zero", "custom"):
-            raise ValueError(f"unknown y0 policy {self.y0_policy!r}")
 
 
 @dataclass
@@ -66,6 +65,7 @@ class NewtonReport:
     y: np.ndarray
     ytilde: np.ndarray
     u: np.ndarray
+    zeta: np.ndarray  # (P I_h y_D - P y) / alpha at the last iterate
     lam: np.ndarray
     final_solution: ObstacleSolution
 
@@ -118,18 +118,12 @@ def solve_newton_system_cg(
 
 
 def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> NewtonReport:
-    """Run the semismooth Newton method; records one entry per residual check."""
-    y_d = interpolate(y_d_field, mesh) if callable(y_d_field) else y_d_field
-    psi = interpolate(psi_field, mesh) if callable(psi_field) else psi_field
-
-    if config.y0_policy == "interpolate_yD":
-        y = y_d.extended().copy()
-    elif config.y0_policy == "zero":
-        y = np.zeros(mesh.num_nodes)
-    else:
-        if config.y0_custom is None:
-            raise ValueError("y0_policy 'custom' requires y0_custom")
-        y = np.asarray(config.y0_custom, dtype=float).copy()
+    """Run the semismooth Newton method; records one entry per residual check.
+    The fields y_D and psi are callables f(x1, x2) evaluated at the nodes."""
+    y_d = interpolate(y_d_field, mesh)
+    psi = interpolate(psi_field, mesh)
+    y0 = y_d if config.y0 is None else NodalFunction(config.y0, SPACE_W, mesh)
+    y = y0.extended().copy()
 
     p_yd = apply_P(y_d.extended(), mats)
     include_biactive = config.selector_policy == "strict_plus_biactive"
@@ -186,6 +180,7 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
         y=last.y,
         ytilde=last.ytilde,
         u=last.u,
+        zeta=zeta,
         lam=sol.lam,
         final_solution=sol,
     )

@@ -49,18 +49,11 @@ def _check_feasible(psi_full: np.ndarray, mesh: Mesh):
         )
 
 
-def classify_nodes(
-    w_int: np.ndarray,
-    lam: np.ndarray,
-    psi_int: np.ndarray,
-    tol_active: np.ndarray | float | None = None,
-    tol_strict: float = TOL_STRICT,
-):
-    """Partition interior nodes into inactive / strictly active / biactive."""
-    if tol_active is None:
-        tol_active = 1e-12 * (1.0 + np.abs(psi_int))
-    inactive_mask = w_int > psi_int + tol_active
-    strict_mask = ~inactive_mask & (lam > tol_strict)
+def classify_nodes(w_int: np.ndarray, lam: np.ndarray, psi_int: np.ndarray):
+    """Partition interior nodes into inactive / strictly active / biactive.
+    A node is active when w lies within 1e-12 (1 + |psi|) of the obstacle."""
+    inactive_mask = w_int > psi_int + 1e-12 * (1.0 + np.abs(psi_int))
+    strict_mask = ~inactive_mask & (lam > TOL_STRICT)
     biactive_mask = ~inactive_mask & ~strict_mask
     return (
         np.flatnonzero(inactive_mask),

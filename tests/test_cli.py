@@ -192,12 +192,38 @@ def test_cli_check_zero_trials(capsys):
         ["solve", "--preset", "paper", "--n", "8", "--alpha", "nan"],
         ["solve", "--preset", "paper", "--n", "8", "--tol", "nan"],
         ["solve", "--preset", "paper", "--n", "8", "--alpha", "inf"],
+        ["sweep", "--preset", "paper", "--sizes", "16,a"],
+        ["solve", "--preset", "paper", "--n", "8", "--psi", "const:nan"],
+        ["solve", "--preset", "paper", "--n", "8", "--y-d", "const:inf"],
+        ["check", "--names", "monotonicity", "--seed", "-1"],
     ],
 )
 def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
     if argv[0] == "export":
         argv = argv + ["--out", str(tmp_path / "never.vtk")]
     assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("solve", None),  # the config file does not exist
+        ("solve", '{"alpha": 1e-5,'),
+        ("solve", '{"max_iter": 2.5}'),
+        ("solve", '{"n": 8.5}'),
+        ("solve", '{"alpha": "1e-5"}'),
+        ("sweep", '{"sizes": [16, "a"]}'),
+        ("solve", '{"y_d": 5}'),
+    ],
+    ids=["missing", "malformed", "max_iter", "n", "alpha", "sizes", "y_d"],
+)
+def test_cli_bad_config_file_exit_2(command, text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main([command, "--preset", "paper", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
 

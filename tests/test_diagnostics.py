@@ -35,6 +35,20 @@ def test_convexity_rejects_zero_trials():
         check_pointwise_convexity(mesh, mats, trials=0)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: check_derivative_monotonicity(*mesh_and_mats(8), trials=0),
+        lambda: check_contraction(*mesh_and_mats(8), trials=0),
+        lambda: check_lipschitz_scaling(mesh_sizes=(4, 8), trials=0),
+    ],
+    ids=["monotonicity", "contraction", "lipschitz"],
+)
+def test_trial_checks_reject_zero_trials(check):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        check()
+
+
 def test_monotonicity_passes():
     mesh, mats = mesh_and_mats(8)
     report = check_derivative_monotonicity(mesh, mats, trials=25, seed=2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obstaclecontrol.assembly import vector_norm
+from obstaclecontrol.assembly import interpolate, vector_norm
 from obstaclecontrol.newton import (
     NewtonConfig,
     newton_step_matrix_apply,
@@ -9,7 +9,7 @@ from obstaclecontrol.newton import (
     solve_newton_system,
     solve_newton_system_cg,
 )
-from obstaclecontrol.operators import DerivativeSelector
+from obstaclecontrol.operators import DerivativeSelector, apply_P
 
 from conftest import mesh_and_mats
 
@@ -169,10 +169,38 @@ def test_fixed_point_consistency():
     mesh, mats = mesh_and_mats(16)
     config = NewtonConfig(alpha=1e-5, tol=1e-7)
     report = run(config, PAPER_Y_D, PAPER_PSI, mesh, mats)
-    rerun = NewtonConfig(alpha=1e-5, tol=1e-7, y0_policy="custom", y0_custom=report.y)
+    rerun = NewtonConfig(alpha=1e-5, tol=1e-7, y0=report.y)
     second = run(rerun, PAPER_Y_D, PAPER_PSI, mesh, mats)
     assert second.status == "converged"
     assert second.iterations == 0
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_zero_initial_guess_reaches_same_solution(n):
+    mesh, mats = mesh_and_mats(n)
+    default = run(NewtonConfig(alpha=1e-5, tol=1e-7), PAPER_Y_D, PAPER_PSI, mesh, mats)
+    zero = run(
+        NewtonConfig(alpha=1e-5, tol=1e-7, y0=np.zeros(mesh.num_nodes)),
+        PAPER_Y_D, PAPER_PSI, mesh, mats,
+    )
+    assert zero.status == "converged"
+    assert np.array_equal(zero.history[0].y, np.zeros(mesh.num_nodes))
+    assert vector_norm(zero.y - default.y, "L2", mats.K, mats.M) <= 1e-9
+
+
+def test_initial_guess_must_match_the_mesh():
+    mesh, mats = mesh_and_mats(8)
+    config = NewtonConfig(alpha=1e-5, y0=np.zeros(mesh.num_nodes - 1))
+    with pytest.raises(ValueError):
+        run(config, PAPER_Y_D, PAPER_PSI, mesh, mats)
+
+
+def test_report_zeta_is_the_adjoint_field_of_the_last_iterate():
+    mesh, mats = mesh_and_mats(8)
+    report = run(NewtonConfig(alpha=1e-5, tol=1e-7), PAPER_Y_D, PAPER_PSI, mesh, mats)
+    y_d = interpolate(PAPER_Y_D, mesh).values
+    expected = (apply_P(y_d, mats) - apply_P(report.y, mats)) / 1e-5
+    assert np.array_equal(report.zeta, expected)
 
 
 def test_superlinear_tail_n16():
@@ -203,3 +231,9 @@ def test_selector_policies_reach_same_solution():
     r2 = run(alt, PAPER_Y_D, PAPER_PSI, mesh, mats)
     diff = vector_norm(r1.y - r2.y, "L2", mats.K, mats.M)
     assert diff <= 1e-6
+
+
+@pytest.mark.parametrize("max_iter", [2.5, "50", None])
+def test_config_rejects_non_integer_max_iter(max_iter):
+    with pytest.raises(ValueError):
+        NewtonConfig(alpha=1.0, max_iter=max_iter)
