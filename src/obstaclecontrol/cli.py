@@ -29,7 +29,7 @@ from .diagnostics import (
 )
 from .mesh import Mesh, build_friedrichs_keller
 from .newton import NewtonConfig, NewtonReport, run
-from .obstacle import InfeasibleConstraintsError
+from .obstacle import InfeasibleConstraintsError, PdasNoConvergenceError
 from .operators import extend_interior
 
 # The reference configuration of the mesh-independence study.  These
@@ -367,8 +367,7 @@ def _cmd_solve(args) -> int:
     print(f"n={n} h={mesh.h} status={report.status} iterations={report.iterations} "
           f"final_residue={report.residuals[-1]:.4e}")
     if args.out:
-        y_d = interpolate(parse_field(cfg["y_d"]), mesh).values
-        export_fields(report, mesh, args.out, y_d)
+        export_fields(report, mesh, args.out, report.y_d)
         print(f"fields written to {args.out}")
     return 0 if report.status == "converged" else 1
 
@@ -464,6 +463,9 @@ def main(argv=None) -> int:
     except (UsageError, InfeasibleConstraintsError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except PdasNoConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

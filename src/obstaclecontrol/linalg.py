@@ -12,7 +12,12 @@ import scipy.sparse.linalg as spla
 
 
 class NotPositiveDefiniteError(Exception):
-    """The matrix handed to factorize() produced a nonpositive pivot."""
+    """The matrix handed to factorize() produced a nonpositive pivot, or
+    the operator handed to cg_self_adjoint a nonpositive curvature."""
+
+
+class CgNoConvergenceError(Exception):
+    """cg_self_adjoint did not reach its tolerance within max_iter."""
 
 
 class Factorization:
@@ -59,6 +64,7 @@ def solve_block_newton(
     free: np.ndarray,
     alpha: float,
     rhs: np.ndarray,
+    node_order: np.ndarray,
 ) -> np.ndarray:
     """Solve (Id + P E G R P) y = rhs for y via the sparse block system.
 
@@ -71,6 +77,12 @@ def solve_block_newton(
         (K+M) b - M E w         = 0
 
     after eliminating y = rhs - b/alpha.  Returns y.
+
+    The unknowns (a, w, b) of each node are numbered next to each other,
+    node by node in node_order (a fill-reducing ordering of the mesh
+    nodes, such as Mesh.nested_dissection).  Every 3x3 node block is
+    nonsingular and the system is factored without pivoting in that
+    order, so the factors keep the sparsity of the ordering.
     """
     free = np.asarray(free, dtype=int)
     nw = a_mat.shape[0]
@@ -89,12 +101,23 @@ def solve_block_newton(
             [-m_csr[free, :], k_ff, None],
             [None, -(m_csr @ ext), a_mat],
         ],
-        format="csc",
+        format="coo",
     )
+    # sort the unknowns by (rank of their node in node_order, a < w < b);
+    # perm[k] is the unknown placed at position k, pos its inverse
+    rank = np.empty(nw, dtype=int)
+    rank[node_order] = np.arange(nw)
+    perm = np.argsort(np.concatenate([3 * rank, 3 * rank[free] + 1, 3 * rank + 2]))
+    pos = np.argsort(perm)
+    block = sp.csc_matrix((block.data, (pos[block.row], pos[block.col])), shape=block.shape)
     full_rhs = np.concatenate([m_csr @ rhs, np.zeros(nf), np.zeros(nw)])
-    lu = spla.splu(block)
-    sol = lu.solve(full_rhs)
-    b = sol[nw + nf :]
+    lu = spla.splu(
+        block,
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    b = lu.solve(full_rhs[perm])[pos[nw + nf :]]
     return rhs - b / alpha
 
 
@@ -102,20 +125,34 @@ def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float = 1e-13,
                     max_iter: int = 20000) -> np.ndarray:
     """Conjugate gradients for an operator self-adjoint and positive
     definite in the given inner product.  Used as the matrix-free
-    cross-check of solve_block_newton."""
+    cross-check of solve_block_newton.
+
+    Stops when the residual norm is at most tol times that of rhs.
+    Raises CgNoConvergenceError after max_iter iterations without that,
+    and NotPositiveDefiniteError on a direction of nonpositive curvature."""
     x = np.zeros_like(rhs)
     r = rhs - apply_op(x)
     p = r.copy()
     rr = inner(r, r)
     stop = tol * tol * max(inner(rhs, rhs), 1e-300)
-    for _ in range(max_iter):
-        if rr <= stop:
-            break
+    it = 0
+    while not rr <= stop:  # a NaN residual goes on to fail below
+        if it == max_iter:
+            raise CgNoConvergenceError(
+                f"residual {np.sqrt(rr):.3e} above {np.sqrt(stop):.3e} "
+                f"after {max_iter} iterations"
+            )
         ap = apply_op(p)
-        a_step = rr / inner(p, ap)
+        curvature = inner(p, ap)
+        if not curvature > 0.0:  # also NaN
+            raise NotPositiveDefiniteError(
+                f"CG iteration {it}: nonpositive curvature {curvature:.3e}"
+            )
+        a_step = rr / curvature
         x += a_step * p
         r -= a_step * ap
         rr_new = inner(r, r)
         p = r + (rr_new / rr) * p
         rr = rr_new
+        it += 1
     return x

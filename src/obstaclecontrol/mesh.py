@@ -37,6 +37,34 @@ class Mesh:
         """Indices of nodes strictly inside the square, ascending."""
         return np.flatnonzero(~self.boundary_mask)
 
+    @cached_property
+    def nested_dissection(self) -> np.ndarray:
+        """All node indices in geometric nested-dissection order.
+
+        A full row or column of nodes separates the grid, since every
+        edge joins nodes at most one step apart in each direction.  Each
+        block is split across its longer side, its two halves are
+        ordered recursively and the separator follows them."""
+        side = self.n + 1
+        parts = []
+
+        def visit(i0, i1, j0, j1):  # node columns [i0, i1), rows [j0, j1)
+            if i1 - i0 <= 2 and j1 - j0 <= 2:
+                parts.append((np.arange(j0, j1)[:, None] * side + np.arange(i0, i1)).ravel())
+            elif i1 - i0 >= j1 - j0:
+                mid = (i0 + i1) // 2
+                visit(i0, mid, j0, j1)
+                visit(mid + 1, i1, j0, j1)
+                parts.append(np.arange(j0, j1) * side + mid)
+            else:
+                mid = (j0 + j1) // 2
+                visit(i0, i1, j0, mid)
+                visit(i0, i1, mid + 1, j1)
+                parts.append(mid * side + np.arange(i0, i1))
+
+        visit(0, side, 0, side)
+        return np.concatenate(parts)
+
     @property
     def num_nodes(self) -> int:
         return self.nodes.shape[0]

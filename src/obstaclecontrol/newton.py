@@ -7,7 +7,9 @@ L2 residual ||y_i - ytilde_i|| and, if necessary, solves
 
     y_{i+1} + (1/alpha) P G_N P y_{i+1} = ytilde_i + (1/alpha) P G_N P y_i
 
-with N the strictly active node set of the obstacle solve.
+with N the strictly active node set of the obstacle solve.  The loop
+solves it for the correction y_{i+1} - y_i, whose right-hand side is
+ytilde_i - y_i.
 """
 
 import math
@@ -18,13 +20,19 @@ import numpy as np
 
 from .assembly import SPACE_W, FEMatrices, NodalFunction, interpolate, vector_norm
 from .linalg import cg_self_adjoint, solve_block_newton
-from .obstacle import ObstacleSolution, solve_obstacle
+from .obstacle import ObstacleSolution, PdasNoConvergenceError, solve_obstacle
 from .operators import DerivativeSelector, apply_G, apply_P, extend_interior
 
 
 class ContractionViolationError(Exception):
     """Newton solve produced ||y|| > ||rhs|| in L2; the operator lost
     its unit inverse bound, which indicates a sign or adjointness bug."""
+
+
+def _is_number(value, kind) -> bool:
+    """isinstance(value, kind) for a non-bool: True is an Integral, but a
+    boolean alpha, tol or max_iter is a mistake in the config file."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -36,12 +44,12 @@ class NewtonConfig:
     y0: np.ndarray | None = None  # initial guess on all nodes; None means I_h(y_D)
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, numbers.Real) and 0 < self.alpha < math.inf):
+        if not (_is_number(self.alpha, numbers.Real) and 0 < self.alpha < math.inf):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
         # also rejects NaN; tol = inf stops at iteration 0
-        if not (isinstance(self.tol, numbers.Real) and self.tol >= 0):
+        if not (_is_number(self.tol, numbers.Real) and self.tol >= 0):
             raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+        if not (_is_number(self.max_iter, numbers.Integral) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if self.selector_policy not in ("strict_only", "strict_plus_biactive"):
             raise ValueError(f"unknown selector policy {self.selector_policy!r}")
@@ -66,6 +74,7 @@ class NewtonReport:
     ytilde: np.ndarray
     u: np.ndarray
     zeta: np.ndarray  # (P I_h y_D - P y) / alpha at the last iterate
+    y_d: np.ndarray  # I_h y_D on all nodes
     lam: np.ndarray
     final_solution: ObstacleSolution
 
@@ -93,7 +102,8 @@ def solve_newton_system(
     free_local = selector.free
     k_ff = mats.K_int[np.ix_(free_local, free_local)].tocsr()
     return solve_block_newton(
-        mats.A, mats.M, k_ff, mats.interior[free_local], alpha, rhs
+        mats.A, mats.M, k_ff, mats.interior[free_local], alpha, rhs,
+        mats.mesh.nested_dissection,
     )
 
 
@@ -135,10 +145,13 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
     for i in range(config.max_iter + 1):
         py = apply_P(y, mats)
         zeta = (p_yd - py) / config.alpha
-        sol = solve_obstacle(
-            NodalFunction(zeta, SPACE_W, mesh), psi, mesh, mats,
-            warm_start_active=warm_active,
-        )
+        try:
+            sol = solve_obstacle(
+                NodalFunction(zeta, SPACE_W, mesh), psi, mesh, mats,
+                warm_start_active=warm_active,
+            )
+        except PdasNoConvergenceError as exc:
+            raise PdasNoConvergenceError(f"outer iteration {i}: {exc}") from exc
         warm_active = sol.active
         u_int = sol.w.values
         ytilde = apply_P(extend_interior(u_int, mats), mats)
@@ -160,17 +173,18 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
             break
         if i == config.max_iter:
             break
-        # rhs of the update equation, reusing the P y already computed
-        w = apply_G(selector, py, mats)
-        rhs = ytilde + apply_P(extend_interior(w, mats), mats) / config.alpha
-        y = solve_newton_system(rhs, selector, config.alpha, mats)
-        # the inverse Newton operator has unit L2 bound: y cannot be longer than rhs
-        norm_y = vector_norm(y, "L2", mats.K, mats.M)
-        norm_rhs = vector_norm(rhs, "L2", mats.K, mats.M)
-        if norm_y > (1.0 + 1e-9) * norm_rhs + 1e-300:
+        # the update equation minus the Newton operator at y; solving for
+        # the correction keeps the solver's relative error relative to it
+        step = solve_newton_system(ytilde - y, selector, config.alpha, mats)
+        # the inverse Newton operator has unit L2 bound: the step cannot be
+        # longer than its right-hand side, whose norm is the residual
+        norm_step = vector_norm(step, "L2", mats.K, mats.M)
+        if norm_step > (1.0 + 1e-9) * residual + 1e-300:
             raise ContractionViolationError(
-                f"outer iteration {i}: ||y|| = {norm_y:.6e} exceeds ||rhs|| = {norm_rhs:.6e}"
+                f"outer iteration {i}: ||step|| = {norm_step:.6e} exceeds "
+                f"||ytilde - y|| = {residual:.6e}"
             )
+        y = y + step
 
     last = history[-1]
     return NewtonReport(
@@ -181,6 +195,7 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
         ytilde=last.ytilde,
         u=last.u,
         zeta=zeta,
+        y_d=y_d.values,
         lam=sol.lam,
         final_solution=sol,
     )

@@ -1,9 +1,12 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from obstaclecontrol import newton, obstacle
+from obstaclecontrol.assembly import interpolate
 from obstaclecontrol.cli import (
     PAPER_PRESET,
     UsageError,
@@ -216,8 +219,14 @@ def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
         ("solve", '{"alpha": "1e-5"}'),
         ("sweep", '{"sizes": [16, "a"]}'),
         ("solve", '{"y_d": 5}'),
+        ("solve", '{"max_iter": true}'),
+        ("solve", '{"alpha": true}'),
+        ("solve", '{"tol": false}'),
     ],
-    ids=["missing", "malformed", "max_iter", "n", "alpha", "sizes", "y_d"],
+    ids=[
+        "missing", "malformed", "max_iter", "n", "alpha", "sizes", "y_d",
+        "max_iter_bool", "alpha_bool", "tol_bool",
+    ],
 )
 def test_cli_bad_config_file_exit_2(command, text, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -226,6 +235,30 @@ def test_cli_bad_config_file_exit_2(command, text, tmp_path, capsys):
     assert main([command, "--preset", "paper", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+def test_cli_pdas_failure_is_one_error_line_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(
+        newton, "solve_obstacle", functools.partial(obstacle.solve_obstacle, max_iterations=1)
+    )
+    # zeta vanishes at the initial guess I_h(y_D), so no node is active and
+    # outer step 0 needs one PDAS iteration; the cap bites at step 1
+    assert main(["solve", "--preset", "paper", "--n", "8"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: outer iteration 1:")
+
+
+def test_cli_solve_vtk_matches_separately_interpolated_y_d(tmp_path):
+    out = tmp_path / "solve.vtk"
+    assert main(["solve", "--preset", "paper", "--n", "8", "--out", str(out)]) == 0
+    mesh, _, report = run_single(
+        NewtonConfig(alpha=PAPER_PRESET["alpha"], tol=PAPER_PRESET["tol"]),
+        PAPER_PRESET["y_d"], PAPER_PRESET["psi"], 8,
+    )
+    ref = tmp_path / "ref.vtk"
+    y_d = interpolate(parse_field(PAPER_PRESET["y_d"]), mesh).values
+    export_fields(report, mesh, str(ref), y_d)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_cli_check_runs_and_writes_report(tmp_path, capsys):

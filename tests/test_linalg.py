@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from obstaclecontrol.assembly import vector_norm
 from obstaclecontrol.linalg import (
+    CgNoConvergenceError,
     Factorization,
     NotPositiveDefiniteError,
+    cg_self_adjoint,
     factorize,
     solve_block_newton,
 )
-from obstaclecontrol.newton import newton_step_matrix_apply
+from obstaclecontrol.newton import newton_step_matrix_apply, solve_newton_system_cg
 from obstaclecontrol.operators import DerivativeSelector
 
 from conftest import mesh_and_mats, solve
@@ -80,7 +83,8 @@ def test_block_solve_all_constrained_is_identity(rng):
     mesh, mats = mesh_and_mats(4)
     rhs = rng.standard_normal(mesh.num_nodes)
     y = solve_block_newton(
-        mats.A, mats.M, sp.csr_matrix((0, 0)), np.array([], dtype=int), 1e-5, rhs
+        mats.A, mats.M, sp.csr_matrix((0, 0)), np.array([], dtype=int), 1e-5, rhs,
+        mesh.nested_dissection,
     )
     assert np.array_equal(y, rhs)
 
@@ -100,7 +104,9 @@ def test_block_solve_matches_dense_probe(rng):
     expected = np.linalg.solve(dense, rhs)
     free_local = sel.free
     k_ff = mats.K_int[np.ix_(free_local, free_local)]
-    y = solve_block_newton(mats.A, mats.M, k_ff, mats.interior[free_local], alpha, rhs)
+    y = solve_block_newton(
+        mats.A, mats.M, k_ff, mats.interior[free_local], alpha, rhs, mesh.nested_dissection
+    )
     assert np.linalg.norm(y - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
@@ -110,5 +116,49 @@ def test_block_solve_large_alpha_limit(rng):
     rhs = rng.standard_normal(mesh.num_nodes)
     free_local = sel.free
     k_ff = mats.K_int[np.ix_(free_local, free_local)]
-    y = solve_block_newton(mats.A, mats.M, k_ff, mats.interior[free_local], 1e12, rhs)
+    y = solve_block_newton(
+        mats.A, mats.M, k_ff, mats.interior[free_local], 1e12, rhs, mesh.nested_dissection
+    )
     assert np.linalg.norm(y - rhs) <= 1e-6 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_block_solve_matches_cg_at_tiny_alpha(n, rng):
+    # at alpha = 1e-10 the block system is badly scaled; factoring it in
+    # node-interleaved order without pivoting must keep full accuracy
+    mesh, mats = mesh_and_mats(n)
+    alpha = 1e-10
+    for _ in range(3):
+        sel = _random_selector(mats, rng, fraction=rng.uniform(0.1, 0.7))
+        rhs = rng.standard_normal(mesh.num_nodes)
+        free_local = sel.free
+        k_ff = mats.K_int[np.ix_(free_local, free_local)]
+        direct = solve_block_newton(
+            mats.A, mats.M, k_ff, mats.interior[free_local], alpha, rhs, mesh.nested_dissection
+        )
+        iterative = solve_newton_system_cg(rhs, sel, alpha, mats, tol=1e-14)
+        diff = vector_norm(direct - iterative, "L2", mats.K, mats.M)
+        assert diff <= 1e-9 * vector_norm(iterative, "L2", mats.K, mats.M)
+
+
+def _m_inner(mats):
+    return lambda x, z: float(x @ (mats.M @ z))
+
+
+def test_cg_raises_at_iteration_cap(rng):
+    mesh, mats = mesh_and_mats(8)
+    sel = _random_selector(mats, rng)
+    rhs = rng.standard_normal(mesh.num_nodes)
+    with pytest.raises(CgNoConvergenceError):
+        cg_self_adjoint(
+            lambda v: newton_step_matrix_apply(v, sel, 1e-5, mats), rhs, _m_inner(mats),
+            max_iter=2,
+        )
+
+
+@pytest.mark.parametrize("sign", [-1.0, 0.0])
+def test_cg_raises_on_nonpositive_curvature(sign, rng):
+    mesh, mats = mesh_and_mats(4)
+    rhs = rng.standard_normal(mesh.num_nodes)
+    with pytest.raises(NotPositiveDefiniteError):
+        cg_self_adjoint(lambda v: sign * v, rhs, _m_inner(mats))

@@ -89,3 +89,10 @@ def test_determinism():
 def test_rejects_small_n(bad):
     with pytest.raises(ValueError):
         build_friedrichs_keller(bad)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+def test_nested_dissection_is_a_permutation_of_the_nodes(n):
+    m = build_friedrichs_keller(n)
+    order = m.nested_dissection
+    assert np.array_equal(np.sort(order), np.arange(m.num_nodes))

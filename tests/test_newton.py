@@ -233,7 +233,23 @@ def test_selector_policies_reach_same_solution():
     assert diff <= 1e-6
 
 
-@pytest.mark.parametrize("max_iter", [2.5, "50", None])
+@pytest.mark.parametrize("max_iter", [2.5, "50", None, True])
 def test_config_rejects_non_integer_max_iter(max_iter):
     with pytest.raises(ValueError):
         NewtonConfig(alpha=1.0, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("field", ["alpha", "tol"])
+def test_config_rejects_boolean_alpha_and_tol(field):
+    with pytest.raises(ValueError):
+        NewtonConfig(**{"alpha": 1.0, field: True})
+
+
+@pytest.mark.parametrize("alpha, max_steps", [(1e-8, 20), (1e-10, 40)])
+def test_small_alpha_converges_at_n32(alpha, max_steps):
+    # each step solves for its correction, so the solver's error is not
+    # amplified by 1/alpha into the adjoint field
+    mesh, mats = mesh_and_mats(32)
+    report = run(NewtonConfig(alpha=alpha, tol=1e-7), PAPER_Y_D, PAPER_PSI, mesh, mats)
+    assert report.status == "converged"
+    assert report.iterations <= max_steps
