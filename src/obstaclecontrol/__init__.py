@@ -7,13 +7,12 @@ __version__ = "0.1.0"
 from .assembly import (
     NodalFunction,
     build_matrices,
-    h1_matrix,
     interpolate,
     mass_matrix,
     restrict_to_interior,
     stiffness_matrix,
 )
-from .mesh import Mesh, build_friedrichs_keller, interior_nodes
+from .mesh import Mesh, build_friedrichs_keller
 from .newton import NewtonConfig, NewtonReport, run
 from .obstacle import ObstacleSolution, solve_obstacle
 
@@ -25,8 +24,6 @@ __all__ = [
     "ObstacleSolution",
     "build_friedrichs_keller",
     "build_matrices",
-    "h1_matrix",
-    "interior_nodes",
     "interpolate",
     "mass_matrix",
     "restrict_to_interior",

@@ -7,12 +7,13 @@ zero-extended on demand.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .mesh import Mesh, interior_nodes, signed_areas
+from .mesh import Mesh, signed_areas
 
 SPACE_W = "W_h"
 SPACE_V = "V_h"
@@ -42,7 +43,7 @@ class NodalFunction:
         if self.space == SPACE_W:
             return self.values
         full = np.zeros(self.mesh.num_nodes)
-        full[interior_nodes(self.mesh)] = self.values
+        full[self.mesh.interior] = self.values
         return full
 
 
@@ -50,7 +51,7 @@ def expected_dim(mesh: Mesh, space: str) -> int:
     if space == SPACE_W:
         return mesh.num_nodes
     if space == SPACE_V:
-        return interior_nodes(mesh).size
+        return mesh.interior.size
     raise ValueError(f"unknown space tag {space!r}")
 
 
@@ -90,11 +91,6 @@ def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     return _accumulate(mesh, element)
 
 
-def h1_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """The full H^1 inner-product matrix K + M."""
-    return (stiffness_matrix(mesh) + mass_matrix(mesh)).tocsr()
-
-
 def restrict_to_interior(op: sp.spmatrix, mesh: Mesh, free: np.ndarray) -> sp.csr_matrix:
     """Principal submatrix of op on the given subset of interior nodes."""
     free = np.asarray(free, dtype=int)
@@ -125,22 +121,18 @@ class FEMatrices:
     A: sp.csr_matrix  # K + M
     interior: np.ndarray
     K_int: sp.csr_matrix  # stiffness on V_h (all interior nodes)
-    _a_fact: object = field(default=None, repr=False)
-    _kint_fact: object = field(default=None, repr=False)
     _free_key: np.ndarray | None = field(default=None, repr=False)
     _free_fact: object = field(default=None, repr=False)
 
-    def a_factorization(self):
-        """Cached factorization of K + M (Neumann Helmholtz operator)."""
-        if self._a_fact is None:
-            self._a_fact = linalg.factorize(self.A)
-        return self._a_fact
+    @cached_property
+    def a_factorization(self) -> linalg.Factorization:
+        """Factorization of K + M (Neumann Helmholtz operator)."""
+        return linalg.Factorization(self.A)
 
-    def kint_factorization(self):
-        """Cached factorization of the interior (Dirichlet) stiffness matrix."""
-        if self._kint_fact is None:
-            self._kint_fact = linalg.factorize(self.K_int)
-        return self._kint_fact
+    @cached_property
+    def kint_factorization(self) -> linalg.Factorization:
+        """Factorization of the interior (Dirichlet) stiffness matrix."""
+        return linalg.Factorization(self.K_int)
 
     def free_factorization(self, free: np.ndarray):
         """Factorization of K_int[free, free] for sorted unique interior
@@ -151,11 +143,11 @@ class FEMatrices:
         The key compares values, since int32 and int64 arrays can share bytes.
         """
         if free.size == self.interior.size:
-            return self.kint_factorization()
+            return self.kint_factorization
         if not np.array_equal(self._free_key, free):
             # release the old factor first: holding two at once raises peak memory
             self._free_key = self._free_fact = None
-            self._free_fact = linalg.factorize(self.K_int[np.ix_(free, free)])
+            self._free_fact = linalg.Factorization(self.K_int[np.ix_(free, free)])
             self._free_key = np.array(free)
         return self._free_fact
 
@@ -164,19 +156,21 @@ def build_matrices(mesh: Mesh) -> FEMatrices:
     K = stiffness_matrix(mesh)
     M = mass_matrix(mesh)
     A = (K + M).tocsr()
-    inter = interior_nodes(mesh)
+    inter = mesh.interior
     K_int = restrict_to_interior(K, mesh, inter)
     return FEMatrices(mesh=mesh, K=K, M=M, A=A, interior=inter, K_int=K_int)
 
 
 def vector_norm(full: np.ndarray, kind: str, K: sp.spmatrix, M: sp.spmatrix) -> float:
-    """Discrete L2, H1 or H1-seminorm of a full-node coefficient vector."""
-    if kind == "L2":
-        q = full @ (M @ full)
-    elif kind == "H1":
-        q = full @ (M @ full) + full @ (K @ full)
-    elif kind == "H1_semi":
-        q = full @ (K @ full)
-    else:
-        raise ValueError(f"unknown norm kind {kind!r}")
+    """Discrete L2, H1 or H1-seminorm of a full-node coefficient vector.
+    Too large a vector gives inf or NaN, without a warning; callers test it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "L2":
+            q = full @ (M @ full)
+        elif kind == "H1":
+            q = full @ (M @ full) + full @ (K @ full)
+        elif kind == "H1_semi":
+            q = full @ (K @ full)
+        else:
+            raise ValueError(f"unknown norm kind {kind!r}")
     return float(np.sqrt(max(q, 0.0)))

@@ -27,8 +27,11 @@ from .diagnostics import (
     check_newton_differentiability,
     check_pointwise_convexity,
 )
+from .linalg import BlockFactorizationError
 from .mesh import Mesh, build_friedrichs_keller
-from .newton import NewtonConfig, NewtonReport, run
+from .newton import (
+    SELECTOR_POLICIES, ContractionViolationError, NewtonConfig, NewtonReport, run,
+)
 from .obstacle import InfeasibleConstraintsError, PdasNoConvergenceError
 from .operators import extend_interior
 
@@ -205,7 +208,7 @@ def export_fields(report: NewtonReport, mesh: Mesh, path: str, y_d: np.ndarray):
         "y_D": y_d,
         "y_tilde": report.ytilde,
         "u": NodalFunction(report.u, SPACE_V, mesh).extended(),
-        "lambda": NodalFunction(report.lam, SPACE_V, mesh).extended(),
+        "lambda": NodalFunction(report.final_solution.lam, SPACE_V, mesh).extended(),
     }
     write_vtk(mesh, fields, path)
 
@@ -303,8 +306,7 @@ def paper_converged_zeta(n: int):
     """Mesh, matrices, converged adjoint field and obstacle of the
     reference configuration; base point for the semismoothness check."""
     p = PAPER_PRESET
-    config = NewtonConfig(alpha=p["alpha"], tol=p["tol"], max_iter=p["max_iter"])
-    mesh, mats, report = run_single(config, p["y_d"], p["psi"], n)
+    mesh, mats, report = run_single(_newton_config(p), p["y_d"], p["psi"], n)
     psi = interpolate(parse_field(p["psi"]), mesh)
     return mesh, mats, NodalFunction(report.zeta, SPACE_W, mesh), psi
 
@@ -340,13 +342,10 @@ def _require(cfg: dict, key: str):
 
 
 def _newton_config(cfg: dict) -> NewtonConfig:
+    # a key cfg does not hold keeps NewtonConfig's default
+    optional = {k: cfg[k] for k in ("max_iter", "selector_policy") if k in cfg}
     try:
-        return NewtonConfig(
-            alpha=_require(cfg, "alpha"),
-            tol=_require(cfg, "tol"),
-            max_iter=cfg.get("max_iter", 50),
-            selector_policy=cfg.get("selector_policy", "strict_only"),
-        )
+        return NewtonConfig(alpha=_require(cfg, "alpha"), tol=_require(cfg, "tol"), **optional)
     except ValueError as exc:  # NewtonConfig validates its fields
         raise UsageError(str(exc)) from exc
 
@@ -423,9 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float)
         p.add_argument("--tol", type=float)
         p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument(
-            "--selector", choices=["strict_only", "strict_plus_biactive"]
-        )
+        p.add_argument("--selector", choices=SELECTOR_POLICIES)
         p.add_argument("--y-d", dest="y_d", help="field spec, e.g. affine:0,-1,-1")
         p.add_argument("--psi", help="field spec, e.g. const:-5")
 
@@ -463,7 +460,7 @@ def main(argv=None) -> int:
     except (UsageError, InfeasibleConstraintsError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except PdasNoConvergenceError as exc:
+    except (PdasNoConvergenceError, ContractionViolationError, BlockFactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

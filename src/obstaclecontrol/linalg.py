@@ -12,8 +12,13 @@ import scipy.sparse.linalg as spla
 
 
 class NotPositiveDefiniteError(Exception):
-    """The matrix handed to factorize() produced a nonpositive pivot, or
+    """The matrix handed to Factorization produced a nonpositive pivot, or
     the operator handed to cg_self_adjoint a nonpositive curvature."""
+
+
+class BlockFactorizationError(Exception):
+    """SuperLU could not factor the Newton block system, for example
+    because a pivot is exactly zero."""
 
 
 class CgNoConvergenceError(Exception):
@@ -50,11 +55,6 @@ class Factorization:
         if self._lu is None:
             return b.copy()
         return self._lu.solve(b)
-
-
-def factorize(a: sp.spmatrix) -> Factorization:
-    """Factor a sparse symmetric positive definite matrix."""
-    return Factorization(a)
 
 
 def solve_block_newton(
@@ -111,12 +111,15 @@ def solve_block_newton(
     pos = np.argsort(perm)
     block = sp.csc_matrix((block.data, (pos[block.row], pos[block.col])), shape=block.shape)
     full_rhs = np.concatenate([m_csr @ rhs, np.zeros(nf), np.zeros(nw)])
-    lu = spla.splu(
-        block,
-        permc_spec="NATURAL",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    try:
+        lu = spla.splu(
+            block,
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise BlockFactorizationError(f"Newton block system: {exc}") from exc
     b = lu.solve(full_rhs[perm])[pos[nw + nf :]]
     return rhs - b / alpha
 

@@ -109,11 +109,6 @@ def build_friedrichs_keller(n: int) -> Mesh:
     )
 
 
-def interior_nodes(mesh: Mesh) -> np.ndarray:
-    """Indices of nodes strictly inside the square, ascending."""
-    return mesh.interior
-
-
 def signed_areas(mesh: Mesh) -> np.ndarray:
     """Signed area of every triangle (positive for counterclockwise)."""
     p = mesh.nodes[mesh.triangles]

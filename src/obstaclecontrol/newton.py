@@ -19,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SPACE_W, FEMatrices, NodalFunction, interpolate, vector_norm
-from .linalg import cg_self_adjoint, solve_block_newton
+from .linalg import BlockFactorizationError, cg_self_adjoint, solve_block_newton
 from .obstacle import ObstacleSolution, PdasNoConvergenceError, solve_obstacle
 from .operators import DerivativeSelector, apply_G, apply_P, extend_interior
+
+
+SELECTOR_POLICIES = ("strict_only", "strict_plus_biactive")
 
 
 class ContractionViolationError(Exception):
@@ -40,7 +43,7 @@ class NewtonConfig:
     alpha: float
     tol: float = 1e-7
     max_iter: int = 50
-    selector_policy: str = "strict_only"  # or "strict_plus_biactive"
+    selector_policy: str = "strict_only"  # one of SELECTOR_POLICIES
     y0: np.ndarray | None = None  # initial guess on all nodes; None means I_h(y_D)
 
     def __post_init__(self):
@@ -51,7 +54,7 @@ class NewtonConfig:
             raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
         if not (_is_number(self.max_iter, numbers.Integral) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
-        if self.selector_policy not in ("strict_only", "strict_plus_biactive"):
+        if self.selector_policy not in SELECTOR_POLICIES:
             raise ValueError(f"unknown selector policy {self.selector_policy!r}")
 
 
@@ -75,7 +78,6 @@ class NewtonReport:
     u: np.ndarray
     zeta: np.ndarray  # (P I_h y_D - P y) / alpha at the last iterate
     y_d: np.ndarray  # I_h y_D on all nodes
-    lam: np.ndarray
     final_solution: ObstacleSolution
 
     @property
@@ -175,11 +177,14 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
             break
         # the update equation minus the Newton operator at y; solving for
         # the correction keeps the solver's relative error relative to it
-        step = solve_newton_system(ytilde - y, selector, config.alpha, mats)
+        try:
+            step = solve_newton_system(ytilde - y, selector, config.alpha, mats)
+        except BlockFactorizationError as exc:
+            raise BlockFactorizationError(f"outer iteration {i}: {exc}") from exc
         # the inverse Newton operator has unit L2 bound: the step cannot be
         # longer than its right-hand side, whose norm is the residual
         norm_step = vector_norm(step, "L2", mats.K, mats.M)
-        if norm_step > (1.0 + 1e-9) * residual + 1e-300:
+        if not norm_step <= (1.0 + 1e-9) * residual + 1e-300:  # also NaN
             raise ContractionViolationError(
                 f"outer iteration {i}: ||step|| = {norm_step:.6e} exceeds "
                 f"||ytilde - y|| = {residual:.6e}"
@@ -196,6 +201,5 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
         u=last.u,
         zeta=zeta,
         y_d=y_d.values,
-        lam=sol.lam,
         final_solution=sol,
     )

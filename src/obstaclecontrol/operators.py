@@ -44,7 +44,7 @@ class DerivativeSelector:
 
 def apply_P(u: np.ndarray, mats: FEMatrices) -> np.ndarray:
     """Riesz map: y with (K+M) y = M u, for a full-node coefficient vector."""
-    return mats.a_factorization().solve(mats.M @ u)
+    return mats.a_factorization.solve(mats.M @ u)
 
 
 def apply_G(selector: DerivativeSelector, a: np.ndarray, mats: FEMatrices) -> np.ndarray:

@@ -7,13 +7,12 @@ from obstaclecontrol.assembly import (
     SPACE_V,
     SPACE_W,
     NodalFunction,
-    h1_matrix,
     interpolate,
     mass_matrix,
     restrict_to_interior,
     stiffness_matrix,
 )
-from obstaclecontrol.mesh import build_friedrichs_keller, interior_nodes
+from obstaclecontrol.mesh import build_friedrichs_keller
 
 from conftest import mesh_and_mats, norm
 
@@ -71,9 +70,9 @@ def test_mass_entries_nonnegative():
 
 
 def test_h1_is_sum_and_symmetric():
-    mesh, _ = mesh_and_mats(4)
+    mesh, mats = mesh_and_mats(4)
     K, M = stiffness_matrix(mesh), mass_matrix(mesh)
-    A = h1_matrix(mesh)
+    A = mats.A
     assert abs(A - (K + M)).max() == 0.0
     assert abs(A - A.T).max() == 0.0
     ones = np.ones(mesh.num_nodes)
@@ -81,15 +80,15 @@ def test_h1_is_sum_and_symmetric():
 
 
 def test_h1_smallest_eigenvalue_bounded_below_by_mass():
-    mesh, _ = mesh_and_mats(4)
-    A = h1_matrix(mesh).toarray()
+    mesh, mats = mesh_and_mats(4)
+    A = mats.A.toarray()
     M = mass_matrix(mesh).toarray()
     assert np.linalg.eigvalsh(A).min() >= np.linalg.eigvalsh(M).min() > 0.0
 
 
 def test_restrict_to_interior_matches_five_point_stencil():
     mesh, _ = mesh_and_mats(4)
-    inter = interior_nodes(mesh)
+    inter = mesh.interior
     K_int = restrict_to_interior(stiffness_matrix(mesh), mesh, inter).toarray()
     # independent construction of the Dirichlet 5-point matrix on the 3x3 grid
     m = 3
@@ -172,7 +171,7 @@ def test_norm_pythagoras(seed):
 
 def test_norm_zero_extends_interior_functions():
     mesh, _ = mesh_and_mats(4)
-    inter = interior_nodes(mesh)
+    inter = mesh.interior
     vals = np.arange(1.0, inter.size + 1)
     v = NodalFunction(vals, SPACE_V, mesh)
     full = np.zeros(mesh.num_nodes)
@@ -201,6 +200,6 @@ def test_nodal_function_validation():
 
 
 def test_matrices_exactly_symmetric():
-    mesh, _ = mesh_and_mats(5)
-    for mat in (stiffness_matrix(mesh), mass_matrix(mesh), h1_matrix(mesh)):
+    mesh, mats = mesh_and_mats(5)
+    for mat in (stiffness_matrix(mesh), mass_matrix(mesh), mats.A):
         assert abs(mat - mat.T).max() == 0.0

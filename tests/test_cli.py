@@ -237,15 +237,32 @@ def test_cli_bad_config_file_exit_2(command, text, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("usage error:")
 
 
-def test_cli_pdas_failure_is_one_error_line_exit_1(monkeypatch, capsys):
-    monkeypatch.setattr(
-        newton, "solve_obstacle", functools.partial(obstacle.solve_obstacle, max_iterations=1)
-    )
-    # zeta vanishes at the initial guess I_h(y_D), so no node is active and
-    # outer step 0 needs one PDAS iteration; the cap bites at step 1
-    assert main(["solve", "--preset", "paper", "--n", "8"]) == 1
+# A numeric warning printed to stderr would be a second line: make it fail.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "extra, pdas_cap, prefix",
+    [
+        # zeta vanishes at the initial guess I_h(y_D), so no node is active and
+        # outer step 0 needs one PDAS iteration; the cap bites at step 1
+        ([], 1, "error: outer iteration 1:"),
+        # the iterates diverge until their norms overflow to inf and NaN
+        (["--alpha", "1e-25"], None, "error: outer iteration "),
+        # the first step is longer than its right-hand side
+        (["--alpha", "1e-30"], None, "error: outer iteration 0:"),
+        # SuperLU meets an exactly zero pivot in the block system
+        (["--alpha", "1e-300"], None, "error: outer iteration 0:"),
+    ],
+    ids=["pdas_cap", "alpha_1e-25", "alpha_1e-30", "alpha_1e-300"],
+)
+def test_cli_pdas_failure_is_one_error_line_exit_1(extra, pdas_cap, prefix, monkeypatch, capsys):
+    if pdas_cap is not None:
+        monkeypatch.setattr(
+            newton, "solve_obstacle",
+            functools.partial(obstacle.solve_obstacle, max_iterations=pdas_cap),
+        )
+    assert main(["solve", "--preset", "paper", "--n", "8", *extra]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: outer iteration 1:")
+    assert len(err) == 1 and err[0].startswith(prefix)
 
 
 def test_cli_solve_vtk_matches_separately_interpolated_y_d(tmp_path):

@@ -8,7 +8,6 @@ from obstaclecontrol.linalg import (
     Factorization,
     NotPositiveDefiniteError,
     cg_self_adjoint,
-    factorize,
     solve_block_newton,
 )
 from obstaclecontrol.newton import newton_step_matrix_apply, solve_newton_system_cg
@@ -18,20 +17,20 @@ from conftest import mesh_and_mats, solve
 
 
 def test_identity_roundtrip():
-    f = factorize(sp.identity(7, format="csc"))
+    f = Factorization(sp.identity(7, format="csc"))
     b = np.arange(7.0)
     assert np.allclose(solve(f, b), b)
 
 
 def test_two_by_two_hand_solve():
     a = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    f = factorize(a)
+    f = Factorization(a)
     assert np.allclose(f.solve(np.array([3.0, 3.0])), [1.0, 1.0])
 
 
 def test_helmholtz_constants():
     mesh, mats = mesh_and_mats(4)
-    f = factorize(mats.A)
+    f = Factorization(mats.A)
     b = mats.M @ np.ones(mesh.num_nodes)
     x = f.solve(b)
     assert np.max(np.abs(x - 1.0)) < 1e-10
@@ -39,7 +38,7 @@ def test_helmholtz_constants():
 
 def test_residual_bound(rng):
     mesh, mats = mesh_and_mats(8)
-    f = factorize(mats.A)
+    f = Factorization(mats.A)
     for _ in range(5):
         b = rng.standard_normal(mesh.num_nodes)
         x = f.solve(b)
@@ -49,19 +48,19 @@ def test_residual_bound(rng):
 def test_deterministic_roundtrip(rng):
     mesh, mats = mesh_and_mats(4)
     b = rng.standard_normal(mesh.num_nodes)
-    x1 = factorize(mats.A).solve(b)
-    x2 = factorize(mats.A).solve(b)
+    x1 = Factorization(mats.A).solve(b)
+    x2 = Factorization(mats.A).solve(b)
     assert np.array_equal(x1, x2)
 
 
 def test_rejects_indefinite():
     a = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
     with pytest.raises(NotPositiveDefiniteError):
-        factorize(a)
+        Factorization(a)
 
 
 def test_dimension_mismatch():
-    f = factorize(sp.identity(3, format="csc"))
+    f = Factorization(sp.identity(3, format="csc"))
     with pytest.raises(ValueError):
         f.solve(np.zeros(4))
 

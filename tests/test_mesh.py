@@ -3,7 +3,6 @@ import pytest
 
 from obstaclecontrol.mesh import (
     build_friedrichs_keller,
-    interior_nodes,
     signed_areas,
 )
 
@@ -13,7 +12,7 @@ def test_counts_n2():
     assert m.num_nodes == 9
     assert m.num_triangles == 8
     assert m.boundary_mask.sum() == 8
-    assert list(interior_nodes(m)) == [4]
+    assert list(m.interior) == [4]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 16])
@@ -21,7 +20,7 @@ def test_counting_formulas(n):
     m = build_friedrichs_keller(n)
     assert m.num_nodes == (n + 1) ** 2
     assert m.num_triangles == 2 * n**2
-    assert interior_nodes(m).size == (n - 1) ** 2
+    assert m.interior.size == (n - 1) ** 2
 
 
 def test_mesh_width_table_row():
@@ -44,7 +43,7 @@ def test_boundary_mask_matches_coordinates():
 
 def test_interior_nodes_ascending_and_interior():
     m = build_friedrichs_keller(16)
-    inter = interior_nodes(m)
+    inter = m.interior
     assert inter.size == 225
     assert np.all(np.diff(inter) > 0)
     coords = m.nodes[inter]
@@ -53,7 +52,7 @@ def test_interior_nodes_ascending_and_interior():
 
 def test_interior_nodes_n4():
     m = build_friedrichs_keller(4)
-    assert interior_nodes(m).size == 9
+    assert m.interior.size == 9
 
 
 def test_each_interior_edge_shared_by_two_triangles():

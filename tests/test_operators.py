@@ -143,7 +143,7 @@ def test_free_factorization_alternating_sets_match_fresh_factorizations(rng):
     load = rng.standard_normal(m)
     for free in (set_a, set_b, set_a):
         got = mats.free_factorization(free).solve(load[free])
-        fresh = linalg.factorize(mats.K_int[np.ix_(free, free)].tocsc())
+        fresh = linalg.Factorization(mats.K_int[np.ix_(free, free)].tocsc())
         assert np.array_equal(got, fresh.solve(load[free]))
 
 
@@ -157,7 +157,23 @@ def test_free_factorization_key_compares_values_not_dtype():
 def test_free_factorization_of_whole_interior_is_kint_factorization():
     mats = _fresh_mats(8)
     whole = np.arange(mats.interior.size)
-    assert mats.free_factorization(whole) is mats.kint_factorization()
+    assert mats.free_factorization(whole) is mats.kint_factorization
+
+
+def test_helmholtz_factorization_is_built_once(monkeypatch):
+    mats = _fresh_mats(8)
+    built = []
+    init = linalg.Factorization.__init__
+
+    def recording_init(self, a):
+        built.append(a)
+        init(self, a)
+
+    monkeypatch.setattr(linalg.Factorization, "__init__", recording_init)
+    u = np.ones(mats.mesh.num_nodes)
+    assert np.array_equal(apply_P(u, mats), apply_P(u, mats))
+    assert len(built) == 1 and built[0] is mats.A
+    assert mats.a_factorization is mats.a_factorization
 
 
 def test_paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
