@@ -134,6 +134,46 @@ class FEMatrices:
         """Factorization of the interior (Dirichlet) stiffness matrix."""
         return linalg.Factorization(self.K_int)
 
+    @cached_property
+    def kint_csc(self) -> sp.csc_matrix:
+        """K_int in CSC form, from which every free-set submatrix is cut."""
+        return self.K_int.tocsc()
+
+    @cached_property
+    def newton_pattern(self) -> linalg.BlockPattern:
+        """The Newton block system with every interior node free, in
+        node-interleaved Mesh.nested_dissection order; see
+        linalg.solve_block_newton."""
+        nw = self.mesh.num_nodes
+        rank = np.empty(nw, dtype=np.int64)
+        rank[self.mesh.nested_dissection] = np.arange(nw)
+        keys = np.concatenate([3 * rank, 3 * rank[self.interior] + 1, 3 * rank + 2])
+        size = keys.size
+        pos = np.empty(size, dtype=np.int32)
+        pos[np.argsort(keys)] = np.arange(size, dtype=np.int32)
+        a_pos, w_pos, b_pos = pos[:nw], pos[nw:-nw], pos[-nw:]
+        w_node = np.full(nw, -1, dtype=np.int32)  # w position by node, -1 on the boundary
+        w_node[self.interior] = w_pos
+        blocks = [  # row positions, column positions, matrix; M/alpha second
+            (a_pos, a_pos, self.A), (a_pos, b_pos, self.M), (w_node, a_pos, -self.M),
+            (w_pos, w_pos, self.K_int), (b_pos, w_node, -self.M), (b_pos, b_pos, self.A),
+        ]
+        row, col, data, scaled = [], [], [], []
+        for i, (rows, cols, mat) in enumerate(blocks):
+            mat = mat.tocoo()
+            r, c = rows[mat.row], cols[mat.col]
+            kept = (r >= 0) & (c >= 0)
+            row.append(r[kept])
+            col.append(c[kept])
+            data.append(mat.data[kept])
+            scaled.append(np.full(np.count_nonzero(kept), i == 1))
+        row, col, data, scaled = map(np.concatenate, (row, col, data, scaled))
+        order = np.argsort(col.astype(np.int64) * size + row)  # by column, then row
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(col, minlength=size), out=indptr[1:])
+        matrix = sp.csc_matrix((data[order], row[order], indptr), shape=(size, size))
+        return linalg.BlockPattern(matrix, scaled[order], self.M, a_pos, w_pos, b_pos)
+
     def free_factorization(self, free: np.ndarray):
         """Factorization of K_int[free, free] for sorted unique interior
         indices; the only place a submatrix of K_int is factorized.
@@ -147,7 +187,10 @@ class FEMatrices:
         if not np.array_equal(self._free_key, free):
             # release the old factor first: holding two at once raises peak memory
             self._free_key = self._free_fact = None
-            self._free_fact = linalg.Factorization(self.K_int[np.ix_(free, free)])
+            keep = np.zeros(self.interior.size, dtype=bool)
+            keep[free] = True
+            sub, _ = linalg.principal_submatrix(self.kint_csc, keep)
+            self._free_fact = linalg.Factorization(sub)
             self._free_key = np.array(free)
         return self._free_fact
 

@@ -20,6 +20,12 @@ CONVEXITY_SLACK = 1e-9
 MONOTONICITY_SLACK = 1e-12
 CONTRACTION_SLACK = 1e-9
 NEWTON_DIFF_SCALES = tuple(10.0 ** (-k) for k in range(1, 7))  # Taylor-remainder ladder
+# A Taylor remainder at most NEWTON_DIFF_ROUNDOFF * eps * (||S(b+z)|| +
+# ||S(b)||) in L2 is round-off of the two obstacle solves and counts as
+# zero.  On the paper base at n = 16, over the 2000 seeds
+# s * 100000 + u (s < 40, u < 50), no remainder at any scale exceeded
+# 0.64 of eps * (||S(b+z)|| + ||S(b)||).
+NEWTON_DIFF_ROUNDOFF = 8.0
 
 
 @dataclass
@@ -113,7 +119,11 @@ def check_newton_differentiability(
     seed: int = 0,
 ) -> CheckReport:
     """Taylor-remainder decay of the obstacle map along a fixed random
-    direction, with the derivative chosen at the perturbed point."""
+    direction, with the derivative chosen at the perturbed point.
+
+    Passes when the remainder over t at the smallest scale is at most a
+    tenth of that at the largest, or at most the round-off floor over t
+    (see NEWTON_DIFF_ROUNDOFF)."""
     rng = np.random.default_rng(seed)
     if psi is None:
         psi = _const_psi(mesh)
@@ -123,6 +133,7 @@ def check_newton_differentiability(
         raise ValueError("zero perturbation direction")
     d = d / d_norm
     s_base = solve_obstacle(base, psi, mesh, mats).w.values
+    base_norm = vector_norm(extend_interior(s_base, mats), "L2", mats.K, mats.M)
     ratios = []
     for t in NEWTON_DIFF_SCALES:
         z = t * d
@@ -133,13 +144,13 @@ def check_newton_differentiability(
         remainder = extend_interior(sol.w.values - s_base - gz, mats)
         ratios.append(vector_norm(remainder, "L2", mats.K, mats.M) / t)
     final, initial = ratios[-1], ratios[0]
-    # remainders at or below the direct-solver noise floor count as zero
-    zero_floor = 1e-9
+    perturbed_norm = vector_norm(extend_interior(sol.w.values, mats), "L2", mats.K, mats.M)
+    zero_floor = NEWTON_DIFF_ROUNDOFF * float(np.finfo(float).eps) * (perturbed_norm + base_norm)
     return CheckReport(
         name="newton_diff",
         trials=len(NEWTON_DIFF_SCALES),
         max_violation=final,
-        tolerance=max(0.1 * initial, zero_floor),
+        tolerance=max(0.1 * initial, zero_floor / NEWTON_DIFF_SCALES[-1]),
         seed=seed,
         details={"scales": list(NEWTON_DIFF_SCALES), "ratios": ratios},
     )

@@ -6,6 +6,8 @@ which makes it behave like a Cholesky factorization and lets us detect
 indefinite matrices through nonpositive pivots.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -57,20 +59,55 @@ class Factorization:
         return self._lu.solve(b)
 
 
+class BlockPattern(NamedTuple):
+    """The Newton block system of solve_block_newton with every interior
+    node free, in the order in which it is factored.
+
+    The unknowns (a, w, b) of each node are numbered next to each other,
+    a < w < b, node by node in a fill-reducing order of the mesh nodes
+    (such as Mesh.nested_dissection); boundary nodes have no w.  matrix
+    is the system at alpha = 1 in canonical CSC form, with its entries
+    sorted by column, then row.  The solve drops the w-unknowns of the
+    constrained nodes and scales the entries marked in `scaled`, the
+    block M/alpha, by 1/alpha.
+    """
+
+    matrix: sp.csc_matrix
+    scaled: np.ndarray  # bool per entry of matrix
+    mass: sp.csr_matrix  # M, which maps the right-hand side
+    a_pos: np.ndarray  # position of the a-unknown of each node
+    w_pos: np.ndarray  # position of the w-unknown of each interior node
+    b_pos: np.ndarray  # position of the b-unknown of each node
+
+
+def principal_submatrix(a: sp.csc_matrix, keep: np.ndarray):
+    """Principal submatrix of a canonical CSC matrix on the unknowns
+    where keep is True, and the mask of the entries of a it holds.
+
+    Dropping unknowns keeps the order of the others, so the submatrix is
+    canonical as well.  Explicit zeros are kept: they are part of the
+    pattern that a fill-reducing ordering sees."""
+    index = np.cumsum(keep, dtype=np.int32) - 1
+    size = int(np.count_nonzero(keep))
+    col = np.repeat(np.arange(keep.size, dtype=np.int32), np.diff(a.indptr))
+    entries = keep[col] & keep[a.indices]
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(index[col[entries]], minlength=size), out=indptr[1:])
+    sub = sp.csc_matrix(
+        (a.data[entries], index[a.indices[entries]], indptr), shape=(size, size)
+    )
+    return sub, entries
+
+
 def solve_block_newton(
-    a_mat: sp.spmatrix,
-    m_mat: sp.spmatrix,
-    k_ff: sp.spmatrix,
-    free: np.ndarray,
-    alpha: float,
-    rhs: np.ndarray,
-    node_order: np.ndarray,
+    pattern: BlockPattern, free: np.ndarray, alpha: float, rhs: np.ndarray
 ) -> np.ndarray:
     """Solve (Id + P E G R P) y = rhs for y via the sparse block system.
 
     The composition of the Helmholtz solves P = (K+M)^{-1} M (scaled by
-    1/alpha) and the constrained Dirichlet solve G is decomposed with
-    auxiliary variables a = P y, w = G a, b = P (extension of w):
+    1/alpha) and the constrained Dirichlet solve G on the free interior
+    nodes (local interior indices) is decomposed with auxiliary
+    variables a = P y, w = G a, b = P (extension of w):
 
         (K+M) a + (1/alpha) M b = M rhs
         K_ff w  - (M a)|_free   = 0
@@ -78,39 +115,22 @@ def solve_block_newton(
 
     after eliminating y = rhs - b/alpha.  Returns y.
 
-    The unknowns (a, w, b) of each node are numbered next to each other,
-    node by node in node_order (a fill-reducing ordering of the mesh
-    nodes, such as Mesh.nested_dissection).  Every 3x3 node block is
-    nonsingular and the system is factored without pivoting in that
-    order, so the factors keep the sparsity of the ordering.
+    The system is cut out of the pattern, so it keeps the pattern's node
+    order.  Every 3x3 node block is nonsingular and the system is
+    factored without pivoting in that order, so the factors keep the
+    sparsity of the ordering.
     """
-    free = np.asarray(free, dtype=int)
-    nw = a_mat.shape[0]
-    nf = free.size
-    if nf == 0:
+    if free.size == 0:
         # G vanishes, the operator is the identity
         return np.asarray(rhs, dtype=float).copy()
 
-    m_csr = m_mat.tocsr()
-    ext = sp.csr_matrix(
-        (np.ones(nf), (free, np.arange(nf))), shape=(nw, nf)
-    )  # zero-extension of the free unknowns
-    block = sp.bmat(
-        [
-            [a_mat, None, m_csr / alpha],
-            [-m_csr[free, :], k_ff, None],
-            [None, -(m_csr @ ext), a_mat],
-        ],
-        format="coo",
-    )
-    # sort the unknowns by (rank of their node in node_order, a < w < b);
-    # perm[k] is the unknown placed at position k, pos its inverse
-    rank = np.empty(nw, dtype=int)
-    rank[node_order] = np.arange(nw)
-    perm = np.argsort(np.concatenate([3 * rank, 3 * rank[free] + 1, 3 * rank + 2]))
-    pos = np.argsort(perm)
-    block = sp.csc_matrix((block.data, (pos[block.row], pos[block.col])), shape=block.shape)
-    full_rhs = np.concatenate([m_csr @ rhs, np.zeros(nf), np.zeros(nw)])
+    keep = np.ones(pattern.matrix.shape[0], dtype=bool)
+    keep[pattern.w_pos] = False
+    keep[pattern.w_pos[free]] = True
+    block, entries = principal_submatrix(pattern.matrix, keep)
+    block.data[pattern.scaled[entries]] *= 1 / alpha
+    full_rhs = np.zeros(keep.size)
+    full_rhs[pattern.a_pos] = pattern.mass @ rhs
     try:
         lu = spla.splu(
             block,
@@ -120,7 +140,9 @@ def solve_block_newton(
         )
     except RuntimeError as exc:
         raise BlockFactorizationError(f"Newton block system: {exc}") from exc
-    b = lu.solve(full_rhs[perm])[pos[nw + nf :]]
+    solution = np.zeros(keep.size)
+    solution[keep] = lu.solve(full_rhs[keep])
+    b = solution[pattern.b_pos]
     return rhs - b / alpha
 
 

@@ -101,12 +101,7 @@ def solve_newton_system(
     mats: FEMatrices,
 ) -> np.ndarray:
     """Direct block solve of the Newton update equation."""
-    free_local = selector.free
-    k_ff = mats.K_int[np.ix_(free_local, free_local)].tocsr()
-    return solve_block_newton(
-        mats.A, mats.M, k_ff, mats.interior[free_local], alpha, rhs,
-        mats.mesh.nested_dissection,
-    )
+    return solve_block_newton(mats.newton_pattern, selector.free, alpha, rhs)
 
 
 def solve_newton_system_cg(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from obstaclecontrol.assembly import (
     SPACE_V,
@@ -30,6 +32,54 @@ def mesh_and_mats(n):
 
 def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
     return f.solve(b)
+
+
+def reference_block_matrix(mats: FEMatrices, free: np.ndarray, alpha: float):
+    """The Newton block system of linalg.solve_block_newton for the free
+    interior nodes (local indices), assembled with scipy.sparse.bmat and
+    permuted into node-interleaved Mesh.nested_dissection order by a
+    COO -> CSC conversion.  Returns the matrix and perm, the unknown
+    (a, then w, then b) placed at each position."""
+    free_nodes = mats.interior[free]
+    nw = mats.mesh.num_nodes
+    nf = free.size
+    m_csr = mats.M.tocsr()
+    ext = sp.csr_matrix(
+        (np.ones(nf), (free_nodes, np.arange(nf))), shape=(nw, nf)
+    )  # zero-extension of the free unknowns
+    block = sp.bmat(
+        [
+            [mats.A, None, m_csr / alpha],
+            [-m_csr[free_nodes, :], mats.K_int[np.ix_(free, free)].tocsr(), None],
+            [None, -(m_csr @ ext), mats.A],
+        ],
+        format="coo",
+    )
+    rank = np.empty(nw, dtype=int)
+    rank[mats.mesh.nested_dissection] = np.arange(nw)
+    perm = np.argsort(np.concatenate([3 * rank, 3 * rank[free_nodes] + 1, 3 * rank + 2]))
+    pos = np.argsort(perm)
+    block = sp.csc_matrix((block.data, (pos[block.row], pos[block.col])), shape=block.shape)
+    return block, perm
+
+
+def reference_block_newton(mats: FEMatrices, free: np.ndarray, alpha: float, rhs):
+    """Solve the Newton update equation with reference_block_matrix."""
+    if free.size == 0:
+        return np.asarray(rhs, dtype=float).copy()
+    block, perm = reference_block_matrix(mats, free, alpha)
+    nw = mats.mesh.num_nodes
+    full_rhs = np.concatenate([mats.M @ rhs, np.zeros(free.size), np.zeros(nw)])
+    lu = spla.splu(
+        block, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+    b = lu.solve(full_rhs[perm])[np.argsort(perm)[nw + free.size :]]
+    return rhs - b / alpha
+
+
+def reference_free_submatrix(mats: FEMatrices, free: np.ndarray):
+    """K_int[free, free] by fancy indexing, in CSC form."""
+    return mats.K_int[np.ix_(free, free)].tocsc()
 
 
 def norm(v: NodalFunction, kind: str, mats: "FEMatrices | None" = None) -> float:

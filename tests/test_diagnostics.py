@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obstaclecontrol import newton
+from obstaclecontrol import diagnostics, newton
 from obstaclecontrol.assembly import SPACE_W, NodalFunction
 from obstaclecontrol.cli import registered_checks
 from obstaclecontrol.diagnostics import (
@@ -65,7 +65,7 @@ def test_contraction_passes():
 def test_contraction_fails_on_expanding_solve_and_run_raises(monkeypatch):
     # a Newton solve that doubles its rhs breaks the unit bound of the inverse
     monkeypatch.setattr(
-        newton, "solve_block_newton", lambda a, m, k, free, alpha, rhs, order: 2.0 * rhs
+        newton, "solve_block_newton", lambda pattern, free, alpha, rhs: 2.0 * rhs
     )
     mesh, mats = mesh_and_mats(8)
     report = check_contraction(mesh, mats, trials=3, seed=0)
@@ -97,6 +97,22 @@ def test_newton_diff_generic_base_decays():
     base = NodalFunction(rng.uniform(-20, 20, mesh.num_nodes), SPACE_W, mesh)
     report = check_newton_differentiability(mesh, mats, base, seed=5)
     assert report.passed
+
+
+@pytest.mark.parametrize("seed", [1300036, 2800041])
+def test_newton_diff_round_off_remainder_passes(seed):
+    # at these seeds the remainder at t = 1e-6 is round-off of the two
+    # obstacle solves, about 0.6 eps (||S(b+z)|| + ||S(b)||), but above 1e-9 t
+    report = registered_checks()["newton_diff"].run(seed)
+    assert report.passed
+
+
+def test_newton_diff_fails_with_a_wrong_derivative(monkeypatch):
+    monkeypatch.setattr(
+        diagnostics, "apply_G", lambda selector, a, mats: np.zeros(mats.interior.size)
+    )
+    report = registered_checks()["newton_diff"].run(0)
+    assert report.passed is False
 
 
 def test_lipschitz_report_structure():

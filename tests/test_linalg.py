@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from obstaclecontrol.assembly import vector_norm
+from obstaclecontrol import linalg
+from obstaclecontrol.assembly import build_matrices, vector_norm
 from obstaclecontrol.linalg import (
     CgNoConvergenceError,
     Factorization,
@@ -11,9 +12,16 @@ from obstaclecontrol.linalg import (
     solve_block_newton,
 )
 from obstaclecontrol.newton import newton_step_matrix_apply, solve_newton_system_cg
+from obstaclecontrol.mesh import build_friedrichs_keller
 from obstaclecontrol.operators import DerivativeSelector
 
-from conftest import mesh_and_mats, solve
+from conftest import (
+    mesh_and_mats,
+    reference_block_matrix,
+    reference_block_newton,
+    reference_free_submatrix,
+    solve,
+)
 
 
 def test_identity_roundtrip():
@@ -81,10 +89,7 @@ def _random_selector(mats, rng, fraction=0.4):
 def test_block_solve_all_constrained_is_identity(rng):
     mesh, mats = mesh_and_mats(4)
     rhs = rng.standard_normal(mesh.num_nodes)
-    y = solve_block_newton(
-        mats.A, mats.M, sp.csr_matrix((0, 0)), np.array([], dtype=int), 1e-5, rhs,
-        mesh.nested_dissection,
-    )
+    y = solve_block_newton(mats.newton_pattern, np.array([], dtype=int), 1e-5, rhs)
     assert np.array_equal(y, rhs)
 
 
@@ -101,11 +106,7 @@ def test_block_solve_matches_dense_probe(rng):
         dense[:, k] = newton_step_matrix_apply(e, sel, alpha, mats)
     rhs = rng.standard_normal(nw)
     expected = np.linalg.solve(dense, rhs)
-    free_local = sel.free
-    k_ff = mats.K_int[np.ix_(free_local, free_local)]
-    y = solve_block_newton(
-        mats.A, mats.M, k_ff, mats.interior[free_local], alpha, rhs, mesh.nested_dissection
-    )
+    y = solve_block_newton(mats.newton_pattern, sel.free, alpha, rhs)
     assert np.linalg.norm(y - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
@@ -113,12 +114,65 @@ def test_block_solve_large_alpha_limit(rng):
     mesh, mats = mesh_and_mats(8)
     sel = _random_selector(mats, rng)
     rhs = rng.standard_normal(mesh.num_nodes)
-    free_local = sel.free
-    k_ff = mats.K_int[np.ix_(free_local, free_local)]
-    y = solve_block_newton(
-        mats.A, mats.M, k_ff, mats.interior[free_local], 1e12, rhs, mesh.nested_dissection
-    )
+    y = solve_block_newton(mats.newton_pattern, sel.free, 1e12, rhs)
     assert np.linalg.norm(y - rhs) <= 1e-6 * np.linalg.norm(rhs)
+
+
+def _capture_splu(monkeypatch):
+    """Record a copy of every matrix handed to SuperLU."""
+    captured = []
+    real_splu = linalg.spla.splu
+
+    def capturing_splu(a, *args, **kwargs):
+        captured.append(a.copy())
+        return real_splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", capturing_splu)
+    return captured
+
+
+def _assert_same_csc(got, expected):
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert np.array_equal(got.data, expected.data)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+@pytest.mark.parametrize("alpha", [1e-3, 1e-5, 1e-8, 1e-10])
+@pytest.mark.parametrize("free_set", ["empty", "full", "random"])
+def test_block_solve_factors_the_reference_system(n, alpha, free_set, rng, monkeypatch):
+    # the system cut from the cached pattern is the bmat construction, entry
+    # for entry, so SuperLU computes the same factors and the same solution
+    mesh, mats = mesh_and_mats(n)
+    m = mats.interior.size
+    free = {
+        "empty": np.array([], dtype=int),
+        "full": np.arange(m),
+        "random": np.flatnonzero(rng.random(m) < rng.uniform(0.2, 0.8)),
+    }[free_set]
+    rhs = rng.standard_normal(mesh.num_nodes)
+    captured = _capture_splu(monkeypatch)
+    y = solve_block_newton(mats.newton_pattern, free, alpha, rhs)
+    assert len(captured) == (1 if free.size else 0)
+    if free.size:
+        _assert_same_csc(captured[0], reference_block_matrix(mats, free, alpha)[0])
+    assert np.array_equal(y, reference_block_newton(mats, free, alpha, rhs))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_free_factorization_factors_the_reference_submatrix(n, rng, monkeypatch):
+    # explicit zeros of K_int stay in the cut: dropping them changes the MMD order
+    mats = build_matrices(build_friedrichs_keller(n))
+    m = mats.interior.size
+    captured = _capture_splu(monkeypatch)
+    for _ in range(3):
+        free = np.flatnonzero(rng.random(m) < 0.6)
+        if free.size in (0, m):
+            continue
+        captured.clear()
+        mats.free_factorization(free)
+        assert len(captured) == 1
+        _assert_same_csc(captured[0], reference_free_submatrix(mats, free))
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -130,11 +184,7 @@ def test_block_solve_matches_cg_at_tiny_alpha(n, rng):
     for _ in range(3):
         sel = _random_selector(mats, rng, fraction=rng.uniform(0.1, 0.7))
         rhs = rng.standard_normal(mesh.num_nodes)
-        free_local = sel.free
-        k_ff = mats.K_int[np.ix_(free_local, free_local)]
-        direct = solve_block_newton(
-            mats.A, mats.M, k_ff, mats.interior[free_local], alpha, rhs, mesh.nested_dissection
-        )
+        direct = solve_block_newton(mats.newton_pattern, sel.free, alpha, rhs)
         iterative = solve_newton_system_cg(rhs, sel, alpha, mats, tol=1e-14)
         diff = vector_norm(direct - iterative, "L2", mats.K, mats.M)
         assert diff <= 1e-9 * vector_norm(iterative, "L2", mats.K, mats.M)
