@@ -9,7 +9,6 @@ from .assembly import (
     build_matrices,
     interpolate,
     mass_matrix,
-    restrict_to_interior,
     stiffness_matrix,
 )
 from .mesh import Mesh, build_friedrichs_keller
@@ -26,7 +25,6 @@ __all__ = [
     "build_matrices",
     "interpolate",
     "mass_matrix",
-    "restrict_to_interior",
     "run",
     "solve_obstacle",
     "stiffness_matrix",

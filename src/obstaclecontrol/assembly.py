@@ -91,17 +91,6 @@ def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     return _accumulate(mesh, element)
 
 
-def restrict_to_interior(op: sp.spmatrix, mesh: Mesh, free: np.ndarray) -> sp.csr_matrix:
-    """Principal submatrix of op on the given subset of interior nodes."""
-    free = np.asarray(free, dtype=int)
-    if free.size:
-        if free.min() < 0 or free.max() >= mesh.num_nodes:
-            raise ValueError("free node index out of range")
-        if mesh.boundary_mask[free].any():
-            raise ValueError("free set must consist of interior nodes")
-    return op.tocsr()[np.ix_(free, free)].tocsr()
-
-
 def interpolate(f, mesh: Mesh) -> NodalFunction:
     """Nodal interpolant of a scalar field: values[k] = f(x_k)."""
     x1, x2 = mesh.nodes[:, 0], mesh.nodes[:, 1]
@@ -118,9 +107,9 @@ class FEMatrices:
     mesh: Mesh
     K: sp.csr_matrix
     M: sp.csr_matrix
-    A: sp.csr_matrix  # K + M
+    A: sp.csc_matrix  # K + M
     interior: np.ndarray
-    K_int: sp.csr_matrix  # stiffness on V_h (all interior nodes)
+    K_int: sp.csc_matrix  # stiffness on V_h (all interior nodes)
     _free_key: np.ndarray | None = field(default=None, repr=False)
     _free_fact: object = field(default=None, repr=False)
 
@@ -133,11 +122,6 @@ class FEMatrices:
     def kint_factorization(self) -> linalg.Factorization:
         """Factorization of the interior (Dirichlet) stiffness matrix."""
         return linalg.Factorization(self.K_int)
-
-    @cached_property
-    def kint_csc(self) -> sp.csc_matrix:
-        """K_int in CSC form, from which every free-set submatrix is cut."""
-        return self.K_int.tocsc()
 
     @cached_property
     def newton_pattern(self) -> linalg.BlockPattern:
@@ -176,7 +160,8 @@ class FEMatrices:
 
     def free_factorization(self, free: np.ndarray):
         """Factorization of K_int[free, free] for sorted unique interior
-        indices; the only place a submatrix of K_int is factorized.
+        indices, cut from K_int; the only place a submatrix of K_int is
+        factorized.
 
         Keeps the whole-interior factor and the last other free set, so
         the final PDAS iterate and G_N on the same set share one factor.
@@ -189,7 +174,7 @@ class FEMatrices:
             self._free_key = self._free_fact = None
             keep = np.zeros(self.interior.size, dtype=bool)
             keep[free] = True
-            sub, _ = linalg.principal_submatrix(self.kint_csc, keep)
+            sub, _ = linalg.principal_submatrix(self.K_int, keep)
             self._free_fact = linalg.Factorization(sub)
             self._free_key = np.array(free)
         return self._free_fact
@@ -198,10 +183,9 @@ class FEMatrices:
 def build_matrices(mesh: Mesh) -> FEMatrices:
     K = stiffness_matrix(mesh)
     M = mass_matrix(mesh)
-    A = (K + M).tocsr()
-    inter = mesh.interior
-    K_int = restrict_to_interior(K, mesh, inter)
-    return FEMatrices(mesh=mesh, K=K, M=M, A=A, interior=inter, K_int=K_int)
+    A = (K + M).tocsc()
+    K_int, _ = linalg.principal_submatrix(K.tocsc(), ~mesh.boundary_mask)
+    return FEMatrices(mesh=mesh, K=K, M=M, A=A, interior=mesh.interior, K_int=K_int)
 
 
 def vector_norm(full: np.ndarray, kind: str, K: sp.spmatrix, M: sp.spmatrix) -> float:

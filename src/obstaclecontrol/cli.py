@@ -145,6 +145,8 @@ def run_sweep(
 ) -> SweepResult:
     if not sizes:
         raise UsageError("sweep needs at least one mesh size")
+    if len(set(sizes)) < len(sizes):
+        raise UsageError(f"sweep mesh sizes must be distinct, got {sorted(sizes)}")
     config = NewtonConfig(
         alpha=alpha, tol=tol, max_iter=max_iter, selector_policy=selector_policy
     )

@@ -50,7 +50,7 @@ def reference_block_matrix(mats: FEMatrices, free: np.ndarray, alpha: float):
     block = sp.bmat(
         [
             [mats.A, None, m_csr / alpha],
-            [-m_csr[free_nodes, :], mats.K_int[np.ix_(free, free)].tocsr(), None],
+            [-m_csr[free_nodes, :], mats.K[np.ix_(free_nodes, free_nodes)].tocsr(), None],
             [None, -(m_csr @ ext), mats.A],
         ],
         format="coo",
@@ -78,8 +78,10 @@ def reference_block_newton(mats: FEMatrices, free: np.ndarray, alpha: float, rhs
 
 
 def reference_free_submatrix(mats: FEMatrices, free: np.ndarray):
-    """K_int[free, free] by fancy indexing, in CSC form."""
-    return mats.K_int[np.ix_(free, free)].tocsc()
+    """K_int[free, free] by fancy indexing into K at the full-node
+    indices, in CSC form."""
+    free_nodes = mats.interior[free]
+    return mats.K[np.ix_(free_nodes, free_nodes)].tocsc()
 
 
 def norm(v: NodalFunction, kind: str, mats: "FEMatrices | None" = None) -> float:

@@ -9,7 +9,6 @@ from obstaclecontrol.assembly import (
     NodalFunction,
     interpolate,
     mass_matrix,
-    restrict_to_interior,
     stiffness_matrix,
 )
 from obstaclecontrol.mesh import build_friedrichs_keller
@@ -87,9 +86,8 @@ def test_h1_smallest_eigenvalue_bounded_below_by_mass():
 
 
 def test_restrict_to_interior_matches_five_point_stencil():
-    mesh, _ = mesh_and_mats(4)
-    inter = mesh.interior
-    K_int = restrict_to_interior(stiffness_matrix(mesh), mesh, inter).toarray()
+    _, mats = mesh_and_mats(4)
+    K_int = mats.K_int.toarray()
     # independent construction of the Dirichlet 5-point matrix on the 3x3 grid
     m = 3
     dense = np.zeros((9, 9))
@@ -102,21 +100,6 @@ def test_restrict_to_interior_matches_five_point_stencil():
                 if 0 <= ii < m and 0 <= jj < m:
                     dense[k, jj * m + ii] = -1.0
     assert np.allclose(K_int, dense)
-
-
-def test_restrict_empty_set():
-    mesh, _ = mesh_and_mats(4)
-    sub = restrict_to_interior(stiffness_matrix(mesh), mesh, np.array([], dtype=int))
-    assert sub.shape == (0, 0)
-
-
-def test_restrict_rejects_bad_indices():
-    mesh, _ = mesh_and_mats(4)
-    K = stiffness_matrix(mesh)
-    with pytest.raises(ValueError):
-        restrict_to_interior(K, mesh, np.array([mesh.num_nodes]))
-    with pytest.raises(ValueError):
-        restrict_to_interior(K, mesh, np.array([0]))  # boundary node
 
 
 def test_interpolate_paper_fields():

@@ -106,8 +106,11 @@ def test_sweep_csv_deterministic(tmp_path):
 
 
 def test_sweep_empty_sizes_rejected():
-    with pytest.raises(UsageError):
-        run_sweep(alpha=1e-5, tol=1e-7, y_d_spec="const:0", psi_spec="const:-5", sizes=[])
+    for sizes in ([], [8, 8]):  # no size, a repeated size
+        with pytest.raises(UsageError):
+            run_sweep(
+                alpha=1e-5, tol=1e-7, y_d_spec="const:0", psi_spec="const:-5", sizes=sizes
+            )
 
 
 def test_sweep_failure_row_gets_status_column(tmp_path):
@@ -199,6 +202,7 @@ def test_cli_check_zero_trials(capsys):
         ["solve", "--preset", "paper", "--n", "8", "--psi", "const:nan"],
         ["solve", "--preset", "paper", "--n", "8", "--y-d", "const:inf"],
         ["check", "--names", "monotonicity", "--seed", "-1"],
+        ["sweep", "--preset", "paper", "--sizes", "8,8"],
     ],
 )
 def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):

@@ -175,6 +175,16 @@ def test_free_factorization_factors_the_reference_submatrix(n, rng, monkeypatch)
         _assert_same_csc(captured[0], reference_free_submatrix(mats, free))
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_kint_and_a_are_the_reference_csc_matrices(n):
+    # the factored matrices are stored once, in the form SuperLU takes
+    mats = build_matrices(build_friedrichs_keller(n))
+    interior = mats.interior
+    assert mats.K_int.format == "csc" and mats.A.format == "csc"
+    _assert_same_csc(mats.K_int, mats.K[np.ix_(interior, interior)].tocsc())
+    _assert_same_csc(mats.A, (mats.K + mats.M).tocsc())
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_block_solve_matches_cg_at_tiny_alpha(n, rng):
     # at alpha = 1e-10 the block system is badly scaled; factoring it in
