@@ -4,6 +4,10 @@ Assembles the consistent mass matrix M, the stiffness matrix K and the
 H^1 matrix K + M for the full space W_h (all nodes).  Functions on the
 Dirichlet subspace V_h are stored on the interior index set and
 zero-extended on demand.
+
+The meshes n, n/2, n/4, ... are nested: each coarse triangle is the
+union of four fine ones.  FEMatrices.coarse and FEMatrices.prolongation
+link a mesh to the next coarser one, down to COARSEST_N.
 """
 
 from dataclasses import dataclass, field
@@ -13,10 +17,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .mesh import Mesh, signed_areas
+from .mesh import Mesh, build_friedrichs_keller, signed_areas
 
 SPACE_W = "W_h"
 SPACE_V = "V_h"
+COARSEST_N = 16  # no mesh coarser than this is built as a level of the hierarchy
 
 
 @dataclass
@@ -91,6 +96,12 @@ def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     return _accumulate(mesh, element)
 
 
+def inject(full: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """Values at the nodes of the mesh n/2, node (i, j) read at (2i, 2j)."""
+    side = mesh.n + 1
+    return full.reshape(side, side)[::2, ::2].ravel()
+
+
 def interpolate(f, mesh: Mesh) -> NodalFunction:
     """Nodal interpolant of a scalar field: values[k] = f(x_k)."""
     x1, x2 = mesh.nodes[:, 0], mesh.nodes[:, 1]
@@ -122,6 +133,35 @@ class FEMatrices:
     def kint_factorization(self) -> linalg.Factorization:
         """Factorization of the interior (Dirichlet) stiffness matrix."""
         return linalg.Factorization(self.K_int)
+
+    @cached_property
+    def coarse(self) -> "FEMatrices | None":
+        """The matrices of the mesh n/2, built on first use, or None when
+        n is odd or n/2 is below COARSEST_N.  Each level owns its own
+        factorizations."""
+        n = self.mesh.n
+        if n % 2 or n // 2 < COARSEST_N:
+            return None
+        return build_matrices(build_friedrichs_keller(n // 2))
+
+    @cached_property
+    def prolongation(self) -> sp.csr_matrix:
+        """P1 prolongation from the mesh n/2 to this one, n even, on all nodes.
+
+        Fine node (I, J) lies on the coarse edge from (floor(I/2), floor(J/2))
+        to (ceil(I/2), ceil(J/2)), the ll->ur diagonal included, and takes
+        the mean of its two ends; a node of both meshes takes its own value."""
+        n = self.mesh.n
+        nc = n // 2
+        fine = np.arange(n + 1)
+        rows = np.add.outer(fine * (n + 1), fine).ravel()
+        ends = [np.add.outer(e * (nc + 1), e).ravel() for e in (fine // 2, (fine + 1) // 2)]
+        p = sp.coo_matrix(
+            (np.full(2 * rows.size, 0.5), (np.tile(rows, 2), np.concatenate(ends))),
+            shape=((n + 1) ** 2, (nc + 1) ** 2),
+        ).tocsr()
+        p.sum_duplicates()
+        return p
 
     @cached_property
     def newton_pattern(self) -> linalg.BlockPattern:

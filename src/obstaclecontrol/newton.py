@@ -66,6 +66,8 @@ class IterationRecord:
     y: np.ndarray
     ytilde: np.ndarray
     u: np.ndarray  # interior values
+    pdas_iterations: int  # of the obstacle solve on this mesh
+    coarse_pdas_iterations: tuple[int, ...]  # of its coarser levels, finest first
 
 
 @dataclass
@@ -136,7 +138,6 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
     include_biactive = config.selector_policy == "strict_plus_biactive"
 
     history: list[IterationRecord] = []
-    warm_active = None
     sol = None
     status = "max_iter_reached"
     for i in range(config.max_iter + 1):
@@ -145,11 +146,10 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
         try:
             sol = solve_obstacle(
                 NodalFunction(zeta, SPACE_W, mesh), psi, mesh, mats,
-                warm_start_active=warm_active,
+                warm_start=sol,
             )
         except PdasNoConvergenceError as exc:
             raise PdasNoConvergenceError(f"outer iteration {i}: {exc}") from exc
-        warm_active = sol.active
         u_int = sol.w.values
         ytilde = apply_P(extend_interior(u_int, mats), mats)
         residual = vector_norm(y - ytilde, "L2", mats.K, mats.M)
@@ -163,6 +163,8 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
                 y=y.copy(),
                 ytilde=ytilde,
                 u=u_int.copy(),
+                pdas_iterations=sol.pdas_iterations,
+                coarse_pdas_iterations=sol.coarse_pdas_iterations,
             )
         )
         if residual <= config.tol:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import SPACE_V, FEMatrices, NodalFunction
+from .assembly import SPACE_V, FEMatrices, NodalFunction, inject
 from .mesh import Mesh
 
 TOL_STRICT = 1e-10  # multiplier threshold separating strictly active from biactive
@@ -36,6 +36,8 @@ class ObstacleSolution:
     strictly_active: np.ndarray
     biactive: np.ndarray
     pdas_iterations: int
+    coarse_active: tuple[np.ndarray, ...] = ()  # final PDAS masks of the coarser levels, finest first
+    coarse_pdas_iterations: tuple[int, ...] = ()  # their PDAS iterations
 
     @property
     def active(self) -> np.ndarray:
@@ -62,31 +64,32 @@ def classify_nodes(w_int: np.ndarray, lam: np.ndarray, psi_int: np.ndarray):
     )
 
 
-def solve_obstacle(
-    z: NodalFunction,
-    psi: NodalFunction,
-    mesh: Mesh,
-    mats: FEMatrices,
-    warm_start_active: np.ndarray | None = None,
-    max_iterations: int = PDAS_MAX_ITER,
-) -> ObstacleSolution:
-    """Primal-dual active set iteration for the discrete obstacle problem.
+def _pdas(mats: FEMatrices, z_full: np.ndarray, psi_full: np.ndarray,
+          previous: tuple, max_iterations: int, level: str = ""):
+    """PDAS on one mesh of the hierarchy, from the start that the
+    previous active masks of it and its coarser levels (finest first;
+    empty means none) give.
 
-    Terminates when the active set repeats exactly, which for the
-    M-matrix stiffness of the Friedrichs-Keller mesh happens after
-    finitely many steps.
-    """
-    psi_full = psi.extended()
-    _check_feasible(psi_full, mesh)
+    With no previous mask the start is cold.  Otherwise the coarser
+    level is solved first, with z and psi injected.  If its active set
+    is the one it had before, this mesh starts from its previous mask;
+    else from prolong_active of the coarse set.  Returns w, lam and the
+    final active masks and PDAS iterations of this mesh and of every
+    coarser level solved, finest first.  `level` prefixes the error."""
     inter = mats.interior
+    active = previous[0] if previous else np.zeros(inter.size, dtype=bool)
+    masks, its = (), ()
+    coarse = mats.coarse if previous else None  # a cold solve builds no coarse level
+    if coarse is not None:
+        _, _, masks, its = _pdas(
+            coarse, inject(z_full, mats.mesh), inject(psi_full, mats.mesh), previous[1:],
+            max_iterations, f"coarse level n={coarse.mesh.n}: ",
+        )
+        if len(previous) == 1 or not np.array_equal(masks[0], previous[1]):
+            active = prolong_active(mats, masks[0])
+
     psi_int = psi_full[inter]
-    load = (mats.M @ z.extended())[inter]
-    m = inter.size
-
-    active = np.zeros(m, dtype=bool)
-    if warm_start_active is not None:
-        active[np.asarray(warm_start_active, dtype=int)] = True
-
+    load = (mats.M @ z_full)[inter]
     k_int = mats.K_int
     for it in range(1, max_iterations + 1):
         free = np.flatnonzero(~active)
@@ -96,19 +99,58 @@ def solve_obstacle(
         lam = k_int @ w - load
         next_active = lam + (psi_int - w) > 0.0
         if np.array_equal(next_active, active):
-            break
+            return w, lam, (active, *masks), (it, *its)
         active = next_active
-    else:
-        raise PdasNoConvergenceError(
-            f"active set did not settle within {max_iterations} iterations"
-        )
+    raise PdasNoConvergenceError(
+        f"{level}active set did not settle within {max_iterations} iterations"
+    )
 
-    inactive, strict, biactive = classify_nodes(w, lam, psi_int)
+
+def prolong_active(mats: FEMatrices, coarse_active: np.ndarray) -> np.ndarray:
+    """Active mask on the interior of mats from one on the interior of
+    mats.coarse: the prolonged 0/1 indicator above 0.5, so that an edge
+    midpoint is active only when both of its ends are."""
+    coarse = mats.coarse
+    indicator = np.zeros(coarse.mesh.num_nodes)
+    indicator[coarse.interior[coarse_active]] = 1.0
+    return (mats.prolongation @ indicator)[mats.interior] > 0.5
+
+
+def solve_obstacle(
+    z: NodalFunction,
+    psi: NodalFunction,
+    mesh: Mesh,
+    mats: FEMatrices,
+    warm_start: ObstacleSolution | None = None,
+    max_iterations: int = PDAS_MAX_ITER,
+) -> ObstacleSolution:
+    """Primal-dual active set iteration for the discrete obstacle problem.
+
+    Terminates when the active set repeats exactly, which for the
+    M-matrix stiffness of the Friedrichs-Keller mesh happens after
+    finitely many steps.  Without a warm start it starts with every
+    node free.  With one, the solution for a nearby load, it starts
+    from an active set chosen on the coarser levels of mats (see _pdas).
+    The final iterate is the solve on the final active set, whichever
+    start led to it; max_iterations caps the PDAS loop of every level.
+    """
+    psi_full = psi.extended()
+    _check_feasible(psi_full, mesh)
+    previous = ()
+    if warm_start is not None:
+        mask = np.zeros(mats.interior.size, dtype=bool)
+        mask[warm_start.active] = True
+        previous = (mask, *warm_start.coarse_active)
+    w, lam, masks, its = _pdas(mats, z.extended(), psi_full, previous, max_iterations)
+
+    inactive, strict, biactive = classify_nodes(w, lam, psi_full[mats.interior])
     return ObstacleSolution(
         w=NodalFunction(w, SPACE_V, mesh),
         lam=lam,
         inactive=inactive,
         strictly_active=strict,
         biactive=biactive,
-        pdas_iterations=it,
+        pdas_iterations=its[0],
+        coarse_active=masks[1:],
+        coarse_pdas_iterations=its[1:],
     )

@@ -269,6 +269,19 @@ def test_cli_pdas_failure_is_one_error_line_exit_1(extra, pdas_cap, prefix, monk
     assert len(err) == 1 and err[0].startswith(prefix)
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_coarse_pdas_failure_is_one_error_line_exit_1(monkeypatch, capsys):
+    # outer step 1 is the first warm start at n=32: its n=16 level starts
+    # cold and hits the cap before the fine level is reached
+    monkeypatch.setattr(
+        newton, "solve_obstacle", functools.partial(obstacle.solve_obstacle, max_iterations=1)
+    )
+    assert main(["solve", "--preset", "paper", "--n", "32"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: outer iteration 1: coarse level n=16: active set did not settle")
+
+
 def test_cli_solve_vtk_matches_separately_interpolated_y_d(tmp_path):
     out = tmp_path / "solve.vtk"
     assert main(["solve", "--preset", "paper", "--n", "8", "--out", str(out)]) == 0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from obstaclecontrol.assembly import interpolate, vector_norm
+from obstaclecontrol.assembly import build_matrices, interpolate, vector_norm
+from obstaclecontrol.mesh import build_friedrichs_keller
 from obstaclecontrol.newton import (
     NewtonConfig,
     newton_step_matrix_apply,
@@ -253,3 +254,35 @@ def test_small_alpha_converges_at_n32(alpha, max_steps):
     report = run(NewtonConfig(alpha=alpha, tol=1e-7), PAPER_Y_D, PAPER_PSI, mesh, mats)
     assert report.status == "converged"
     assert report.iterations <= max_steps
+
+
+def _paper_run(n, alpha=1e-5, hierarchy=True):
+    mesh = build_friedrichs_keller(n)
+    mats = build_matrices(mesh)
+    if not hierarchy:
+        mats.__dict__["coarse"] = None  # every warm start reuses the previous active set
+    return run(NewtonConfig(alpha=alpha, tol=1e-7), PAPER_Y_D, PAPER_PSI, mesh, mats)
+
+
+@pytest.mark.parametrize("n, alpha", [(32, 1e-5), (64, 1e-5), (32, 1e-8)])
+def test_coarse_warm_start_leaves_iterates_bit_identical(n, alpha):
+    # the final PDAS iterate is the solve on the final active set, so the
+    # start that led to that set does not show in the answer
+    with_levels = _paper_run(n, alpha)
+    without = _paper_run(n, alpha, hierarchy=False)
+    assert len(with_levels.history) == len(without.history)
+    for a, b in zip(with_levels.history, without.history):
+        for field in ("y", "ytilde", "u"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert a.residual == b.residual
+        assert b.coarse_pdas_iterations == ()
+
+
+def test_pdas_iterations_per_step_stay_small_at_n64():
+    report = _paper_run(64)
+    fine = [rec.pdas_iterations for rec in report.history]
+    assert max(fine) <= 5 and sum(fine) <= 25  # without the hierarchy: 1/16/12/8/5/2/1
+    # step 0 starts cold; then n=32 and, from step 2 on, n=16 are solved too
+    levels = [len(rec.coarse_pdas_iterations) for rec in report.history]
+    assert levels == [0, 1] + [2] * (len(levels) - 2)
+    assert all(it >= 1 for rec in report.history for it in rec.coarse_pdas_iterations)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obstaclecontrol.assembly import SPACE_W, NodalFunction, interpolate
+from obstaclecontrol.assembly import SPACE_W, NodalFunction, build_matrices, interpolate
+from obstaclecontrol.mesh import build_friedrichs_keller
 from obstaclecontrol.obstacle import (
     InfeasibleConstraintsError,
     ObstacleSolution,
@@ -119,9 +120,39 @@ def test_warm_start_reaches_same_solution(rng):
     mesh, mats = mesh_and_mats(8)
     z, psi = random_instance(mesh, rng)
     cold = solve_obstacle(z, psi, mesh, mats)
-    warm = solve_obstacle(z, psi, mesh, mats, warm_start_active=cold.active)
+    warm = solve_obstacle(z, psi, mesh, mats, warm_start=cold)
     assert np.array_equal(cold.w.values, warm.w.values)
     assert warm.pdas_iterations <= cold.pdas_iterations
+
+
+def test_warm_start_on_the_hierarchy_reaches_the_cold_solution(rng):
+    mesh, mats = mesh_and_mats(64)
+    z, psi = random_instance(mesh, rng)
+    cold = solve_obstacle(z, psi, mesh, mats)
+    assert cold.coarse_active == () and cold.coarse_pdas_iterations == ()
+    # a nearby load: the previous solution is a warm start for it
+    z2 = NodalFunction(z.values * 1.1, SPACE_W, mesh)
+    first = solve_obstacle(z2, psi, mesh, mats, warm_start=cold)
+    assert np.array_equal(first.w.values, solve_obstacle(z2, psi, mesh, mats).w.values)
+    # the levels fill in one at a time: n=32 starts cold on the first warm
+    # solve, and solves n=16 from the second on
+    assert [a.size for a in first.coarse_active] == [31**2]
+    assert len(first.coarse_pdas_iterations) == 1
+    second = solve_obstacle(z2, psi, mesh, mats, warm_start=first)
+    assert [a.size for a in second.coarse_active] == [31**2, 15**2]
+    assert np.array_equal(second.w.values, first.w.values)
+    assert np.array_equal(second.coarse_active[0], first.coarse_active[0])
+
+
+def test_pdas_cap_on_a_coarse_level_names_it():
+    mesh, mats = mesh_and_mats(32)
+    z = const_field(mesh, -10.0)
+    psi = const_field(mesh, -0.01)
+    sol = solve_obstacle(z, psi, mesh, mats)
+    # n=16 has no previous active set and starts cold, which takes more
+    # than one iteration under this load
+    with pytest.raises(PdasNoConvergenceError, match=r"^coarse level n=16: active set did not settle within 1 "):
+        solve_obstacle(z, psi, mesh, mats, warm_start=sol, max_iterations=1)
 
 
 def test_classification_partitions_interior(rng):
@@ -193,3 +224,11 @@ def test_lipschitz_ratio_reported_across_meshes(rng):
             worst = max(worst, vector_norm(diff, "L2", mats.K, mats.M) / t)
         maxima.append(worst)
     assert all(np.isfinite(maxima))
+
+
+def test_cold_solve_builds_no_coarse_level(rng):
+    mesh = build_friedrichs_keller(32)
+    mats = build_matrices(mesh)
+    z, psi = random_instance(mesh, rng)
+    assert solve_obstacle(z, psi, mesh, mats).coarse_active == ()
+    assert "coarse" not in mats.__dict__
