@@ -7,16 +7,14 @@ Subcommands: solve, sweep, check, export.  Exit codes: 0 success,
 
 import argparse
 import csv
-import datetime
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
 from .assembly import (
     SPACE_V, SPACE_W, FEMatrices, NodalFunction, build_matrices, interpolate, vector_norm,
 )
@@ -30,7 +28,7 @@ from .diagnostics import (
 from .linalg import BlockFactorizationError
 from .mesh import Mesh, build_friedrichs_keller
 from .newton import (
-    SELECTOR_POLICIES, ContractionViolationError, NewtonConfig, NewtonReport, run,
+    SELECTOR_POLICIES, ContractionViolationError, DivergenceError, NewtonConfig, NewtonReport, run,
 )
 from .obstacle import InfeasibleConstraintsError, PdasNoConvergenceError
 from .operators import extend_interior
@@ -111,7 +109,6 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
-    provenance: dict = field(default_factory=dict)
 
 
 _SWEEP_COLUMNS = ["h", "iterations", "final_residue", "eoc_l2_y", "eoc_h1_ytilde", "eoc_h10_u"]
@@ -173,20 +170,7 @@ def run_sweep(
             )
         )
     rows.sort(key=lambda r: -r.h)
-    result = SweepResult(
-        rows=rows,
-        provenance={
-            "alpha": alpha,
-            "tol": tol,
-            "y_d": y_d_spec,
-            "psi": psi_spec,
-            "sizes": sorted(sizes),
-            "selector_policy": selector_policy,
-            "version": __version__,
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "u_eoc_norm": "H1_seminorm",
-        },
-    )
+    result = SweepResult(rows=rows)
     if out_csv is not None:
         write_sweep_csv(result, out_csv)
     return result
@@ -462,7 +446,8 @@ def main(argv=None) -> int:
     except (UsageError, InfeasibleConstraintsError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (PdasNoConvergenceError, ContractionViolationError, BlockFactorizationError) as exc:
+    except (PdasNoConvergenceError, ContractionViolationError, BlockFactorizationError,
+            DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,6 +32,11 @@ class ContractionViolationError(Exception):
     its unit inverse bound, which indicates a sign or adjointness bug."""
 
 
+class DivergenceError(Exception):
+    """The L2 residual of an outer iteration is not finite: the iterates
+    grew until their norms overflowed."""
+
+
 def _is_number(value, kind) -> bool:
     """isinstance(value, kind) for a non-bool: True is an Integral, but a
     boolean alpha, tol or max_iter is a mistake in the config file."""
@@ -153,6 +158,10 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
         u_int = sol.w.values
         ytilde = apply_P(extend_interior(u_int, mats), mats)
         residual = vector_norm(y - ytilde, "L2", mats.K, mats.M)
+        if not math.isfinite(residual):
+            raise DivergenceError(
+                f"outer iteration {i}: residual {residual} is not finite; the iterates diverged"
+            )
 
         selector = DerivativeSelector.from_solution(sol, mats, include_biactive)
         history.append(

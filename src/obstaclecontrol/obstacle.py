@@ -36,12 +36,9 @@ class ObstacleSolution:
     strictly_active: np.ndarray
     biactive: np.ndarray
     pdas_iterations: int
-    coarse_active: tuple[np.ndarray, ...] = ()  # final PDAS masks of the coarser levels, finest first
-    coarse_pdas_iterations: tuple[int, ...] = ()  # their PDAS iterations
-
-    @property
-    def active(self) -> np.ndarray:
-        return np.union1d(self.strictly_active, self.biactive)
+    # final PDAS masks of this mesh and of each coarser level, finest first
+    active_masks: tuple[np.ndarray, ...] = ()
+    coarse_pdas_iterations: tuple[int, ...] = ()  # PDAS iterations of the coarser levels
 
 
 def _check_feasible(psi_full: np.ndarray, mesh: Mesh):
@@ -65,33 +62,34 @@ def classify_nodes(w_int: np.ndarray, lam: np.ndarray, psi_int: np.ndarray):
 
 
 def _pdas(mats: FEMatrices, z_full: np.ndarray, psi_full: np.ndarray,
-          previous: tuple, max_iterations: int, level: str = ""):
-    """PDAS on one mesh of the hierarchy, from the start that the
-    previous active masks of it and its coarser levels (finest first;
-    empty means none) give.
-
-    With no previous mask the start is cold.  Otherwise the coarser
-    level is solved first, with z and psi injected.  If its active set
-    is the one it had before, this mesh starts from its previous mask;
-    else from prolong_active of the coarse set.  Returns w, lam and the
-    final active masks and PDAS iterations of this mesh and of every
-    coarser level solved, finest first.  `level` prefixes the error."""
+          previous: tuple | None, level: str = ""):
+    """PDAS on one mesh of the hierarchy.  `previous` holds the final
+    active masks of the previous solve on this mesh and its coarser
+    levels, finest first; None is a cold solve: this mesh only, from
+    every node free.  A warm solve runs every level: the coarser level
+    is solved first, with z and psi injected and previous[1:].  If its
+    new mask is its previous one, this mesh starts from its own previous
+    mask; else from prolong_active of the new coarse mask.  The coarsest
+    level starts from its previous mask, or with every node free.
+    Returns w, lam and the final active masks and PDAS iterations of
+    this mesh and of every coarser level, finest first.  `level`
+    prefixes the error."""
     inter = mats.interior
     active = previous[0] if previous else np.zeros(inter.size, dtype=bool)
     masks, its = (), ()
-    coarse = mats.coarse if previous else None  # a cold solve builds no coarse level
+    coarse = None if previous is None else mats.coarse
     if coarse is not None:
         _, _, masks, its = _pdas(
             coarse, inject(z_full, mats.mesh), inject(psi_full, mats.mesh), previous[1:],
-            max_iterations, f"coarse level n={coarse.mesh.n}: ",
+            f"coarse level n={coarse.mesh.n}: ",
         )
-        if len(previous) == 1 or not np.array_equal(masks[0], previous[1]):
+        if len(previous) < 2 or not np.array_equal(masks[0], previous[1]):
             active = prolong_active(mats, masks[0])
 
     psi_int = psi_full[inter]
     load = (mats.M @ z_full)[inter]
     k_int = mats.K_int
-    for it in range(1, max_iterations + 1):
+    for it in range(1, PDAS_MAX_ITER + 1):
         free = np.flatnonzero(~active)
         w = np.where(active, psi_int, 0.0)
         if free.size:
@@ -102,17 +100,17 @@ def _pdas(mats: FEMatrices, z_full: np.ndarray, psi_full: np.ndarray,
             return w, lam, (active, *masks), (it, *its)
         active = next_active
     raise PdasNoConvergenceError(
-        f"{level}active set did not settle within {max_iterations} iterations"
+        f"{level}active set did not settle within {PDAS_MAX_ITER} iterations"
     )
 
 
-def prolong_active(mats: FEMatrices, coarse_active: np.ndarray) -> np.ndarray:
+def prolong_active(mats: FEMatrices, coarse_mask: np.ndarray) -> np.ndarray:
     """Active mask on the interior of mats from one on the interior of
     mats.coarse: the prolonged 0/1 indicator above 0.5, so that an edge
     midpoint is active only when both of its ends are."""
     coarse = mats.coarse
     indicator = np.zeros(coarse.mesh.num_nodes)
-    indicator[coarse.interior[coarse_active]] = 1.0
+    indicator[coarse.interior[coarse_mask]] = 1.0
     return (mats.prolongation @ indicator)[mats.interior] > 0.5
 
 
@@ -122,7 +120,6 @@ def solve_obstacle(
     mesh: Mesh,
     mats: FEMatrices,
     warm_start: ObstacleSolution | None = None,
-    max_iterations: int = PDAS_MAX_ITER,
 ) -> ObstacleSolution:
     """Primal-dual active set iteration for the discrete obstacle problem.
 
@@ -130,18 +127,14 @@ def solve_obstacle(
     M-matrix stiffness of the Friedrichs-Keller mesh happens after
     finitely many steps.  Without a warm start it starts with every
     node free.  With one, the solution for a nearby load, it starts
-    from an active set chosen on the coarser levels of mats (see _pdas).
+    from its active masks and a solve on every coarser level (_pdas).
     The final iterate is the solve on the final active set, whichever
-    start led to it; max_iterations caps the PDAS loop of every level.
+    start led to it; PDAS_MAX_ITER caps the PDAS loop of every level.
     """
     psi_full = psi.extended()
     _check_feasible(psi_full, mesh)
-    previous = ()
-    if warm_start is not None:
-        mask = np.zeros(mats.interior.size, dtype=bool)
-        mask[warm_start.active] = True
-        previous = (mask, *warm_start.coarse_active)
-    w, lam, masks, its = _pdas(mats, z.extended(), psi_full, previous, max_iterations)
+    previous = None if warm_start is None else warm_start.active_masks
+    w, lam, masks, its = _pdas(mats, z.extended(), psi_full, previous)
 
     inactive, strict, biactive = classify_nodes(w, lam, psi_full[mats.interior])
     return ObstacleSolution(
@@ -151,6 +144,6 @@ def solve_obstacle(
         strictly_active=strict,
         biactive=biactive,
         pdas_iterations=its[0],
-        coarse_active=masks[1:],
+        active_masks=masks,
         coarse_pdas_iterations=its[1:],
     )

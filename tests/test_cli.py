@@ -1,11 +1,10 @@
-import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from obstaclecontrol import newton, obstacle
+from obstaclecontrol import obstacle
 from obstaclecontrol.assembly import interpolate
 from obstaclecontrol.cli import (
     PAPER_PRESET,
@@ -260,10 +259,7 @@ def test_cli_bad_config_file_exit_2(command, text, tmp_path, capsys):
 )
 def test_cli_pdas_failure_is_one_error_line_exit_1(extra, pdas_cap, prefix, monkeypatch, capsys):
     if pdas_cap is not None:
-        monkeypatch.setattr(
-            newton, "solve_obstacle",
-            functools.partial(obstacle.solve_obstacle, max_iterations=pdas_cap),
-        )
+        monkeypatch.setattr(obstacle, "PDAS_MAX_ITER", pdas_cap)
     assert main(["solve", "--preset", "paper", "--n", "8", *extra]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(prefix)
@@ -273,9 +269,7 @@ def test_cli_pdas_failure_is_one_error_line_exit_1(extra, pdas_cap, prefix, monk
 def test_cli_coarse_pdas_failure_is_one_error_line_exit_1(monkeypatch, capsys):
     # outer step 1 is the first warm start at n=32: its n=16 level starts
     # cold and hits the cap before the fine level is reached
-    monkeypatch.setattr(
-        newton, "solve_obstacle", functools.partial(obstacle.solve_obstacle, max_iterations=1)
-    )
+    monkeypatch.setattr(obstacle, "PDAS_MAX_ITER", 1)
     assert main(["solve", "--preset", "paper", "--n", "32"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obstaclecontrol import obstacle
 from obstaclecontrol.assembly import SPACE_W, NodalFunction, build_matrices, interpolate
 from obstaclecontrol.mesh import build_friedrichs_keller
 from obstaclecontrol.obstacle import (
@@ -107,13 +110,14 @@ def test_infeasible_obstacle():
         solve_obstacle(const_field(mesh, 0.0), const_field(mesh, 0.0), mesh, mats)
 
 
-def test_pdas_cap_raises():
+def test_pdas_cap_raises(monkeypatch):
     mesh, mats = mesh_and_mats(8)
     z = const_field(mesh, -10.0)
     psi = const_field(mesh, -0.01)
     assert solve_obstacle(z, psi, mesh, mats).pdas_iterations >= 2
+    monkeypatch.setattr(obstacle, "PDAS_MAX_ITER", 1)
     with pytest.raises(PdasNoConvergenceError):
-        solve_obstacle(z, psi, mesh, mats, max_iterations=1)
+        solve_obstacle(z, psi, mesh, mats)
 
 
 def test_warm_start_reaches_same_solution(rng):
@@ -129,30 +133,33 @@ def test_warm_start_on_the_hierarchy_reaches_the_cold_solution(rng):
     mesh, mats = mesh_and_mats(64)
     z, psi = random_instance(mesh, rng)
     cold = solve_obstacle(z, psi, mesh, mats)
-    assert cold.coarse_active == () and cold.coarse_pdas_iterations == ()
+    assert [a.size for a in cold.active_masks] == [63**2] and cold.coarse_pdas_iterations == ()
     # a nearby load: the previous solution is a warm start for it
     z2 = NodalFunction(z.values * 1.1, SPACE_W, mesh)
+    answer = solve_obstacle(z2, psi, mesh, mats).w.values
     first = solve_obstacle(z2, psi, mesh, mats, warm_start=cold)
-    assert np.array_equal(first.w.values, solve_obstacle(z2, psi, mesh, mats).w.values)
-    # the levels fill in one at a time: n=32 starts cold on the first warm
-    # solve, and solves n=16 from the second on
-    assert [a.size for a in first.coarse_active] == [31**2]
-    assert len(first.coarse_pdas_iterations) == 1
+    # a warm solve runs every level, whether or not it has their masks
+    assert [a.size for a in first.active_masks] == [63**2, 31**2, 15**2]
+    assert len(first.coarse_pdas_iterations) == 2
     second = solve_obstacle(z2, psi, mesh, mats, warm_start=first)
-    assert [a.size for a in second.coarse_active] == [31**2, 15**2]
-    assert np.array_equal(second.w.values, first.w.values)
-    assert np.array_equal(second.coarse_active[0], first.coarse_active[0])
+    assert [a.size for a in second.active_masks] == [63**2, 31**2, 15**2]
+    assert np.array_equal(second.active_masks[1], first.active_masks[1])
+    # a warm start with no masks starts the coarsest level with every node free
+    bare = solve_obstacle(z2, psi, mesh, mats, warm_start=dataclasses.replace(cold, active_masks=()))
+    for sol in (first, second, bare):
+        assert np.array_equal(sol.w.values, answer)
 
 
-def test_pdas_cap_on_a_coarse_level_names_it():
+def test_pdas_cap_on_a_coarse_level_names_it(monkeypatch):
     mesh, mats = mesh_and_mats(32)
     z = const_field(mesh, -10.0)
     psi = const_field(mesh, -0.01)
     sol = solve_obstacle(z, psi, mesh, mats)
     # n=16 has no previous active set and starts cold, which takes more
     # than one iteration under this load
+    monkeypatch.setattr(obstacle, "PDAS_MAX_ITER", 1)
     with pytest.raises(PdasNoConvergenceError, match=r"^coarse level n=16: active set did not settle within 1 "):
-        solve_obstacle(z, psi, mesh, mats, warm_start=sol, max_iterations=1)
+        solve_obstacle(z, psi, mesh, mats, warm_start=sol)
 
 
 def test_classification_partitions_interior(rng):
@@ -230,5 +237,5 @@ def test_cold_solve_builds_no_coarse_level(rng):
     mesh = build_friedrichs_keller(32)
     mats = build_matrices(mesh)
     z, psi = random_instance(mesh, rng)
-    assert solve_obstacle(z, psi, mesh, mats).coarse_active == ()
+    assert len(solve_obstacle(z, psi, mesh, mats).active_masks) == 1
     assert "coarse" not in mats.__dict__
