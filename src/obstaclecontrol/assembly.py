@@ -125,14 +125,24 @@ class FEMatrices:
     _free_fact: object = field(default=None, repr=False)
 
     @cached_property
+    def kint_nd(self) -> linalg.OrderedMatrix:
+        """K_int with the interior nodes in Mesh.nested_dissection order."""
+        local = np.full(self.mesh.num_nodes, -1)
+        local[self.interior] = np.arange(self.interior.size)
+        order = local[self.mesh.nested_dissection]
+        return linalg.reorder(self.K_int, order[order >= 0])
+
+    @cached_property
     def a_factorization(self) -> linalg.Factorization:
-        """Factorization of K + M (Neumann Helmholtz operator)."""
-        return linalg.Factorization(self.A)
+        """Factorization of K + M (Neumann Helmholtz operator), in
+        Mesh.nested_dissection order."""
+        a = linalg.reorder(self.A, self.mesh.nested_dissection)
+        return linalg.Factorization(a.matrix, a.order)
 
     @cached_property
     def kint_factorization(self) -> linalg.Factorization:
         """Factorization of the interior (Dirichlet) stiffness matrix."""
-        return linalg.Factorization(self.K_int)
+        return linalg.Factorization(self.kint_nd.matrix, self.kint_nd.order)
 
     @cached_property
     def coarse(self) -> "FEMatrices | None":
@@ -196,12 +206,14 @@ class FEMatrices:
         indptr = np.zeros(size + 1, dtype=np.int32)
         np.cumsum(np.bincount(col, minlength=size), out=indptr[1:])
         matrix = sp.csc_matrix((data[order], row[order], indptr), shape=(size, size))
-        return linalg.BlockPattern(matrix, scaled[order], self.M, a_pos, w_pos, b_pos)
+        return linalg.BlockPattern(
+            matrix, linalg.entry_columns(matrix), scaled[order], self.M, a_pos, w_pos, b_pos
+        )
 
     def free_factorization(self, free: np.ndarray):
         """Factorization of K_int[free, free] for sorted unique interior
-        indices, cut from K_int; the only place a submatrix of K_int is
-        factorized.
+        indices, cut from kint_nd, so in Mesh.nested_dissection order;
+        the only place a submatrix of K_int is factorized.
 
         Keeps the whole-interior factor and the last other free set, so
         the final PDAS iterate and G_N on the same set share one factor.
@@ -212,10 +224,13 @@ class FEMatrices:
         if not np.array_equal(self._free_key, free):
             # release the old factor first: holding two at once raises peak memory
             self._free_key = self._free_fact = None
+            nd = self.kint_nd
             keep = np.zeros(self.interior.size, dtype=bool)
-            keep[free] = True
-            sub, _ = linalg.principal_submatrix(self.K_int, keep)
-            self._free_fact = linalg.Factorization(sub)
+            keep[nd.rank[free]] = True
+            sub, _ = linalg.principal_submatrix(nd.matrix, nd.col, keep)
+            slot = np.empty(self.interior.size, dtype=np.int64)  # index into free
+            slot[free] = np.arange(free.size)
+            self._free_fact = linalg.Factorization(sub, slot[nd.order[keep]])
             self._free_key = np.array(free)
         return self._free_fact
 
@@ -224,7 +239,10 @@ def build_matrices(mesh: Mesh) -> FEMatrices:
     K = stiffness_matrix(mesh)
     M = mass_matrix(mesh)
     A = (K + M).tocsc()
-    K_int, _ = linalg.principal_submatrix(K.tocsc(), ~mesh.boundary_mask)
+    k_csc = K.tocsc()
+    K_int, _ = linalg.principal_submatrix(
+        k_csc, linalg.entry_columns(k_csc), ~mesh.boundary_mask
+    )
     return FEMatrices(mesh=mesh, K=K, M=M, A=A, interior=mesh.interior, K_int=K_int)
 
 

@@ -3,7 +3,10 @@
 A thin wrapper around SuperLU.  For symmetric positive definite input we
 run the factorization in symmetric mode with diagonal pivoting disabled,
 which makes it behave like a Cholesky factorization and lets us detect
-indefinite matrices through nonpositive pivots.
+indefinite matrices through nonpositive pivots.  SuperLU factors in the
+order it is given (NATURAL): the caller puts the unknowns in a
+fill-reducing order, such as Mesh.nested_dissection, once per matrix,
+so no ordering pass runs on each factorization.
 """
 
 from typing import NamedTuple
@@ -27,27 +30,36 @@ class CgNoConvergenceError(Exception):
     """cg_self_adjoint did not reach its tolerance within max_iter."""
 
 
-class Factorization:
-    """Reusable direct factorization of a sparse SPD matrix."""
+def _splu(a: sp.csc_matrix):
+    """SuperLU factors of a in the given order, without pivoting."""
+    return spla.splu(
+        a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
 
-    def __init__(self, a: sp.spmatrix):
+
+class Factorization:
+    """Reusable direct factorization of a sparse SPD matrix.
+
+    a is factored in the order in which it is given.  order[k] is the
+    unknown at position k of a, through which solve maps right-hand
+    sides and solutions; None keeps them in the order of a."""
+
+    def __init__(self, a: sp.spmatrix, order: np.ndarray | None = None):
         a = a.tocsc()
         if a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
         self.shape = a.shape
+        self._order = order
         if a.shape[0] == 0:
             self._lu = None
             return
         try:
-            self._lu = spla.splu(
-                a,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
+            self._lu = _splu(a)
         except RuntimeError as exc:
             raise NotPositiveDefiniteError(str(exc)) from exc
-        if np.any(self._lu.U.diagonal() <= 0.0):
+        # SuperLU exchanges rows only at an exactly zero pivot
+        swapped = np.any(self._lu.perm_r != np.arange(a.shape[0]))
+        if swapped or np.any(self._lu.U.diagonal() <= 0.0):
             raise NotPositiveDefiniteError("nonpositive pivot encountered")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -56,7 +68,43 @@ class Factorization:
             raise ValueError(f"rhs has shape {b.shape}, expected ({self.shape[0]},)")
         if self._lu is None:
             return b.copy()
-        return self._lu.solve(b)
+        if self._order is None:
+            return self._lu.solve(b)
+        x = np.empty_like(b)
+        x[self._order] = self._lu.solve(b[self._order])
+        return x
+
+
+def entry_columns(a: sp.csc_matrix) -> np.ndarray:
+    """Column of each stored entry of a CSC matrix, as intp, the index
+    type numpy gathers with fastest."""
+    return np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+
+
+class OrderedMatrix(NamedTuple):
+    """A sparse matrix with its unknowns renumbered, as Factorization and
+    principal_submatrix take it."""
+
+    matrix: sp.csc_matrix  # canonical CSC, explicit zeros kept
+    col: np.ndarray  # column of each entry of matrix
+    order: np.ndarray  # the unknown of the original matrix at each position
+    rank: np.ndarray  # the position of each unknown of the original matrix
+
+
+def reorder(a: sp.csc_matrix, order: np.ndarray) -> OrderedMatrix:
+    """a[order][:, order] of a square CSC matrix, by renumbering the row
+    and column of each entry and sorting the entries by column, then row."""
+    size = order.size
+    rank = np.empty(size, dtype=np.intp)
+    rank[order] = np.arange(size)
+    row, col = rank[a.indices], rank[entry_columns(a)]
+    perm = np.argsort(col * size + row)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=size), out=indptr[1:])
+    matrix = sp.csc_matrix(
+        (a.data[perm], row[perm].astype(np.int32), indptr), shape=a.shape
+    )
+    return OrderedMatrix(matrix, col[perm], order, rank)
 
 
 class BlockPattern(NamedTuple):
@@ -73,6 +121,7 @@ class BlockPattern(NamedTuple):
     """
 
     matrix: sp.csc_matrix
+    col: np.ndarray  # column of each entry of matrix
     scaled: np.ndarray  # bool per entry of matrix
     mass: sp.csr_matrix  # M, which maps the right-hand side
     a_pos: np.ndarray  # position of the a-unknown of each node
@@ -80,23 +129,25 @@ class BlockPattern(NamedTuple):
     b_pos: np.ndarray  # position of the b-unknown of each node
 
 
-def principal_submatrix(a: sp.csc_matrix, keep: np.ndarray):
+def principal_submatrix(a: sp.csc_matrix, col: np.ndarray, keep: np.ndarray):
     """Principal submatrix of a canonical CSC matrix on the unknowns
-    where keep is True, and the mask of the entries of a it holds.
+    where keep is True, and the mask of the entries of a it holds; col
+    is the column of each entry of a (entry_columns).
 
     Dropping unknowns keeps the order of the others, so the submatrix is
-    canonical as well.  Explicit zeros are kept: they are part of the
-    pattern that a fill-reducing ordering sees."""
+    canonical as well.  Explicit zeros are kept."""
+    kept = keep[col] & keep[a.indices]
+    entries = np.flatnonzero(kept)
     index = np.cumsum(keep, dtype=np.int32) - 1
     size = int(np.count_nonzero(keep))
-    col = np.repeat(np.arange(keep.size, dtype=np.int32), np.diff(a.indptr))
-    entries = keep[col] & keep[a.indices]
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(index[col[entries]], minlength=size), out=indptr[1:])
+    # a kept column starts after the kept entries of the columns before it
+    before = np.zeros(kept.size + 1, dtype=np.int32)
+    np.cumsum(kept, out=before[1:])
+    indptr = np.append(before[a.indptr[:-1][keep]], before[-1])
     sub = sp.csc_matrix(
         (a.data[entries], index[a.indices[entries]], indptr), shape=(size, size)
     )
-    return sub, entries
+    return sub, kept
 
 
 def solve_block_newton(
@@ -127,19 +178,16 @@ def solve_block_newton(
     keep = np.ones(pattern.matrix.shape[0], dtype=bool)
     keep[pattern.w_pos] = False
     keep[pattern.w_pos[free]] = True
-    block, entries = principal_submatrix(pattern.matrix, keep)
+    block, entries = principal_submatrix(pattern.matrix, pattern.col, keep)
     block.data[pattern.scaled[entries]] *= 1 / alpha
     full_rhs = np.zeros(keep.size)
     full_rhs[pattern.a_pos] = pattern.mass @ rhs
     try:
-        lu = spla.splu(
-            block,
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        lu = _splu(block)
     except RuntimeError as exc:
-        raise BlockFactorizationError(f"Newton block system: {exc}") from exc
+        raise BlockFactorizationError(
+            f"Newton block system with |free| = {free.size}: {exc}"
+        ) from exc
     solution = np.zeros(keep.size)
     solution[keep] = lu.solve(full_rhs[keep])
     b = solution[pattern.b_pos]

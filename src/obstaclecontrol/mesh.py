@@ -43,27 +43,38 @@ class Mesh:
 
         A full row or column of nodes separates the grid, since every
         edge joins nodes at most one step apart in each direction.  Each
-        block is split across its longer side, its two halves are
-        ordered recursively and the separator follows them."""
-        side = self.n + 1
-        parts = []
+        block is split across its longer side (its columns on a tie);
+        its two halves are ordered recursively and the separator follows
+        them.  Blocks of at most 2 x 2 nodes are not split.
 
-        def visit(i0, i1, j0, j1):  # node columns [i0, i1), rows [j0, j1)
-            if i1 - i0 <= 2 and j1 - j0 <= 2:
-                parts.append((np.arange(j0, j1)[:, None] * side + np.arange(i0, i1)).ravel())
-            elif i1 - i0 >= j1 - j0:
-                mid = (i0 + i1) // 2
-                visit(i0, mid, j0, j1)
-                visit(mid + 1, i1, j0, j1)
-                parts.append(np.arange(j0, j1) * side + mid)
-            else:
-                mid = (j0 + j1) // 2
-                visit(i0, i1, j0, mid)
-                visit(i0, i1, mid + 1, j1)
-                parts.append(mid * side + np.arange(i0, i1))
+        Blocks of the same shape are ordered alike, so the order within
+        each shape is built once, as row-major offsets in the block,
+        from those of its two halves."""
+        orders = {}
 
-        visit(0, side, 0, side)
-        return np.concatenate(parts)
+        def block(w, h):  # w columns, h rows
+            if (w, h) not in orders:
+                if w <= 2 and h <= 2:
+                    order = np.arange(w * h)
+                elif w >= h:
+                    half, rest = w // 2, w - w // 2 - 1
+                    low, high = block(half, h), block(rest, h)
+                    order = np.concatenate([
+                        low // half * w + low % half,
+                        high // rest * w + high % rest + half + 1,
+                        np.arange(h) * w + half,
+                    ])
+                else:
+                    half = h // 2
+                    order = np.concatenate([
+                        block(w, half),
+                        block(w, h - half - 1) + (half + 1) * w,
+                        half * w + np.arange(w),
+                    ])
+                orders[w, h] = order
+            return orders[w, h]
+
+        return block(self.n + 1, self.n + 1)
 
     @property
     def num_nodes(self) -> int:

@@ -23,7 +23,8 @@ class InfeasibleConstraintsError(Exception):
 
 
 class PdasNoConvergenceError(Exception):
-    """Active set did not repeat within the iteration cap."""
+    """Active set did not repeat within the iteration cap.  The message
+    names the mesh level and the set sizes of the last iterate."""
 
 
 @dataclass
@@ -62,7 +63,7 @@ def classify_nodes(w_int: np.ndarray, lam: np.ndarray, psi_int: np.ndarray):
 
 
 def _pdas(mats: FEMatrices, z_full: np.ndarray, psi_full: np.ndarray,
-          previous: tuple | None, level: str = ""):
+          previous: tuple | None, level: str = "level"):
     """PDAS on one mesh of the hierarchy.  `previous` holds the final
     active masks of the previous solve on this mesh and its coarser
     levels, finest first; None is a cold solve: this mesh only, from
@@ -72,8 +73,8 @@ def _pdas(mats: FEMatrices, z_full: np.ndarray, psi_full: np.ndarray,
     mask; else from prolong_active of the new coarse mask.  The coarsest
     level starts from its previous mask, or with every node free.
     Returns w, lam and the final active masks and PDAS iterations of
-    this mesh and of every coarser level, finest first.  `level`
-    prefixes the error."""
+    this mesh and of every coarser level, finest first.  `level` names
+    this mesh in the error, followed by its n."""
     inter = mats.interior
     active = previous[0] if previous else np.zeros(inter.size, dtype=bool)
     masks, its = (), ()
@@ -81,7 +82,7 @@ def _pdas(mats: FEMatrices, z_full: np.ndarray, psi_full: np.ndarray,
     if coarse is not None:
         _, _, masks, its = _pdas(
             coarse, inject(z_full, mats.mesh), inject(psi_full, mats.mesh), previous[1:],
-            f"coarse level n={coarse.mesh.n}: ",
+            "coarse level",
         )
         if len(previous) < 2 or not np.array_equal(masks[0], previous[1]):
             active = prolong_active(mats, masks[0])
@@ -100,7 +101,8 @@ def _pdas(mats: FEMatrices, z_full: np.ndarray, psi_full: np.ndarray,
             return w, lam, (active, *masks), (it, *its)
         active = next_active
     raise PdasNoConvergenceError(
-        f"{level}active set did not settle within {PDAS_MAX_ITER} iterations"
+        f"{level} n={mats.mesh.n}: active set did not settle within {PDAS_MAX_ITER} "
+        f"iterations; last iterate |free| = {free.size}, |active| = {inter.size - free.size}"
     )
 
 

@@ -30,6 +30,32 @@ def mesh_and_mats(n):
     return _CACHE[n]
 
 
+def recursive_nested_dissection(n: int) -> np.ndarray:
+    """Mesh.nested_dissection written as the plain recursion: split each
+    block of nodes across its longer side (its columns on a tie), order
+    the two halves, then the separator; blocks of at most 2 x 2 nodes
+    are listed row by row."""
+    side = n + 1
+    parts = []
+
+    def visit(i0, i1, j0, j1):  # node columns [i0, i1), rows [j0, j1)
+        if i1 - i0 <= 2 and j1 - j0 <= 2:
+            parts.append((np.arange(j0, j1)[:, None] * side + np.arange(i0, i1)).ravel())
+        elif i1 - i0 >= j1 - j0:
+            mid = (i0 + i1) // 2
+            visit(i0, mid, j0, j1)
+            visit(mid + 1, i1, j0, j1)
+            parts.append(np.arange(j0, j1) * side + mid)
+        else:
+            mid = (j0 + j1) // 2
+            visit(i0, i1, j0, mid)
+            visit(i0, i1, mid + 1, j1)
+            parts.append(mid * side + np.arange(i0, i1))
+
+    visit(0, side, 0, side)
+    return np.concatenate(parts)
+
+
 def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
     return f.solve(b)
 
@@ -77,11 +103,31 @@ def reference_block_newton(mats: FEMatrices, free: np.ndarray, alpha: float, rhs
     return rhs - b / alpha
 
 
+def assert_same_csc(got, expected):
+    """The two CSC matrices store the same entries in the same order,
+    explicit zeros included."""
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert np.array_equal(got.data, expected.data)
+
+
+def reference_nd_cut(a: sp.spmatrix, mesh: Mesh, nodes: np.ndarray):
+    """a[nodes, nodes] for full-node indices, with the nodes in
+    recursive_nested_dissection order, cut by fancy indexing in CSR form
+    and converted to CSC.  Returns the matrix and order, the index into
+    nodes of the node at each position."""
+    rank = np.empty(mesh.num_nodes, dtype=int)
+    rank[recursive_nested_dissection(mesh.n)] = np.arange(mesh.num_nodes)
+    order = np.argsort(rank[nodes])
+    ordered = nodes[order]
+    return a.tocsr()[np.ix_(ordered, ordered)].tocsc(), order
+
+
 def reference_free_submatrix(mats: FEMatrices, free: np.ndarray):
-    """K_int[free, free] by fancy indexing into K at the full-node
-    indices, in CSC form."""
-    free_nodes = mats.interior[free]
-    return mats.K[np.ix_(free_nodes, free_nodes)].tocsc()
+    """K_int[free, free] in nested-dissection order (reference_nd_cut of
+    K at the free interior nodes) and the index into free at each
+    position."""
+    return reference_nd_cut(mats.K, mats.mesh, mats.interior[free])
 
 
 def norm(v: NodalFunction, kind: str, mats: "FEMatrices | None" = None) -> float:

@@ -276,6 +276,26 @@ def test_cli_coarse_pdas_failure_is_one_error_line_exit_1(monkeypatch, capsys):
     assert err[0].startswith("error: outer iteration 1: coarse level n=16: active set did not settle")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "extra, pdas_cap, line",
+    [
+        # step 1 starts from step 0's active set, which is empty
+        ([], 1, "error: outer iteration 1: level n=8: active set did not settle within 1 "
+                "iterations; last iterate |free| = 49, |active| = 0"),
+        (["--alpha", "1e-300"], None, "error: outer iteration 0: Newton block system with "
+                                      "|free| = 49: "),
+    ],
+    ids=["pdas_cap", "zero_pivot"],
+)
+def test_cli_failure_line_names_the_set_sizes(extra, pdas_cap, line, monkeypatch, capsys):
+    if pdas_cap is not None:
+        monkeypatch.setattr(obstacle, "PDAS_MAX_ITER", pdas_cap)
+    assert main(["solve", "--preset", "paper", "--n", "8", *extra]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(line)
+
+
 def test_cli_solve_vtk_matches_separately_interpolated_y_d(tmp_path):
     out = tmp_path / "solve.vtk"
     assert main(["solve", "--preset", "paper", "--n", "8", "--out", str(out)]) == 0

@@ -2,24 +2,27 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from obstaclecontrol import linalg
+from obstaclecontrol import linalg, newton
 from obstaclecontrol.assembly import build_matrices, vector_norm
 from obstaclecontrol.linalg import (
+    BlockFactorizationError,
     CgNoConvergenceError,
     Factorization,
     NotPositiveDefiniteError,
     cg_self_adjoint,
     solve_block_newton,
 )
-from obstaclecontrol.newton import newton_step_matrix_apply, solve_newton_system_cg
+from obstaclecontrol.newton import NewtonConfig, newton_step_matrix_apply, solve_newton_system_cg
 from obstaclecontrol.mesh import build_friedrichs_keller
 from obstaclecontrol.operators import DerivativeSelector
 
 from conftest import (
+    assert_same_csc,
     mesh_and_mats,
     reference_block_matrix,
     reference_block_newton,
     reference_free_submatrix,
+    reference_nd_cut,
     solve,
 )
 
@@ -67,6 +70,13 @@ def test_rejects_indefinite():
         Factorization(a)
 
 
+def test_rejects_indefinite_with_a_zero_pivot():
+    # a zero pivot makes SuperLU exchange rows, after which every pivot is positive
+    a = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))  # eigenvalues 1, -1
+    with pytest.raises(NotPositiveDefiniteError):
+        Factorization(a)
+
+
 def test_dimension_mismatch():
     f = Factorization(sp.identity(3, format="csc"))
     with pytest.raises(ValueError):
@@ -110,6 +120,17 @@ def test_block_solve_matches_dense_probe(rng):
     assert np.linalg.norm(y - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
+def test_block_solve_zero_pivot_names_the_free_set(rng):
+    # at alpha = 1e-300 the scaled mass block is so large that
+    # eliminating it leaves an exactly zero pivot
+    mesh, mats = mesh_and_mats(8)
+    sel = _random_selector(mats, rng)
+    rhs = rng.standard_normal(mesh.num_nodes)
+    message = rf"^Newton block system with \|free\| = {sel.free.size}: "
+    with pytest.raises(BlockFactorizationError, match=message):
+        solve_block_newton(mats.newton_pattern, sel.free, 1e-300, rhs)
+
+
 def test_block_solve_large_alpha_limit(rng):
     mesh, mats = mesh_and_mats(8)
     sel = _random_selector(mats, rng)
@@ -131,12 +152,6 @@ def _capture_splu(monkeypatch):
     return captured
 
 
-def _assert_same_csc(got, expected):
-    assert np.array_equal(got.indptr, expected.indptr)
-    assert np.array_equal(got.indices, expected.indices)
-    assert np.array_equal(got.data, expected.data)
-
-
 @pytest.mark.parametrize("n", [2, 3, 8, 16])
 @pytest.mark.parametrize("alpha", [1e-3, 1e-5, 1e-8, 1e-10])
 @pytest.mark.parametrize("free_set", ["empty", "full", "random"])
@@ -155,13 +170,14 @@ def test_block_solve_factors_the_reference_system(n, alpha, free_set, rng, monke
     y = solve_block_newton(mats.newton_pattern, free, alpha, rhs)
     assert len(captured) == (1 if free.size else 0)
     if free.size:
-        _assert_same_csc(captured[0], reference_block_matrix(mats, free, alpha)[0])
+        assert_same_csc(captured[0], reference_block_matrix(mats, free, alpha)[0])
     assert np.array_equal(y, reference_block_newton(mats, free, alpha, rhs))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16])
 def test_free_factorization_factors_the_reference_submatrix(n, rng, monkeypatch):
-    # explicit zeros of K_int stay in the cut: dropping them changes the MMD order
+    # K_int[free, free] in nested-dissection order, explicit zeros of K_int
+    # kept, and every solve is that of a fresh factorization of the cut
     mats = build_matrices(build_friedrichs_keller(n))
     m = mats.interior.size
     captured = _capture_splu(monkeypatch)
@@ -170,9 +186,63 @@ def test_free_factorization_factors_the_reference_submatrix(n, rng, monkeypatch)
         if free.size in (0, m):
             continue
         captured.clear()
-        mats.free_factorization(free)
+        fact = mats.free_factorization(free)
         assert len(captured) == 1
-        _assert_same_csc(captured[0], reference_free_submatrix(mats, free))
+        expected, order = reference_free_submatrix(mats, free)
+        assert_same_csc(captured[0], expected)
+        b = np.sin(np.arange(free.size) + 1.0)  # keeps the free sets drawn from rng
+        assert np.array_equal(fact.solve(b), Factorization(expected, order).solve(b))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_kint_and_a_factorizations_factor_the_reference_nd_matrices(n, rng, monkeypatch):
+    mats = build_matrices(build_friedrichs_keller(n))
+    captured = _capture_splu(monkeypatch)
+    cases = [
+        (lambda: mats.kint_factorization, mats.K, mats.interior),
+        (lambda: mats.a_factorization, mats.K + mats.M, np.arange(mats.mesh.num_nodes)),
+    ]
+    for factorization, a, nodes in cases:
+        captured.clear()
+        fact = factorization()
+        assert len(captured) == 1
+        expected, order = reference_nd_cut(a, mats.mesh, nodes)
+        assert_same_csc(captured[0], expected)
+        b = rng.standard_normal(nodes.size)
+        assert np.array_equal(fact.solve(b), Factorization(expected, order).solve(b))
+
+
+def test_every_superlu_call_of_a_paper_solve_is_natural(monkeypatch):
+    # the SPD factors and the block LU are all factored in the order given
+    specs = []
+    real_splu = linalg.spla.splu
+
+    def recording_splu(a, *args, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return real_splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", recording_splu)
+    mesh = build_friedrichs_keller(16)
+    mats = build_matrices(mesh)
+    report = newton.run(
+        NewtonConfig(alpha=1e-5, tol=1e-7), lambda x1, x2: -x1 - x2,
+        lambda x1, x2: np.full_like(x1, -5.0), mesh, mats,
+    )
+    assert report.status == "converged"
+    assert len(specs) > report.iterations
+    assert set(specs) == {"NATURAL"}
+
+
+def test_indefinite_nd_ordered_cut_is_rejected(rng):
+    # a shift above the smallest eigenvalue of K_ff makes a pivot negative
+    mats = build_matrices(build_friedrichs_keller(8))
+    free = np.flatnonzero(rng.random(mats.interior.size) < 0.6)
+    cut, order = reference_free_submatrix(mats, free)
+    smallest = np.linalg.eigvalsh(cut.toarray()).min()
+    shifted = (cut - 2 * smallest * sp.identity(free.size, format="csc")).tocsc()
+    with pytest.raises(NotPositiveDefiniteError):
+        Factorization(shifted, order)
+    Factorization(cut, order)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16])
@@ -181,8 +251,8 @@ def test_kint_and_a_are_the_reference_csc_matrices(n):
     mats = build_matrices(build_friedrichs_keller(n))
     interior = mats.interior
     assert mats.K_int.format == "csc" and mats.A.format == "csc"
-    _assert_same_csc(mats.K_int, mats.K[np.ix_(interior, interior)].tocsc())
-    _assert_same_csc(mats.A, (mats.K + mats.M).tocsc())
+    assert_same_csc(mats.K_int, mats.K[np.ix_(interior, interior)].tocsc())
+    assert_same_csc(mats.A, (mats.K + mats.M).tocsc())
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -6,6 +6,8 @@ from obstaclecontrol.mesh import (
     signed_areas,
 )
 
+from conftest import recursive_nested_dissection
+
 
 def test_counts_n2():
     m = build_friedrichs_keller(2)
@@ -95,3 +97,10 @@ def test_nested_dissection_is_a_permutation_of_the_nodes(n):
     m = build_friedrichs_keller(n)
     order = m.nested_dissection
     assert np.array_equal(np.sort(order), np.arange(m.num_nodes))
+
+
+@pytest.mark.parametrize("n", range(2, 71))
+def test_nested_dissection_is_the_recursive_order(n):
+    order = build_friedrichs_keller(n).nested_dissection
+    assert order.dtype == np.int64
+    assert np.array_equal(order, recursive_nested_dissection(n))

@@ -120,6 +120,23 @@ def test_pdas_cap_raises(monkeypatch):
         solve_obstacle(z, psi, mesh, mats)
 
 
+def test_pdas_cap_names_the_level_and_the_last_iterate(monkeypatch):
+    mesh, mats = mesh_and_mats(8)
+    psi = const_field(mesh, -0.05)
+    start = solve_obstacle(const_field(mesh, -2.0), psi, mesh, mats)
+    active = int(np.count_nonzero(start.active_masks[0]))
+    free = mats.interior.size - active
+    assert active > 0 and free > 0
+    # the only iterate is the warm start's active set
+    monkeypatch.setattr(obstacle, "PDAS_MAX_ITER", 1)
+    message = (
+        r"^level n=8: active set did not settle within 1 iterations; "
+        rf"last iterate \|free\| = {free}, \|active\| = {active}$"
+    )
+    with pytest.raises(PdasNoConvergenceError, match=message):
+        solve_obstacle(const_field(mesh, -4.0), psi, mesh, mats, warm_start=start)
+
+
 def test_warm_start_reaches_same_solution(rng):
     mesh, mats = mesh_and_mats(8)
     z, psi = random_instance(mesh, rng)

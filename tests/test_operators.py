@@ -20,7 +20,12 @@ from obstaclecontrol.operators import (
     extend_interior,
 )
 
-from conftest import mesh_and_mats
+from conftest import (
+    assert_same_csc,
+    mesh_and_mats,
+    reference_free_submatrix,
+    reference_nd_cut,
+)
 
 
 def test_p_fixes_constants():
@@ -134,17 +139,28 @@ def _fresh_mats(n):
     return build_matrices(build_friedrichs_keller(n))
 
 
-def test_free_factorization_alternating_sets_match_fresh_factorizations(rng):
+def test_free_factorization_alternating_sets_match_fresh_factorizations(rng, monkeypatch):
     mats = _fresh_mats(8)
     m = mats.interior.size
     set_a = np.flatnonzero(rng.random(m) < 0.5)
     set_b = np.flatnonzero(rng.random(m) < 0.5)
     assert not np.array_equal(set_a, set_b)
     load = rng.standard_normal(m)
+    built = []
+    init = linalg.Factorization.__init__
+
+    def recording_init(self, a, order=None):
+        built.append(a)
+        init(self, a, order)
+
+    monkeypatch.setattr(linalg.Factorization, "__init__", recording_init)
     for free in (set_a, set_b, set_a):
+        built.clear()
         got = mats.free_factorization(free).solve(load[free])
-        free_nodes = mats.interior[free]
-        fresh = linalg.Factorization(mats.K[np.ix_(free_nodes, free_nodes)].tocsc())
+        cut, order = reference_free_submatrix(mats, free)
+        assert len(built) == 1
+        assert_same_csc(built[0], cut)
+        fresh = linalg.Factorization(cut, order)
         assert np.array_equal(got, fresh.solve(load[free]))
 
 
@@ -166,14 +182,20 @@ def test_helmholtz_factorization_is_built_once(monkeypatch):
     built = []
     init = linalg.Factorization.__init__
 
-    def recording_init(self, a):
-        built.append(a)
-        init(self, a)
+    def recording_init(self, a, order=None):
+        built.append((a, order))
+        init(self, a, order)
 
     monkeypatch.setattr(linalg.Factorization, "__init__", recording_init)
-    u = np.ones(mats.mesh.num_nodes)
-    assert np.array_equal(apply_P(u, mats), apply_P(u, mats))
-    assert len(built) == 1 and built[0] is mats.A
+    u = np.sin(np.arange(mats.mesh.num_nodes, dtype=float))
+    first = apply_P(u, mats)
+    assert np.array_equal(first, apply_P(u, mats))
+    assert len(built) == 1
+    # K + M in nested-dissection order, solved as by a fresh factorization of it
+    cut, order = reference_nd_cut(mats.K + mats.M, mats.mesh, np.arange(mats.mesh.num_nodes))
+    assert_same_csc(built[0][0], cut)
+    assert np.array_equal(built[0][1], mats.mesh.nested_dissection)
+    assert np.array_equal(first, linalg.Factorization(cut, order).solve(mats.M @ u))
     assert mats.a_factorization is mats.a_factorization
 
 
@@ -196,27 +218,34 @@ def test_newton_pattern_is_built_once(monkeypatch):
 
 
 def test_paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
-    count = [0]
-    factorized = []  # free sets whose request built a new factorization
+    built = []  # the matrix of every factorization
+    factorized = []  # free set, matrix and one solve of each new free-set factorization
     init = linalg.Factorization.__init__
     owner = FEMatrices.free_factorization
 
-    def counting_init(self, a):
-        count[0] += 1
-        init(self, a)
+    def recording_init(self, a, order=None):
+        built.append(a)
+        init(self, a, order)
 
     def recording_owner(self, free):
-        before = count[0]
+        before = len(built)
         fact = owner(self, free)
-        if count[0] > before:
-            factorized.append(np.array(free))
+        if len(built) > before:
+            b = np.sin(np.arange(free.size) + 1.0)
+            factorized.append((self, np.array(free), built[-1], fact.solve(b), b))
         return fact
 
-    monkeypatch.setattr(linalg.Factorization, "__init__", counting_init)
+    monkeypatch.setattr(linalg.Factorization, "__init__", recording_init)
     monkeypatch.setattr(FEMatrices, "free_factorization", recording_owner)
     config = NewtonConfig(alpha=1e-5, tol=1e-7)
     _, _, report = run_single(config, "affine:0,-1,-1", "const:-5", 16)
+    monkeypatch.undo()
     assert report.status == "converged"
     assert len(factorized) > 1
     for prev, cur in zip(factorized, factorized[1:]):
-        assert not np.array_equal(prev, cur)
+        assert not np.array_equal(prev[1], cur[1])
+    # each is the nested-dissection cut, solved as by a fresh factorization of it
+    for mats, free, matrix, solution, b in factorized:
+        cut, order = reference_free_submatrix(mats, free)
+        assert_same_csc(matrix, cut)
+        assert np.array_equal(solution, linalg.Factorization(cut, order).solve(b))
