@@ -123,6 +123,7 @@ class FEMatrices:
     K_int: sp.csc_matrix  # stiffness on V_h (all interior nodes)
     _free_key: np.ndarray | None = field(default=None, repr=False)
     _free_fact: object = field(default=None, repr=False)
+    _block: object = field(default=None, repr=False)
 
     @cached_property
     def kint_nd(self) -> linalg.OrderedMatrix:
@@ -207,8 +208,16 @@ class FEMatrices:
         np.cumsum(np.bincount(col, minlength=size), out=indptr[1:])
         matrix = sp.csc_matrix((data[order], row[order], indptr), shape=(size, size))
         return linalg.BlockPattern(
-            matrix, linalg.entry_columns(matrix), scaled[order], self.M, a_pos, w_pos, b_pos
+            matrix, linalg.entry_columns(matrix), scaled[order], self.M, a_pos, w_pos, b_pos, 1.0
         )
+
+    def newton_block(self, alpha: float) -> linalg.BlockPattern:
+        """newton_pattern at alpha.  Keeps the pattern of the last alpha,
+        which every step of a Newton run shares."""
+        if self._block is None or self._block.alpha != alpha:
+            self._block = None  # release the old entries first
+            self._block = self.newton_pattern.at(alpha)
+        return self._block
 
     def free_factorization(self, free: np.ndarray):
         """Factorization of K_int[free, free] for sorted unique interior
@@ -219,20 +228,25 @@ class FEMatrices:
         the final PDAS iterate and G_N on the same set share one factor.
         The key compares values, since int32 and int64 arrays can share bytes.
         """
-        if free.size == self.interior.size:
-            return self.kint_factorization
-        if not np.array_equal(self._free_key, free):
-            # release the old factor first: holding two at once raises peak memory
-            self._free_key = self._free_fact = None
-            nd = self.kint_nd
-            keep = np.zeros(self.interior.size, dtype=bool)
-            keep[nd.rank[free]] = True
-            sub, _ = linalg.principal_submatrix(nd.matrix, nd.col, keep)
-            slot = np.empty(self.interior.size, dtype=np.int64)  # index into free
-            slot[free] = np.arange(free.size)
-            self._free_fact = linalg.Factorization(sub, slot[nd.order[keep]])
-            self._free_key = np.array(free)
-        return self._free_fact
+        try:
+            if free.size == self.interior.size:
+                return self.kint_factorization
+            if not np.array_equal(self._free_key, free):
+                # release the old factor first: holding two at once raises peak memory
+                self._free_key = self._free_fact = None
+                nd = self.kint_nd
+                keep = np.zeros(self.interior.size, dtype=bool)
+                keep[nd.rank[free]] = True
+                sub = linalg.principal_submatrix(nd.matrix, nd.col, keep)
+                slot = np.empty(self.interior.size, dtype=np.int64)  # index into free
+                slot[free] = np.arange(free.size)
+                self._free_fact = linalg.Factorization(sub, slot[nd.order[keep]])
+                self._free_key = np.array(free)
+            return self._free_fact
+        except linalg.NotPositiveDefiniteError as exc:
+            raise linalg.NotPositiveDefiniteError(
+                f"level n={self.mesh.n}, K_int[free, free] with |free| = {free.size}: {exc}"
+            ) from exc
 
 
 def build_matrices(mesh: Mesh) -> FEMatrices:
@@ -240,7 +254,7 @@ def build_matrices(mesh: Mesh) -> FEMatrices:
     M = mass_matrix(mesh)
     A = (K + M).tocsc()
     k_csc = K.tocsc()
-    K_int, _ = linalg.principal_submatrix(
+    K_int = linalg.principal_submatrix(
         k_csc, linalg.entry_columns(k_csc), ~mesh.boundary_mask
     )
     return FEMatrices(mesh=mesh, K=K, M=M, A=A, interior=mesh.interior, K_int=K_int)

@@ -266,6 +266,8 @@ def run_checks(names, seed: int, out_path: str | None, trials: int | None = None
         raise UsageError(
             f"unknown check(s) {unknown}; registered: {sorted(registry)}"
         )
+    if len(set(names)) < len(names):
+        raise UsageError(f"check names must be distinct, got {list(names)}")
     if seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
     kwargs = {}

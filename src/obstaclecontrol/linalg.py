@@ -2,11 +2,14 @@
 
 A thin wrapper around SuperLU.  For symmetric positive definite input we
 run the factorization in symmetric mode with diagonal pivoting disabled,
-which makes it behave like a Cholesky factorization and lets us detect
-indefinite matrices through nonpositive pivots.  SuperLU factors in the
-order it is given (NATURAL): the caller puts the unknowns in a
-fill-reducing order, such as Mesh.nested_dissection, once per matrix,
-so no ordering pass runs on each factorization.
+which makes it behave like a Cholesky factorization.  A symmetric matrix
+with a positive diagonal that dominates every column (K + M and every
+K_int[free, free] at the paper's mesh sizes) is certified positive
+definite from its entries; any other matrix is checked through the
+pivots of its factor.  SuperLU factors in the order it is given
+(NATURAL): the caller puts the unknowns in a fill-reducing order, such
+as Mesh.nested_dissection, once per matrix, so no ordering pass runs on
+each factorization.
 """
 
 from typing import NamedTuple
@@ -37,12 +40,31 @@ def _splu(a: sp.csc_matrix):
     )
 
 
+def diagonally_dominant(a: sp.csc_matrix) -> bool:
+    """Whether every column of a canonical CSC matrix has a positive
+    diagonal entry at least the sum of the magnitudes of its others.
+
+    Gaussian elimination without pivoting keeps such a matrix so, hence
+    none of its pivots is negative."""
+    starts = a.indptr[:-1]
+    if a.nnz == 0 or (a.indptr[1:] == starts).any():  # reduceat needs every column
+        return False
+    diag = a.diagonal()
+    total = np.add.reduceat(np.abs(a.data), starts.astype(np.intp))
+    return bool((diag > 0.0).all() and (total <= 2.0 * diag).all())
+
+
 class Factorization:
     """Reusable direct factorization of a sparse SPD matrix.
 
     a is factored in the order in which it is given.  order[k] is the
     unknown at position k of a, through which solve maps right-hand
-    sides and solutions; None keeps them in the order of a."""
+    sides and solutions; None keeps them in the order of a.
+
+    A zero pivot is an error (SuperLU reports it, or exchanges rows at
+    it).  Every other pivot is positive if a is diagonally dominant;
+    otherwise the pivots are read from U, which makes SuperLU keep a
+    copy of both factors."""
 
     def __init__(self, a: sp.spmatrix, order: np.ndarray | None = None):
         a = a.tocsc()
@@ -50,17 +72,27 @@ class Factorization:
             raise ValueError("matrix must be square")
         self.shape = a.shape
         self._order = order
-        if a.shape[0] == 0:
+        size = a.shape[0]
+        if size == 0:
             self._lu = None
             return
         try:
-            self._lu = _splu(a)
+            self._lu = _splu(a)  # sums duplicates of a in place
         except RuntimeError as exc:
-            raise NotPositiveDefiniteError(str(exc)) from exc
+            raise NotPositiveDefiniteError(f"{size} x {size} matrix: {exc}") from exc
         # SuperLU exchanges rows only at an exactly zero pivot
-        swapped = np.any(self._lu.perm_r != np.arange(a.shape[0]))
-        if swapped or np.any(self._lu.U.diagonal() <= 0.0):
-            raise NotPositiveDefiniteError("nonpositive pivot encountered")
+        if (self._lu.perm_r != np.arange(size)).any():
+            raise NotPositiveDefiniteError(
+                f"{size} x {size} matrix: row exchange at an exactly zero pivot"
+            )
+        if not diagonally_dominant(a):
+            pivots = self._lu.U.diagonal()
+            bad = np.count_nonzero(~(pivots > 0.0))
+            if bad:
+                raise NotPositiveDefiniteError(
+                    f"{size} x {size} matrix: {bad} nonpositive pivot(s), "
+                    f"smallest {pivots.min():.3e}"
+                )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -114,10 +146,10 @@ class BlockPattern(NamedTuple):
     The unknowns (a, w, b) of each node are numbered next to each other,
     a < w < b, node by node in a fill-reducing order of the mesh nodes
     (such as Mesh.nested_dissection); boundary nodes have no w.  matrix
-    is the system at alpha = 1 in canonical CSC form, with its entries
-    sorted by column, then row.  The solve drops the w-unknowns of the
-    constrained nodes and scales the entries marked in `scaled`, the
-    block M/alpha, by 1/alpha.
+    is the system at alpha in canonical CSC form, with its entries
+    sorted by column, then row; the entries marked in `scaled` are the
+    block M/alpha.  The solve drops the w-unknowns of the constrained
+    nodes.
     """
 
     matrix: sp.csc_matrix
@@ -127,15 +159,27 @@ class BlockPattern(NamedTuple):
     a_pos: np.ndarray  # position of the a-unknown of each node
     w_pos: np.ndarray  # position of the w-unknown of each interior node
     b_pos: np.ndarray  # position of the b-unknown of each node
+    alpha: float  # the alpha of matrix
+
+    def at(self, alpha: float) -> "BlockPattern":
+        """This pattern, which must be at alpha = 1, at alpha."""
+        if self.alpha != 1.0:
+            raise ValueError(f"the pattern to scale is at alpha = {self.alpha}, not 1")
+        data = self.matrix.data.copy()
+        data[self.scaled] *= 1 / alpha
+        matrix = sp.csc_matrix(
+            (data, self.matrix.indices, self.matrix.indptr), shape=self.matrix.shape
+        )
+        return self._replace(matrix=matrix, alpha=alpha)
 
 
 def principal_submatrix(a: sp.csc_matrix, col: np.ndarray, keep: np.ndarray):
     """Principal submatrix of a canonical CSC matrix on the unknowns
-    where keep is True, and the mask of the entries of a it holds; col
-    is the column of each entry of a (entry_columns).
+    where keep is True; col is the column of each entry of a
+    (entry_columns).
 
     Dropping unknowns keeps the order of the others, so the submatrix is
-    canonical as well.  Explicit zeros are kept."""
+    canonical as well, and marked so.  Explicit zeros are kept."""
     kept = keep[col] & keep[a.indices]
     entries = np.flatnonzero(kept)
     index = np.cumsum(keep, dtype=np.int32) - 1
@@ -147,7 +191,8 @@ def principal_submatrix(a: sp.csc_matrix, col: np.ndarray, keep: np.ndarray):
     sub = sp.csc_matrix(
         (a.data[entries], index[a.indices[entries]], indptr), shape=(size, size)
     )
-    return sub, kept
+    sub.has_canonical_format = True
+    return sub
 
 
 def solve_block_newton(
@@ -166,10 +211,11 @@ def solve_block_newton(
 
     after eliminating y = rhs - b/alpha.  Returns y.
 
-    The system is cut out of the pattern, so it keeps the pattern's node
-    order.  Every 3x3 node block is nonsingular and the system is
-    factored without pivoting in that order, so the factors keep the
-    sparsity of the ordering.
+    The system is cut out of the pattern at alpha (FEMatrices.newton_block,
+    as on the solver path), or at alpha = 1 and scaled here, so it keeps
+    the pattern's node order.  Every 3x3 node block is nonsingular and
+    the system is factored without pivoting in that order, so the
+    factors keep the sparsity of the ordering.
     """
     if free.size == 0:
         # G vanishes, the operator is the identity
@@ -178,8 +224,9 @@ def solve_block_newton(
     keep = np.ones(pattern.matrix.shape[0], dtype=bool)
     keep[pattern.w_pos] = False
     keep[pattern.w_pos[free]] = True
-    block, entries = principal_submatrix(pattern.matrix, pattern.col, keep)
-    block.data[pattern.scaled[entries]] *= 1 / alpha
+    if pattern.alpha != alpha:
+        pattern = pattern.at(alpha)
+    block = principal_submatrix(pattern.matrix, pattern.col, keep)
     full_rhs = np.zeros(keep.size)
     full_rhs[pattern.a_pos] = pattern.mass @ rhs
     try:

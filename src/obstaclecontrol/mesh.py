@@ -7,7 +7,7 @@ j*(n+1) + i and coordinates (i/n, j/n).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -37,44 +37,17 @@ class Mesh:
         """Indices of nodes strictly inside the square, ascending."""
         return np.flatnonzero(~self.boundary_mask)
 
-    @cached_property
+    @property
     def nested_dissection(self) -> np.ndarray:
-        """All node indices in geometric nested-dissection order.
+        """All node indices in geometric nested-dissection order, as one
+        read-only array shared by every mesh of the same n.
 
         A full row or column of nodes separates the grid, since every
         edge joins nodes at most one step apart in each direction.  Each
         block is split across its longer side (its columns on a tie);
         its two halves are ordered recursively and the separator follows
-        them.  Blocks of at most 2 x 2 nodes are not split.
-
-        Blocks of the same shape are ordered alike, so the order within
-        each shape is built once, as row-major offsets in the block,
-        from those of its two halves."""
-        orders = {}
-
-        def block(w, h):  # w columns, h rows
-            if (w, h) not in orders:
-                if w <= 2 and h <= 2:
-                    order = np.arange(w * h)
-                elif w >= h:
-                    half, rest = w // 2, w - w // 2 - 1
-                    low, high = block(half, h), block(rest, h)
-                    order = np.concatenate([
-                        low // half * w + low % half,
-                        high // rest * w + high % rest + half + 1,
-                        np.arange(h) * w + half,
-                    ])
-                else:
-                    half = h // 2
-                    order = np.concatenate([
-                        block(w, half),
-                        block(w, h - half - 1) + (half + 1) * w,
-                        half * w + np.arange(w),
-                    ])
-                orders[w, h] = order
-            return orders[w, h]
-
-        return block(self.n + 1, self.n + 1)
+        them.  Blocks of at most 2 x 2 nodes are not split."""
+        return _nested_dissection(self.n)
 
     @property
     def num_nodes(self) -> int:
@@ -83,6 +56,42 @@ class Mesh:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
+
+
+@cache
+def _nested_dissection(n: int) -> np.ndarray:
+    """Mesh.nested_dissection for n cells per side.
+
+    Blocks of the same shape are ordered alike, so the order within
+    each shape is built once, as row-major offsets in the block, from
+    those of its two halves."""
+    orders = {}
+
+    def block(w, h):  # w columns, h rows
+        if (w, h) not in orders:
+            if w <= 2 and h <= 2:
+                order = np.arange(w * h)
+            elif w >= h:
+                half, rest = w // 2, w - w // 2 - 1
+                low, high = block(half, h), block(rest, h)
+                order = np.concatenate([
+                    low // half * w + low % half,
+                    high // rest * w + high % rest + half + 1,
+                    np.arange(h) * w + half,
+                ])
+            else:
+                half = h // 2
+                order = np.concatenate([
+                    block(w, half),
+                    block(w, h - half - 1) + (half + 1) * w,
+                    half * w + np.arange(w),
+                ])
+            orders[w, h] = order
+        return orders[w, h]
+
+    order = block(n + 1, n + 1)
+    order.flags.writeable = False
+    return order
 
 
 def build_friedrichs_keller(n: int) -> Mesh:

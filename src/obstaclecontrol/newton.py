@@ -108,7 +108,7 @@ def solve_newton_system(
     mats: FEMatrices,
 ) -> np.ndarray:
     """Direct block solve of the Newton update equation."""
-    return solve_block_newton(mats.newton_pattern, selector.free, alpha, rhs)
+    return solve_block_newton(mats.newton_block(alpha), selector.free, alpha, rhs)
 
 
 def solve_newton_system_cg(

@@ -202,6 +202,7 @@ def test_cli_check_zero_trials(capsys):
         ["solve", "--preset", "paper", "--n", "8", "--y-d", "const:inf"],
         ["check", "--names", "monotonicity", "--seed", "-1"],
         ["sweep", "--preset", "paper", "--sizes", "8,8"],
+        ["check", "--names", "contraction,contraction", "--trials", "2"],
     ],
 )
 def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):

@@ -73,7 +73,8 @@ def test_rejects_indefinite():
 def test_rejects_indefinite_with_a_zero_pivot():
     # a zero pivot makes SuperLU exchange rows, after which every pivot is positive
     a = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))  # eigenvalues 1, -1
-    with pytest.raises(NotPositiveDefiniteError):
+    message = r"^2 x 2 matrix: row exchange at an exactly zero pivot$"
+    with pytest.raises(NotPositiveDefiniteError, match=message):
         Factorization(a)
 
 
@@ -240,7 +241,9 @@ def test_indefinite_nd_ordered_cut_is_rejected(rng):
     cut, order = reference_free_submatrix(mats, free)
     smallest = np.linalg.eigvalsh(cut.toarray()).min()
     shifted = (cut - 2 * smallest * sp.identity(free.size, format="csc")).tocsc()
-    with pytest.raises(NotPositiveDefiniteError):
+    size = free.size
+    message = rf"^{size} x {size} matrix: [1-9]\d* nonpositive pivot\(s\), smallest -\d"
+    with pytest.raises(NotPositiveDefiniteError, match=message):
         Factorization(shifted, order)
     Factorization(cut, order)
 
@@ -291,3 +294,125 @@ def test_cg_raises_on_nonpositive_curvature(sign, rng):
     rhs = rng.standard_normal(mesh.num_nodes)
     with pytest.raises(NotPositiveDefiniteError):
         cg_self_adjoint(lambda v: sign * v, rhs, _m_inner(mats))
+
+
+def _random_cuts(mats, rng, count=3):
+    """K_int[free, free] cut from kint_nd at random free sets."""
+    nd = mats.kint_nd
+    for fraction in rng.uniform(0.2, 0.9, count):
+        keep = rng.random(mats.interior.size) < fraction
+        if keep.any():
+            yield linalg.principal_submatrix(nd.matrix, nd.col, keep)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 32])
+def test_solver_matrices_are_certified_and_their_pivots_agree(n, rng):
+    # K + M, K_int and every K_int[free, free] are diagonally dominant,
+    # so Factorization never reads U; the pivots it would read are positive
+    mats = build_matrices(build_friedrichs_keller(n))
+    matrices = [mats.A, mats.kint_nd.matrix, *_random_cuts(mats, rng)]
+    for a in matrices:
+        assert linalg.diagonally_dominant(a)
+        assert np.all(linalg._splu(a).U.diagonal() > 0.0)
+        Factorization(a)
+
+
+@pytest.mark.parametrize("dense", [
+    [[2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0]],
+    [[1.0, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [0.0, 1.0]],
+], ids=["middle", "last", "first"])
+def test_matrix_with_an_empty_column_is_rejected(dense):
+    a = sp.csc_matrix(np.array(dense))
+    a.eliminate_zeros()
+    assert not linalg.diagonally_dominant(a)
+    with pytest.raises(NotPositiveDefiniteError):
+        Factorization(a)
+
+
+class _FactorsNotRead:
+    """A SuperLU object whose factors L and U must not be read."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def __getattr__(self, name):
+        if name in ("L", "U"):
+            raise AssertionError(f"{name} was read")
+        return getattr(self._lu, name)
+
+
+def test_solver_factorizations_never_read_l_or_u(rng, monkeypatch):
+    real_splu = linalg._splu
+    monkeypatch.setattr(linalg, "_splu", lambda a: _FactorsNotRead(real_splu(a)))
+    mats = build_matrices(build_friedrichs_keller(16))
+    m = mats.interior.size
+    free = np.flatnonzero(rng.random(m) < 0.6)
+    for fact, size in [
+        (mats.a_factorization, mats.mesh.num_nodes),
+        (mats.kint_factorization, m),
+        (mats.free_factorization(free), free.size),
+    ]:
+        assert isinstance(fact._lu, _FactorsNotRead)
+        assert np.all(np.isfinite(fact.solve(np.ones(size))))
+    # a whole paper run, coarse levels and block solves included
+    mesh = build_friedrichs_keller(32)
+    report = newton.run(
+        NewtonConfig(alpha=1e-5, tol=1e-7), lambda x1, x2: -x1 - x2,
+        lambda x1, x2: np.full_like(x1, -5.0), mesh, build_matrices(mesh),
+    )
+    assert report.status == "converged"
+
+
+def test_non_dominant_spd_matrix_is_accepted_through_the_pivot_read(monkeypatch):
+    dense = np.full((3, 3), 0.9) + 0.1 * np.eye(3)  # eigenvalues 2.8, 0.1, 0.1
+    a = sp.csc_matrix(dense)
+    assert not linalg.diagonally_dominant(a)
+    b = np.array([1.0, 2.0, 3.0])
+    assert np.allclose(dense @ Factorization(a).solve(b), b)
+    real_splu = linalg._splu
+    monkeypatch.setattr(linalg, "_splu", lambda a: _FactorsNotRead(real_splu(a)))
+    with pytest.raises(AssertionError, match="U was read"):
+        Factorization(a)
+
+
+def test_newton_block_is_scaled_once_per_alpha(rng, monkeypatch):
+    mats = build_matrices(build_friedrichs_keller(8))
+    scaled = []
+    at = linalg.BlockPattern.at
+
+    def recording_at(self, alpha):
+        if self is mats.newton_pattern:
+            scaled.append(alpha)
+        return at(self, alpha)
+
+    monkeypatch.setattr(linalg.BlockPattern, "at", recording_at)
+    sel = _random_selector(mats, rng)
+    rhs = rng.standard_normal(mats.mesh.num_nodes)
+    for alpha in [1e-5, 1e-5, 1e-8, 1e-8, 1e-5]:
+        y = newton.solve_newton_system(rhs, sel, alpha, mats)
+        assert mats.newton_block(alpha) is mats.newton_block(alpha)
+        assert np.array_equal(y, reference_block_newton(mats, sel.free, alpha, rhs))
+        fresh = build_matrices(mats.mesh).newton_pattern
+        assert np.array_equal(y, solve_block_newton(fresh, sel.free, alpha, rhs))
+    assert scaled == [1e-5, 1e-8, 1e-5]
+    assert mats.newton_pattern.alpha == 1.0
+
+
+def test_only_the_unit_pattern_is_scaled():
+    mats = build_matrices(build_friedrichs_keller(4))
+    with pytest.raises(ValueError, match="alpha = 1e-05, not 1"):
+        mats.newton_block(1e-5).at(1e-8)
+
+
+def test_free_factorization_error_names_the_level_and_the_free_set(rng):
+    mats = build_matrices(build_friedrichs_keller(8))
+    mats.K_int = -mats.K_int
+    free = np.flatnonzero(rng.random(mats.interior.size) < 0.6)
+    size = free.size
+    message = (
+        rf"^level n=8, K_int\[free, free\] with \|free\| = {size}: "
+        rf"{size} x {size} matrix: {size} nonpositive pivot\(s\)"
+    )
+    with pytest.raises(NotPositiveDefiniteError, match=message):
+        mats.free_factorization(free)

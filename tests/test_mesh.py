@@ -104,3 +104,12 @@ def test_nested_dissection_is_the_recursive_order(n):
     order = build_friedrichs_keller(n).nested_dissection
     assert order.dtype == np.int64
     assert np.array_equal(order, recursive_nested_dissection(n))
+
+
+def test_nested_dissection_is_one_read_only_array_per_n():
+    order = build_friedrichs_keller(12).nested_dissection
+    assert build_friedrichs_keller(12).nested_dissection is order
+    assert build_friedrichs_keller(13).nested_dissection is not order
+    with pytest.raises(ValueError):
+        order[0] = 1
+    assert np.array_equal(order, recursive_nested_dissection(12))
