@@ -174,49 +174,23 @@ class FEMatrices:
         p.sum_duplicates()
         return p
 
-    @cached_property
-    def newton_pattern(self) -> linalg.BlockPattern:
-        """The Newton block system with every interior node free, in
-        node-interleaved Mesh.nested_dissection order; see
-        linalg.solve_block_newton."""
-        nw = self.mesh.num_nodes
-        rank = np.empty(nw, dtype=np.int64)
-        rank[self.mesh.nested_dissection] = np.arange(nw)
-        keys = np.concatenate([3 * rank, 3 * rank[self.interior] + 1, 3 * rank + 2])
-        size = keys.size
-        pos = np.empty(size, dtype=np.int32)
-        pos[np.argsort(keys)] = np.arange(size, dtype=np.int32)
-        a_pos, w_pos, b_pos = pos[:nw], pos[nw:-nw], pos[-nw:]
-        w_node = np.full(nw, -1, dtype=np.int32)  # w position by node, -1 on the boundary
-        w_node[self.interior] = w_pos
-        blocks = [  # row positions, column positions, matrix; M/alpha second
-            (a_pos, a_pos, self.A), (a_pos, b_pos, self.M), (w_node, a_pos, -self.M),
-            (w_pos, w_pos, self.K_int), (b_pos, w_node, -self.M), (b_pos, b_pos, self.A),
-        ]
-        row, col, data, scaled = [], [], [], []
-        for i, (rows, cols, mat) in enumerate(blocks):
-            mat = mat.tocoo()
-            r, c = rows[mat.row], cols[mat.col]
-            kept = (r >= 0) & (c >= 0)
-            row.append(r[kept])
-            col.append(c[kept])
-            data.append(mat.data[kept])
-            scaled.append(np.full(np.count_nonzero(kept), i == 1))
-        row, col, data, scaled = map(np.concatenate, (row, col, data, scaled))
-        order = np.argsort(col.astype(np.int64) * size + row)  # by column, then row
-        indptr = np.zeros(size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(col, minlength=size), out=indptr[1:])
-        matrix = sp.csc_matrix((data[order], row[order], indptr), shape=(size, size))
-        return linalg.BlockPattern(
-            matrix, linalg.entry_columns(matrix), scaled[order], self.M, a_pos, w_pos, b_pos, 1.0
-        )
-
     def newton_block(self, alpha: float) -> linalg.BlockPattern:
-        """newton_pattern at alpha.  Keeps the pattern of the last alpha,
-        which every step of a Newton run shares."""
+        """The Newton block system of linalg.solve_block_newton at alpha
+        with every interior node free, in node-interleaved
+        Mesh.nested_dissection order.  Keeps the system of the last
+        alpha, which every step of a Newton run shares."""
         if self._block is None or self._block.alpha != alpha:
             self._block = None  # release the old entries first
-            self._block = self.newton_pattern.at(alpha)
+            m, inner, nw = self.M, self.interior, self.mesh.num_nodes
+            system = sp.bmat([[self.A, None, m * (1 / alpha)], [-m[inner], self.K_int, None],
+                              [None, -m[:, inner], self.A]], format="csc")
+            rank = np.argsort(self.mesh.nested_dissection)  # the ND position of each node
+            keys = np.concatenate([3 * rank, 3 * rank[inner] + 1, 3 * rank + 2])
+            ordered = linalg.reorder(system, np.argsort(keys))
+            pos = ordered.rank  # of the unknowns a, then w, then b
+            self._block = linalg.BlockPattern(
+                ordered.matrix, ordered.col, m, pos[:nw], pos[nw:-nw], pos[-nw:], alpha
+            )
         return self._block
 
     def free_factorization(self, free: np.ndarray):

@@ -25,7 +25,7 @@ from .diagnostics import (
     check_newton_differentiability,
     check_pointwise_convexity,
 )
-from .linalg import BlockFactorizationError
+from .linalg import BlockFactorizationError, NotPositiveDefiniteError
 from .mesh import Mesh, build_friedrichs_keller
 from .newton import (
     SELECTOR_POLICIES, ContractionViolationError, DivergenceError, NewtonConfig, NewtonReport, run,
@@ -176,11 +176,19 @@ def run_sweep(
     return result
 
 
+def _open_out(path: str, newline: str | None = None):
+    """path opened for writing; a path that cannot be written is a usage error."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from exc
+
+
 def write_sweep_csv(result: SweepResult, path: str):
     """Six fixed columns; a status column is appended only when some run
     failed to converge, keeping the green-path header exact."""
     any_failed = any(r.status != "converged" for r in result.rows)
-    with open(path, "w", newline="") as fh:
+    with _open_out(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SWEEP_COLUMNS + (["status"] if any_failed else []))
         for r in result.rows:
@@ -220,7 +228,7 @@ def write_vtk(mesh: Mesh, fields: dict, path: str):
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
         lines.extend(repr(float(v)) for v in values)
-    with open(path, "w") as fh:
+    with _open_out(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -282,7 +290,7 @@ def run_checks(names, seed: int, out_path: str | None, trials: int | None = None
     payload = {"seed": seed, "checks": [r.as_dict() for r in reports]}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out_path is not None:
-        with open(out_path, "w") as fh:
+        with _open_out(out_path) as fh:
             fh.write(text + "\n")
     for r in reports:
         print(f"{r.name}: {'PASS' if r.passed else 'FAIL'} "
@@ -449,7 +457,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (PdasNoConvergenceError, ContractionViolationError, BlockFactorizationError,
-            DivergenceError) as exc:
+            DivergenceError, NotPositiveDefiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

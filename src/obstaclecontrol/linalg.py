@@ -140,37 +140,23 @@ def reorder(a: sp.csc_matrix, order: np.ndarray) -> OrderedMatrix:
 
 
 class BlockPattern(NamedTuple):
-    """The Newton block system of solve_block_newton with every interior
-    node free, in the order in which it is factored.
+    """The Newton block system of solve_block_newton at alpha with every
+    interior node free, in the order in which it is factored.
 
     The unknowns (a, w, b) of each node are numbered next to each other,
     a < w < b, node by node in a fill-reducing order of the mesh nodes
     (such as Mesh.nested_dissection); boundary nodes have no w.  matrix
-    is the system at alpha in canonical CSC form, with its entries
-    sorted by column, then row; the entries marked in `scaled` are the
-    block M/alpha.  The solve drops the w-unknowns of the constrained
-    nodes.
+    is the system in canonical CSC form, explicit zeros kept.  The solve
+    drops the w-unknowns of the constrained nodes.
     """
 
     matrix: sp.csc_matrix
     col: np.ndarray  # column of each entry of matrix
-    scaled: np.ndarray  # bool per entry of matrix
     mass: sp.csr_matrix  # M, which maps the right-hand side
     a_pos: np.ndarray  # position of the a-unknown of each node
     w_pos: np.ndarray  # position of the w-unknown of each interior node
     b_pos: np.ndarray  # position of the b-unknown of each node
     alpha: float  # the alpha of matrix
-
-    def at(self, alpha: float) -> "BlockPattern":
-        """This pattern, which must be at alpha = 1, at alpha."""
-        if self.alpha != 1.0:
-            raise ValueError(f"the pattern to scale is at alpha = {self.alpha}, not 1")
-        data = self.matrix.data.copy()
-        data[self.scaled] *= 1 / alpha
-        matrix = sp.csc_matrix(
-            (data, self.matrix.indices, self.matrix.indptr), shape=self.matrix.shape
-        )
-        return self._replace(matrix=matrix, alpha=alpha)
 
 
 def principal_submatrix(a: sp.csc_matrix, col: np.ndarray, keep: np.ndarray):
@@ -195,10 +181,9 @@ def principal_submatrix(a: sp.csc_matrix, col: np.ndarray, keep: np.ndarray):
     return sub
 
 
-def solve_block_newton(
-    pattern: BlockPattern, free: np.ndarray, alpha: float, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve (Id + P E G R P) y = rhs for y via the sparse block system.
+def solve_block_newton(block: BlockPattern, free: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (Id + P E G R P) y = rhs for y via the sparse block system
+    at block.alpha (FEMatrices.newton_block).
 
     The composition of the Helmholtz solves P = (K+M)^{-1} M (scaled by
     1/alpha) and the constrained Dirichlet solve G on the free interior
@@ -211,34 +196,31 @@ def solve_block_newton(
 
     after eliminating y = rhs - b/alpha.  Returns y.
 
-    The system is cut out of the pattern at alpha (FEMatrices.newton_block,
-    as on the solver path), or at alpha = 1 and scaled here, so it keeps
-    the pattern's node order.  Every 3x3 node block is nonsingular and
-    the system is factored without pivoting in that order, so the
-    factors keep the sparsity of the ordering.
+    The system is cut out of block, so it keeps the block's node order.
+    Every 3x3 node block is nonsingular and the system is factored
+    without pivoting in that order, so the factors keep the sparsity of
+    the ordering.
     """
     if free.size == 0:
         # G vanishes, the operator is the identity
         return np.asarray(rhs, dtype=float).copy()
 
-    keep = np.ones(pattern.matrix.shape[0], dtype=bool)
-    keep[pattern.w_pos] = False
-    keep[pattern.w_pos[free]] = True
-    if pattern.alpha != alpha:
-        pattern = pattern.at(alpha)
-    block = principal_submatrix(pattern.matrix, pattern.col, keep)
+    keep = np.ones(block.matrix.shape[0], dtype=bool)
+    keep[block.w_pos] = False
+    keep[block.w_pos[free]] = True
+    system = principal_submatrix(block.matrix, block.col, keep)
     full_rhs = np.zeros(keep.size)
-    full_rhs[pattern.a_pos] = pattern.mass @ rhs
+    full_rhs[block.a_pos] = block.mass @ rhs
     try:
-        lu = _splu(block)
+        lu = _splu(system)
     except RuntimeError as exc:
         raise BlockFactorizationError(
             f"Newton block system with |free| = {free.size}: {exc}"
         ) from exc
     solution = np.zeros(keep.size)
     solution[keep] = lu.solve(full_rhs[keep])
-    b = solution[pattern.b_pos]
-    return rhs - b / alpha
+    b = solution[block.b_pos]
+    return rhs - b / block.alpha
 
 
 def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float = 1e-13,

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SPACE_W, FEMatrices, NodalFunction, interpolate, vector_norm
-from .linalg import BlockFactorizationError, cg_self_adjoint, solve_block_newton
+from .linalg import (
+    BlockFactorizationError, NotPositiveDefiniteError, cg_self_adjoint, solve_block_newton,
+)
 from .obstacle import ObstacleSolution, PdasNoConvergenceError, solve_obstacle
 from .operators import DerivativeSelector, apply_G, apply_P, extend_interior
 
@@ -108,7 +110,7 @@ def solve_newton_system(
     mats: FEMatrices,
 ) -> np.ndarray:
     """Direct block solve of the Newton update equation."""
-    return solve_block_newton(mats.newton_block(alpha), selector.free, alpha, rhs)
+    return solve_block_newton(mats.newton_block(alpha), selector.free, rhs)
 
 
 def solve_newton_system_cg(
@@ -153,8 +155,8 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
                 NodalFunction(zeta, SPACE_W, mesh), psi, mesh, mats,
                 warm_start=sol,
             )
-        except PdasNoConvergenceError as exc:
-            raise PdasNoConvergenceError(f"outer iteration {i}: {exc}") from exc
+        except (PdasNoConvergenceError, NotPositiveDefiniteError) as exc:
+            raise type(exc)(f"outer iteration {i}: {exc}") from exc
         u_int = sol.w.values
         ytilde = apply_P(extend_interior(u_int, mats), mats)
         residual = vector_norm(y - ytilde, "L2", mats.K, mats.M)

@@ -61,11 +61,14 @@ def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
 
 
 def reference_block_matrix(mats: FEMatrices, free: np.ndarray, alpha: float):
-    """The Newton block system of linalg.solve_block_newton for the free
-    interior nodes (local indices), assembled with scipy.sparse.bmat and
-    permuted into node-interleaved Mesh.nested_dissection order by a
-    COO -> CSC conversion.  Returns the matrix and perm, the unknown
-    (a, then w, then b) placed at each position."""
+    """The Newton block system of linalg.solve_block_newton at alpha for
+    the free interior nodes (local indices): FEMatrices.newton_block when
+    every interior node is free, else the system solve_block_newton cuts
+    out of it.  Assembled apart from both, with K cut by fancy indexing
+    and scipy.sparse.bmat, and permuted into node-interleaved
+    Mesh.nested_dissection order by a COO -> CSC conversion, not by
+    linalg.reorder.  Returns the matrix and perm, the unknown (a, then w,
+    then b) placed at each position."""
     free_nodes = mats.interior[free]
     nw = mats.mesh.num_nodes
     nf = free.size

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from obstaclecontrol import obstacle
-from obstaclecontrol.assembly import interpolate
+from obstaclecontrol import cli, obstacle
+from obstaclecontrol.assembly import build_matrices, interpolate
 from obstaclecontrol.cli import (
     PAPER_PRESET,
     UsageError,
@@ -295,6 +295,38 @@ def test_cli_failure_line_names_the_set_sizes(extra, pdas_cap, line, monkeypatch
     assert main(["solve", "--preset", "paper", "--n", "8", *extra]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(line)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_indefinite_stiffness_is_one_error_line_exit_1(monkeypatch, capsys):
+    def negated_k_int(mesh):
+        mats = build_matrices(mesh)
+        mats.K_int = -mats.K_int
+        return mats
+
+    monkeypatch.setattr(cli, "build_matrices", negated_k_int)
+    assert main(["solve", "--preset", "paper", "--n", "8"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: outer iteration 0: level n=8, K_int[free, free]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--preset", "paper", "--n", "8"],
+        ["export", "--preset", "paper", "--n", "8"],
+        ["sweep", "--preset", "paper", "--sizes", "8"],
+        ["check", "--names", "contraction", "--trials", "2"],
+    ],
+    ids=["solve", "export", "sweep", "check"],
+)
+def test_cli_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "f"
+    assert main(argv + ["--out", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: cannot write {str(path)!r}")
+    assert not path.parent.exists()
 
 
 def test_cli_solve_vtk_matches_separately_interpolated_y_d(tmp_path):

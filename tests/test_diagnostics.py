@@ -65,7 +65,7 @@ def test_contraction_passes():
 def test_contraction_fails_on_expanding_solve_and_run_raises(monkeypatch):
     # a Newton solve that doubles its rhs breaks the unit bound of the inverse
     monkeypatch.setattr(
-        newton, "solve_block_newton", lambda pattern, free, alpha, rhs: 2.0 * rhs
+        newton, "solve_block_newton", lambda block, free, rhs: 2.0 * rhs
     )
     mesh, mats = mesh_and_mats(8)
     report = check_contraction(mesh, mats, trials=3, seed=0)

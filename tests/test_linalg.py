@@ -100,7 +100,7 @@ def _random_selector(mats, rng, fraction=0.4):
 def test_block_solve_all_constrained_is_identity(rng):
     mesh, mats = mesh_and_mats(4)
     rhs = rng.standard_normal(mesh.num_nodes)
-    y = solve_block_newton(mats.newton_pattern, np.array([], dtype=int), 1e-5, rhs)
+    y = solve_block_newton(mats.newton_block(1e-5), np.array([], dtype=int), rhs)
     assert np.array_equal(y, rhs)
 
 
@@ -117,7 +117,7 @@ def test_block_solve_matches_dense_probe(rng):
         dense[:, k] = newton_step_matrix_apply(e, sel, alpha, mats)
     rhs = rng.standard_normal(nw)
     expected = np.linalg.solve(dense, rhs)
-    y = solve_block_newton(mats.newton_pattern, sel.free, alpha, rhs)
+    y = solve_block_newton(mats.newton_block(alpha), sel.free, rhs)
     assert np.linalg.norm(y - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
@@ -129,14 +129,14 @@ def test_block_solve_zero_pivot_names_the_free_set(rng):
     rhs = rng.standard_normal(mesh.num_nodes)
     message = rf"^Newton block system with \|free\| = {sel.free.size}: "
     with pytest.raises(BlockFactorizationError, match=message):
-        solve_block_newton(mats.newton_pattern, sel.free, 1e-300, rhs)
+        solve_block_newton(mats.newton_block(1e-300), sel.free, rhs)
 
 
 def test_block_solve_large_alpha_limit(rng):
     mesh, mats = mesh_and_mats(8)
     sel = _random_selector(mats, rng)
     rhs = rng.standard_normal(mesh.num_nodes)
-    y = solve_block_newton(mats.newton_pattern, sel.free, 1e12, rhs)
+    y = solve_block_newton(mats.newton_block(1e12), sel.free, rhs)
     assert np.linalg.norm(y - rhs) <= 1e-6 * np.linalg.norm(rhs)
 
 
@@ -168,7 +168,7 @@ def test_block_solve_factors_the_reference_system(n, alpha, free_set, rng, monke
     }[free_set]
     rhs = rng.standard_normal(mesh.num_nodes)
     captured = _capture_splu(monkeypatch)
-    y = solve_block_newton(mats.newton_pattern, free, alpha, rhs)
+    y = solve_block_newton(mats.newton_block(alpha), free, rhs)
     assert len(captured) == (1 if free.size else 0)
     if free.size:
         assert_same_csc(captured[0], reference_block_matrix(mats, free, alpha)[0])
@@ -267,7 +267,7 @@ def test_block_solve_matches_cg_at_tiny_alpha(n, rng):
     for _ in range(3):
         sel = _random_selector(mats, rng, fraction=rng.uniform(0.1, 0.7))
         rhs = rng.standard_normal(mesh.num_nodes)
-        direct = solve_block_newton(mats.newton_pattern, sel.free, alpha, rhs)
+        direct = solve_block_newton(mats.newton_block(alpha), sel.free, rhs)
         iterative = solve_newton_system_cg(rhs, sel, alpha, mats, tol=1e-14)
         diff = vector_norm(direct - iterative, "L2", mats.K, mats.M)
         assert diff <= 1e-9 * vector_norm(iterative, "L2", mats.K, mats.M)
@@ -376,33 +376,28 @@ def test_non_dominant_spd_matrix_is_accepted_through_the_pivot_read(monkeypatch)
         Factorization(a)
 
 
-def test_newton_block_is_scaled_once_per_alpha(rng, monkeypatch):
+def test_newton_block_is_built_once_per_alpha(rng, monkeypatch):
     mats = build_matrices(build_friedrichs_keller(8))
-    scaled = []
-    at = linalg.BlockPattern.at
+    built = []
+    new = linalg.BlockPattern.__new__
 
-    def recording_at(self, alpha):
-        if self is mats.newton_pattern:
-            scaled.append(alpha)
-        return at(self, alpha)
+    def recording_new(cls, *args):
+        built.append(args[-1])  # alpha
+        return new(cls, *args)
 
-    monkeypatch.setattr(linalg.BlockPattern, "at", recording_at)
+    monkeypatch.setattr(linalg.BlockPattern, "__new__", recording_new)
     sel = _random_selector(mats, rng)
     rhs = rng.standard_normal(mats.mesh.num_nodes)
+    every = np.arange(mats.interior.size)
     for alpha in [1e-5, 1e-5, 1e-8, 1e-8, 1e-5]:
         y = newton.solve_newton_system(rhs, sel, alpha, mats)
-        assert mats.newton_block(alpha) is mats.newton_block(alpha)
+        block = mats.newton_block(alpha)
+        reference, perm = reference_block_matrix(mats, every, alpha)
+        assert_same_csc(block.matrix, reference)
+        positions = np.concatenate([block.a_pos, block.w_pos, block.b_pos])
+        assert np.array_equal(positions, np.argsort(perm))
         assert np.array_equal(y, reference_block_newton(mats, sel.free, alpha, rhs))
-        fresh = build_matrices(mats.mesh).newton_pattern
-        assert np.array_equal(y, solve_block_newton(fresh, sel.free, alpha, rhs))
-    assert scaled == [1e-5, 1e-8, 1e-5]
-    assert mats.newton_pattern.alpha == 1.0
-
-
-def test_only_the_unit_pattern_is_scaled():
-    mats = build_matrices(build_friedrichs_keller(4))
-    with pytest.raises(ValueError, match="alpha = 1e-05, not 1"):
-        mats.newton_block(1e-5).at(1e-8)
+    assert built == [1e-5, 1e-8, 1e-5]
 
 
 def test_free_factorization_error_names_the_level_and_the_free_set(rng):
