@@ -376,7 +376,7 @@ def test_non_dominant_spd_matrix_is_accepted_through_the_pivot_read(monkeypatch)
         Factorization(a)
 
 
-def test_newton_block_is_built_once_per_alpha(rng, monkeypatch):
+def test_newton_block_is_scaled_once_per_alpha(rng, monkeypatch):
     mats = build_matrices(build_friedrichs_keller(8))
     built = []
     new = linalg.BlockPattern.__new__
@@ -397,7 +397,40 @@ def test_newton_block_is_built_once_per_alpha(rng, monkeypatch):
         positions = np.concatenate([block.a_pos, block.w_pos, block.b_pos])
         assert np.array_equal(positions, np.argsort(perm))
         assert np.array_equal(y, reference_block_newton(mats, sel.free, alpha, rhs))
+        fresh = build_matrices(mats.mesh).newton_block(alpha)
+        assert built.pop() == alpha  # the fresh block, not one of mats
+        assert np.array_equal(y, solve_block_newton(fresh, sel.free, rhs))
     assert built == [1e-5, 1e-8, 1e-5]
+
+
+def test_only_the_unit_pattern_is_scaled():
+    # only the M/alpha coupling (a-rows, b-columns) depends on alpha, and it
+    # is M scaled once by 1 / alpha; every other entry is the same at any alpha
+    mesh = build_friedrichs_keller(4)
+    blocks = {alpha: build_matrices(mesh).newton_block(alpha) for alpha in (1e-5, 1e-8)}
+    low, high = blocks[1e-5], blocks[1e-8]
+    assert (low.alpha, high.alpha) == (1e-5, 1e-8)
+    assert np.array_equal(low.matrix.indptr, high.matrix.indptr)
+    assert np.array_equal(low.matrix.indices, high.matrix.indices)
+    assert np.array_equal(low.col, high.col)
+    for name in ("a_pos", "w_pos", "b_pos"):
+        assert np.array_equal(getattr(low, name), getattr(high, name))
+    size = low.matrix.shape[0]
+    node = np.full(size, -1)
+    node[low.a_pos] = np.arange(mesh.num_nodes)
+    is_a = np.zeros(size, dtype=bool)
+    is_a[low.a_pos] = True
+    is_b = np.zeros(size, dtype=bool)
+    is_b[low.b_pos] = True
+    b_node = np.full(size, -1)
+    b_node[low.b_pos] = np.arange(mesh.num_nodes)
+    coupling = is_a[low.matrix.indices] & is_b[low.col]
+    mass = low.mass.toarray()
+    assert np.count_nonzero(coupling) == low.mass.nnz
+    for alpha, block in blocks.items():
+        rows, cols = node[block.matrix.indices[coupling]], b_node[block.col[coupling]]
+        assert np.array_equal(block.matrix.data[coupling], mass[rows, cols] * (1 / alpha))
+    assert np.array_equal(low.matrix.data[~coupling], high.matrix.data[~coupling])
 
 
 def test_free_factorization_error_names_the_level_and_the_free_set(rng):

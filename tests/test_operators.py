@@ -11,7 +11,7 @@ from obstaclecontrol.assembly import (
 )
 from obstaclecontrol.cli import run_single
 from obstaclecontrol.mesh import build_friedrichs_keller
-from obstaclecontrol.newton import NewtonConfig
+from obstaclecontrol.newton import NewtonConfig, solve_newton_system
 from obstaclecontrol.obstacle import solve_obstacle
 from obstaclecontrol.operators import (
     DerivativeSelector,
@@ -197,6 +197,24 @@ def test_helmholtz_factorization_is_built_once(monkeypatch):
     assert np.array_equal(built[0][1], mats.mesh.nested_dissection)
     assert np.array_equal(first, linalg.Factorization(cut, order).solve(mats.M @ u))
     assert mats.a_factorization is mats.a_factorization
+
+
+def test_newton_pattern_is_built_once(monkeypatch):
+    mats = _fresh_mats(8)
+    built = []
+    new = linalg.BlockPattern.__new__
+
+    def recording_new(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(linalg.BlockPattern, "__new__", recording_new)
+    sel = DerivativeSelector.from_node_set(np.arange(0, mats.interior.size, 3), mats)
+    rhs = np.ones(mats.mesh.num_nodes)
+    first = solve_newton_system(rhs, sel, 1e-5, mats)
+    assert np.array_equal(first, solve_newton_system(rhs, sel, 1e-5, mats))
+    assert len(built) == 1
+    assert mats.newton_block(1e-5) is mats.newton_block(1e-5)
 
 
 def test_paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
