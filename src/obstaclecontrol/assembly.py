@@ -61,29 +61,25 @@ def expected_dim(mesh: Mesh, space: str) -> int:
 
 
 def _accumulate(mesh: Mesh, element: np.ndarray) -> sp.csr_matrix:
-    """Sum per-triangle 3x3 matrices (area-scaled) into a global CSR matrix."""
+    """Sum the 3x3 matrices of the triangles, element[t] on the nodes
+    mesh.triangles[t], into a global CSR matrix."""
     tri = mesh.triangles
-    areas = signed_areas(mesh)
-    nt = tri.shape[0]
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    vals = (areas[:, None, None] * element).reshape(nt, 9).ravel()
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(mesh.num_nodes,) * 2).tocsr()
+    a = sp.coo_matrix((element.ravel(), (rows, cols)), shape=(mesh.num_nodes,) * 2).tocsr()
     a.sum_duplicates()
     return a
 
 
 def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """K[i, j] = integral of grad(phi_i) . grad(phi_j) over the square."""
-    p = mesh.nodes[mesh.triangles]
-    areas = signed_areas(mesh)
-    # constant P1 gradients: grad(phi_k) = rot(edge opposite k) / (2 area)
-    e = np.stack(
-        [p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1
-    )
-    grads = np.stack([-e[:, :, 1], e[:, :, 0]], axis=2) / (2.0 * areas)[:, None, None]
-    element = np.einsum("tik,tjk->tij", grads, grads)
-    return _accumulate(mesh, element)
+    """K[i, j] = integral of grad(phi_i) . grad(phi_j) over the square.
+
+    K does not change when a 2D mesh is scaled, so it is assembled exactly
+    on the integer grid: there every triangle has area 1/2 and its element
+    matrix is e_i . e_j / 2, with e_k the edge opposite node k."""
+    p = np.rint(mesh.nodes * mesh.n)[mesh.triangles]
+    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+    return _accumulate(mesh, np.einsum("tik,tjk->tij", e, e) / 2.0)
 
 
 _MASS_REF = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -91,9 +87,7 @@ _MASS_REF = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     """Consistent P1 mass matrix; exact for products of P1 functions."""
-    nt = mesh.num_triangles
-    element = np.broadcast_to(_MASS_REF, (nt, 3, 3))
-    return _accumulate(mesh, element)
+    return _accumulate(mesh, signed_areas(mesh)[:, None, None] * _MASS_REF)
 
 
 def inject(full: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -189,7 +183,7 @@ class FEMatrices:
             ordered = linalg.reorder(system, np.argsort(keys))
             pos = ordered.rank  # of the unknowns a, then w, then b
             self._block = linalg.BlockPattern(
-                ordered.matrix, ordered.col, m, pos[:nw], pos[nw:-nw], pos[-nw:], alpha
+                ordered.matrix, m, pos[:nw], pos[nw:-nw], pos[-nw:], alpha
             )
         return self._block
 
@@ -211,7 +205,7 @@ class FEMatrices:
                 nd = self.kint_nd
                 keep = np.zeros(self.interior.size, dtype=bool)
                 keep[nd.rank[free]] = True
-                sub = linalg.principal_submatrix(nd.matrix, nd.col, keep)
+                sub = linalg.principal_submatrix(nd.matrix, keep)
                 slot = np.empty(self.interior.size, dtype=np.int64)  # index into free
                 slot[free] = np.arange(free.size)
                 self._free_fact = linalg.Factorization(sub, slot[nd.order[keep]])
@@ -227,10 +221,7 @@ def build_matrices(mesh: Mesh) -> FEMatrices:
     K = stiffness_matrix(mesh)
     M = mass_matrix(mesh)
     A = (K + M).tocsc()
-    k_csc = K.tocsc()
-    K_int = linalg.principal_submatrix(
-        k_csc, linalg.entry_columns(k_csc), ~mesh.boundary_mask
-    )
+    K_int = linalg.principal_submatrix(K.tocsc(), ~mesh.boundary_mask)
     return FEMatrices(mesh=mesh, K=K, M=M, A=A, interior=mesh.interior, K_int=K_int)
 
 

@@ -25,12 +25,10 @@ from .diagnostics import (
     check_newton_differentiability,
     check_pointwise_convexity,
 )
-from .linalg import BlockFactorizationError, NotPositiveDefiniteError
+from .linalg import SolverError
 from .mesh import Mesh, build_friedrichs_keller
-from .newton import (
-    SELECTOR_POLICIES, ContractionViolationError, DivergenceError, NewtonConfig, NewtonReport, run,
-)
-from .obstacle import InfeasibleConstraintsError, PdasNoConvergenceError
+from .newton import SELECTOR_POLICIES, NewtonConfig, NewtonReport, run
+from .obstacle import InfeasibleConstraintsError
 from .operators import extend_interior
 
 # The reference configuration of the mesh-independence study.  These
@@ -45,6 +43,10 @@ PAPER_PRESET = {
     "large_size": 512,  # appended by sweep --large
     "max_iter": 50,
 }
+
+
+# The keys a config file may set: the values solve, sweep and export read.
+CONFIG_KEYS = ("alpha", "tol", "max_iter", "selector_policy", "y_d", "psi", "n", "sizes")
 
 
 class UsageError(Exception):
@@ -317,6 +319,11 @@ def _load_config(args) -> dict:
             raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise UsageError(f"config {args.config!r} must hold a JSON object")
+        unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+        if unknown:
+            raise UsageError(
+                f"unknown key(s) {unknown} in config {args.config!r}; allowed: {list(CONFIG_KEYS)}"
+            )
     if getattr(args, "preset", None) == "paper":
         merged = dict(PAPER_PRESET)
         merged.update(cfg)
@@ -456,8 +463,7 @@ def main(argv=None) -> int:
     except (UsageError, InfeasibleConstraintsError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (PdasNoConvergenceError, ContractionViolationError, BlockFactorizationError,
-            DivergenceError, NotPositiveDefiniteError) as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,13 +3,13 @@
 A thin wrapper around SuperLU.  For symmetric positive definite input we
 run the factorization in symmetric mode with diagonal pivoting disabled,
 which makes it behave like a Cholesky factorization.  A symmetric matrix
-with a positive diagonal that dominates every column (K + M and every
-K_int[free, free] at the paper's mesh sizes) is certified positive
-definite from its entries; any other matrix is checked through the
-pivots of its factor.  SuperLU factors in the order it is given
-(NATURAL): the caller puts the unknowns in a fill-reducing order, such
-as Mesh.nested_dissection, once per matrix, so no ordering pass runs on
-each factorization.
+with a positive diagonal that dominates every column (K + M, K_int and
+every K_int[free, free], at every mesh size, since K is exact) is
+certified positive definite from its entries; any other matrix is
+checked through the pivots of its factor.  SuperLU factors in the
+order it is given (NATURAL): the caller puts the unknowns in a
+fill-reducing order, such as Mesh.nested_dissection, once per matrix,
+so no ordering pass runs on each factorization.
 """
 
 from typing import NamedTuple
@@ -19,17 +19,22 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
-class NotPositiveDefiniteError(Exception):
+class SolverError(Exception):
+    """A numerical failure of the solver pipeline, as opposed to a usage
+    error: the command line reports it as one error line and exit 1."""
+
+
+class NotPositiveDefiniteError(SolverError):
     """The matrix handed to Factorization produced a nonpositive pivot, or
     the operator handed to cg_self_adjoint a nonpositive curvature."""
 
 
-class BlockFactorizationError(Exception):
+class BlockFactorizationError(SolverError):
     """SuperLU could not factor the Newton block system, for example
     because a pivot is exactly zero."""
 
 
-class CgNoConvergenceError(Exception):
+class CgNoConvergenceError(SolverError):
     """cg_self_adjoint did not reach its tolerance within max_iter."""
 
 
@@ -62,9 +67,9 @@ class Factorization:
     sides and solutions; None keeps them in the order of a.
 
     A zero pivot is an error (SuperLU reports it, or exchanges rows at
-    it).  Every other pivot is positive if a is diagonally dominant;
-    otherwise the pivots are read from U, which makes SuperLU keep a
-    copy of both factors."""
+    it).  Every other pivot is positive if a is diagonally dominant, as
+    every solver matrix is; other input, such as M, has its pivots read
+    from U, which makes SuperLU keep a copy of both factors."""
 
     def __init__(self, a: sp.spmatrix, order: np.ndarray | None = None):
         a = a.tocsc()
@@ -107,18 +112,11 @@ class Factorization:
         return x
 
 
-def entry_columns(a: sp.csc_matrix) -> np.ndarray:
-    """Column of each stored entry of a CSC matrix, as intp, the index
-    type numpy gathers with fastest."""
-    return np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
-
-
 class OrderedMatrix(NamedTuple):
     """A sparse matrix with its unknowns renumbered, as Factorization and
     principal_submatrix take it."""
 
     matrix: sp.csc_matrix  # canonical CSC, explicit zeros kept
-    col: np.ndarray  # column of each entry of matrix
     order: np.ndarray  # the unknown of the original matrix at each position
     rank: np.ndarray  # the position of each unknown of the original matrix
 
@@ -129,14 +127,14 @@ def reorder(a: sp.csc_matrix, order: np.ndarray) -> OrderedMatrix:
     size = order.size
     rank = np.empty(size, dtype=np.intp)
     rank[order] = np.arange(size)
-    row, col = rank[a.indices], rank[entry_columns(a)]
+    row, col = rank[a.indices], np.repeat(rank, np.diff(a.indptr))
     perm = np.argsort(col * size + row)
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(np.bincount(col, minlength=size), out=indptr[1:])
     matrix = sp.csc_matrix(
         (a.data[perm], row[perm].astype(np.int32), indptr), shape=a.shape
     )
-    return OrderedMatrix(matrix, col[perm], order, rank)
+    return OrderedMatrix(matrix, order, rank)
 
 
 class BlockPattern(NamedTuple):
@@ -151,7 +149,6 @@ class BlockPattern(NamedTuple):
     """
 
     matrix: sp.csc_matrix
-    col: np.ndarray  # column of each entry of matrix
     mass: sp.csr_matrix  # M, which maps the right-hand side
     a_pos: np.ndarray  # position of the a-unknown of each node
     w_pos: np.ndarray  # position of the w-unknown of each interior node
@@ -159,14 +156,13 @@ class BlockPattern(NamedTuple):
     alpha: float  # the alpha of matrix
 
 
-def principal_submatrix(a: sp.csc_matrix, col: np.ndarray, keep: np.ndarray):
+def principal_submatrix(a: sp.csc_matrix, keep: np.ndarray):
     """Principal submatrix of a canonical CSC matrix on the unknowns
-    where keep is True; col is the column of each entry of a
-    (entry_columns).
+    where keep is True: an entry is kept when its column and its row are.
 
     Dropping unknowns keeps the order of the others, so the submatrix is
     canonical as well, and marked so.  Explicit zeros are kept."""
-    kept = keep[col] & keep[a.indices]
+    kept = np.repeat(keep, np.diff(a.indptr)) & keep[a.indices]
     entries = np.flatnonzero(kept)
     index = np.cumsum(keep, dtype=np.int32) - 1
     size = int(np.count_nonzero(keep))
@@ -208,7 +204,7 @@ def solve_block_newton(block: BlockPattern, free: np.ndarray, rhs: np.ndarray) -
     keep = np.ones(block.matrix.shape[0], dtype=bool)
     keep[block.w_pos] = False
     keep[block.w_pos[free]] = True
-    system = principal_submatrix(block.matrix, block.col, keep)
+    system = principal_submatrix(block.matrix, keep)
     full_rhs = np.zeros(keep.size)
     full_rhs[block.a_pos] = block.mass @ rhs
     try:

@@ -19,22 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SPACE_W, FEMatrices, NodalFunction, interpolate, vector_norm
-from .linalg import (
-    BlockFactorizationError, NotPositiveDefiniteError, cg_self_adjoint, solve_block_newton,
-)
-from .obstacle import ObstacleSolution, PdasNoConvergenceError, solve_obstacle
+from .linalg import SolverError, cg_self_adjoint, solve_block_newton
+from .obstacle import ObstacleSolution, solve_obstacle
 from .operators import DerivativeSelector, apply_G, apply_P, extend_interior
 
 
 SELECTOR_POLICIES = ("strict_only", "strict_plus_biactive")
 
 
-class ContractionViolationError(Exception):
+class ContractionViolationError(SolverError):
     """Newton solve produced ||y|| > ||rhs|| in L2; the operator lost
     its unit inverse bound, which indicates a sign or adjointness bug."""
 
 
-class DivergenceError(Exception):
+class DivergenceError(SolverError):
     """The L2 residual of an outer iteration is not finite: the iterates
     grew until their norms overflowed."""
 
@@ -148,55 +146,50 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
     sol = None
     status = "max_iter_reached"
     for i in range(config.max_iter + 1):
-        py = apply_P(y, mats)
-        zeta = (p_yd - py) / config.alpha
         try:
+            py = apply_P(y, mats)
+            zeta = (p_yd - py) / config.alpha
             sol = solve_obstacle(
-                NodalFunction(zeta, SPACE_W, mesh), psi, mesh, mats,
-                warm_start=sol,
+                NodalFunction(zeta, SPACE_W, mesh), psi, mesh, mats, warm_start=sol,
             )
-        except (PdasNoConvergenceError, NotPositiveDefiniteError) as exc:
-            raise type(exc)(f"outer iteration {i}: {exc}") from exc
-        u_int = sol.w.values
-        ytilde = apply_P(extend_interior(u_int, mats), mats)
-        residual = vector_norm(y - ytilde, "L2", mats.K, mats.M)
-        if not math.isfinite(residual):
-            raise DivergenceError(
-                f"outer iteration {i}: residual {residual} is not finite; the iterates diverged"
-            )
+            u_int = sol.w.values
+            ytilde = apply_P(extend_interior(u_int, mats), mats)
+            residual = vector_norm(y - ytilde, "L2", mats.K, mats.M)
+            if not math.isfinite(residual):
+                raise DivergenceError(
+                    f"residual {residual} is not finite; the iterates diverged"
+                )
 
-        selector = DerivativeSelector.from_solution(sol, mats, include_biactive)
-        history.append(
-            IterationRecord(
-                index=i,
-                residual=residual,
-                n_constrained=selector.constrained.size,
-                y=y.copy(),
-                ytilde=ytilde,
-                u=u_int.copy(),
-                pdas_iterations=sol.pdas_iterations,
-                coarse_pdas_iterations=sol.coarse_pdas_iterations,
+            selector = DerivativeSelector.from_solution(sol, mats, include_biactive)
+            history.append(
+                IterationRecord(
+                    index=i,
+                    residual=residual,
+                    n_constrained=selector.constrained.size,
+                    y=y.copy(),
+                    ytilde=ytilde,
+                    u=u_int.copy(),
+                    pdas_iterations=sol.pdas_iterations,
+                    coarse_pdas_iterations=sol.coarse_pdas_iterations,
+                )
             )
-        )
-        if residual <= config.tol:
-            status = "converged"
-            break
-        if i == config.max_iter:
-            break
-        # the update equation minus the Newton operator at y; solving for
-        # the correction keeps the solver's relative error relative to it
-        try:
+            if residual <= config.tol:
+                status = "converged"
+                break
+            if i == config.max_iter:
+                break
+            # the update equation minus the Newton operator at y; solving for
+            # the correction keeps the solver's relative error relative to it
             step = solve_newton_system(ytilde - y, selector, config.alpha, mats)
-        except BlockFactorizationError as exc:
-            raise BlockFactorizationError(f"outer iteration {i}: {exc}") from exc
-        # the inverse Newton operator has unit L2 bound: the step cannot be
-        # longer than its right-hand side, whose norm is the residual
-        norm_step = vector_norm(step, "L2", mats.K, mats.M)
-        if not norm_step <= (1.0 + 1e-9) * residual + 1e-300:  # also NaN
-            raise ContractionViolationError(
-                f"outer iteration {i}: ||step|| = {norm_step:.6e} exceeds "
-                f"||ytilde - y|| = {residual:.6e}"
-            )
+            # the inverse Newton operator has unit L2 bound: the step cannot be
+            # longer than its right-hand side, whose norm is the residual
+            norm_step = vector_norm(step, "L2", mats.K, mats.M)
+            if not norm_step <= (1.0 + 1e-9) * residual + 1e-300:  # also NaN
+                raise ContractionViolationError(
+                    f"||step|| = {norm_step:.6e} exceeds ||ytilde - y|| = {residual:.6e}"
+                )
+        except SolverError as exc:
+            raise type(exc)(f"outer iteration {i}: {exc}") from exc
         y = y + step
 
     last = history[-1]

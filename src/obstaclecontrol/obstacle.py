@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SPACE_V, FEMatrices, NodalFunction, inject
+from .linalg import SolverError
 from .mesh import Mesh
 
 TOL_STRICT = 1e-10  # multiplier threshold separating strictly active from biactive
@@ -22,7 +23,7 @@ class InfeasibleConstraintsError(Exception):
     """Obstacle is nonnegative somewhere on the boundary; K_h is empty."""
 
 
-class PdasNoConvergenceError(Exception):
+class PdasNoConvergenceError(SolverError):
     """Active set did not repeat within the iteration cap.  The message
     names the mesh level and the set sizes of the last iterate."""
 

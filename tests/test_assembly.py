@@ -42,6 +42,16 @@ def test_stiffness_nonnegative_energy(rng):
         assert x @ (K @ x) >= -1e-12
 
 
+@pytest.mark.parametrize("n", [3, 10, 12, 100])
+def test_stiffness_entries_are_exact(n):
+    # the stencil entries of a Friedrichs-Keller mesh, with no rounding
+    # error at mesh sizes that are not powers of two
+    mesh = build_friedrichs_keller(n)
+    K = stiffness_matrix(mesh)
+    assert np.all(np.isin(K.data, [-1.0, -0.5, 0.0, 1.0, 2.0, 4.0]))
+    assert np.all(K @ np.ones(mesh.num_nodes) == 0.0)
+
+
 def test_stiffness_is_m_matrix():
     mesh, _ = mesh_and_mats(8)
     K = stiffness_matrix(mesh).tocoo()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from obstaclecontrol import cli, obstacle
+from obstaclecontrol import cli, newton, obstacle
 from obstaclecontrol.assembly import build_matrices, interpolate
 from obstaclecontrol.cli import (
     PAPER_PRESET,
@@ -17,6 +17,7 @@ from obstaclecontrol.cli import (
     run_sweep,
     write_vtk,
 )
+from obstaclecontrol.linalg import CgNoConvergenceError
 from obstaclecontrol.newton import NewtonConfig
 
 from conftest import mesh_and_mats, read_vtk
@@ -226,10 +227,12 @@ def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
         ("solve", '{"max_iter": true}'),
         ("solve", '{"alpha": true}'),
         ("solve", '{"tol": false}'),
+        ("solve", '{"alpah": 1e-6, "n": 8}'),  # a misspelt key is not ignored
+        ("sweep", '{"sizes": [8], "large_size": 8}'),  # nor is one no command reads
     ],
     ids=[
         "missing", "malformed", "max_iter", "n", "alpha", "sizes", "y_d",
-        "max_iter_bool", "alpha_bool", "tol_bool",
+        "max_iter_bool", "alpha_bool", "tol_bool", "unknown_key", "large_size",
     ],
 )
 def test_cli_bad_config_file_exit_2(command, text, tmp_path, capsys):
@@ -275,6 +278,17 @@ def test_cli_coarse_pdas_failure_is_one_error_line_exit_1(monkeypatch, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: outer iteration 1: coarse level n=16: active set did not settle")
+
+
+def test_cli_cg_failure_is_one_error_line_exit_1(monkeypatch, capsys):
+    # every solver error, CG's included, is one line naming its outer iteration
+    def fail(*args):
+        raise CgNoConvergenceError("residual 1.000e+00 above 1.000e-12 after 2 iterations")
+
+    monkeypatch.setattr(newton, "solve_newton_system", fail)
+    assert main(["solve", "--preset", "paper", "--n", "8"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: outer iteration 0:")
 
 
 @pytest.mark.filterwarnings("error")
