@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -184,6 +185,14 @@ def _open_out(path: str, newline: str | None = None):
         return open(path, "w", newline=newline)
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc.strerror}") from exc
+
+
+def _check_out_dir(path: str):
+    """A usage error, raised before any compute, when the directory that
+    would hold path is missing or not writable; _open_out checks the rest."""
+    parent = os.path.dirname(path) or "."
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise UsageError(f"cannot write {path!r}: {parent!r} is not a writable directory")
 
 
 def write_sweep_csv(result: SweepResult, path: str):
@@ -459,6 +468,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out_dir(args.out)
         return args.func(args)
     except (UsageError, InfeasibleConstraintsError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

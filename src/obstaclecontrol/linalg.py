@@ -177,6 +177,37 @@ def principal_submatrix(a: sp.csc_matrix, keep: np.ndarray):
     return sub
 
 
+def block_solver(block: BlockPattern, free: np.ndarray):
+    """Cut the Newton block system of block (see solve_block_newton) for
+    the free interior nodes and factor it.  Returns the solve g -> b of
+    the system with right-hand side g in the a-rows and 0 elsewhere; the
+    one place a Newton block system is factored.
+
+    The system is cut out of block, so it keeps the block's node order.
+    Every 3x3 node block is nonsingular and the system is factored
+    without pivoting in that order, so the factors keep the sparsity of
+    the ordering.
+    """
+    keep = np.ones(block.matrix.shape[0], dtype=bool)
+    keep[block.w_pos] = False
+    keep[block.w_pos[free]] = True
+    try:
+        lu = _splu(principal_submatrix(block.matrix, keep))
+    except RuntimeError as exc:
+        raise BlockFactorizationError(
+            f"Newton block system with |free| = {free.size}: {exc}"
+        ) from exc
+
+    def solve(g: np.ndarray) -> np.ndarray:
+        full_rhs = np.zeros(keep.size)
+        full_rhs[block.a_pos] = g
+        solution = np.zeros(keep.size)
+        solution[keep] = lu.solve(full_rhs[keep])
+        return solution[block.b_pos]
+
+    return solve
+
+
 def solve_block_newton(block: BlockPattern, free: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (Id + P E G R P) y = rhs for y via the sparse block system
     at block.alpha (FEMatrices.newton_block).
@@ -191,47 +222,30 @@ def solve_block_newton(block: BlockPattern, free: np.ndarray, rhs: np.ndarray) -
         (K+M) b - M E w         = 0
 
     after eliminating y = rhs - b/alpha.  Returns y.
-
-    The system is cut out of block, so it keeps the block's node order.
-    Every 3x3 node block is nonsingular and the system is factored
-    without pivoting in that order, so the factors keep the sparsity of
-    the ordering.
     """
     if free.size == 0:
         # G vanishes, the operator is the identity
         return np.asarray(rhs, dtype=float).copy()
-
-    keep = np.ones(block.matrix.shape[0], dtype=bool)
-    keep[block.w_pos] = False
-    keep[block.w_pos[free]] = True
-    system = principal_submatrix(block.matrix, keep)
-    full_rhs = np.zeros(keep.size)
-    full_rhs[block.a_pos] = block.mass @ rhs
-    try:
-        lu = _splu(system)
-    except RuntimeError as exc:
-        raise BlockFactorizationError(
-            f"Newton block system with |free| = {free.size}: {exc}"
-        ) from exc
-    solution = np.zeros(keep.size)
-    solution[keep] = lu.solve(full_rhs[keep])
-    b = solution[block.b_pos]
+    b = block_solver(block, free)(block.mass @ rhs)
     return rhs - b / block.alpha
 
 
 def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float = 1e-13,
-                    max_iter: int = 20000) -> np.ndarray:
+                    max_iter: int = 20000, precondition=None) -> np.ndarray:
     """Conjugate gradients for an operator self-adjoint and positive
-    definite in the given inner product.  Used as the matrix-free
-    cross-check of solve_block_newton.
+    definite in the given inner product, preconditioned by precondition
+    (r -> an approximate inverse applied to r, self-adjoint and positive
+    definite in that inner product) when it is given.
 
     Stops when the residual norm is at most tol times that of rhs.
     Raises CgNoConvergenceError after max_iter iterations without that,
     and NotPositiveDefiniteError on a direction of nonpositive curvature."""
     x = np.zeros_like(rhs)
     r = rhs - apply_op(x)
-    p = r.copy()
+    z = r if precondition is None else precondition(r)
+    p = z.copy()
     rr = inner(r, r)
+    rz = rr if precondition is None else inner(r, z)
     stop = tol * tol * max(inner(rhs, rhs), 1e-300)
     it = 0
     while not rr <= stop:  # a NaN residual goes on to fail below
@@ -246,11 +260,13 @@ def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float = 1e-13,
             raise NotPositiveDefiniteError(
                 f"CG iteration {it}: nonpositive curvature {curvature:.3e}"
             )
-        a_step = rr / curvature
+        a_step = rz / curvature
         x += a_step * p
         r -= a_step * ap
-        rr_new = inner(r, r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
+        z = r if precondition is None else precondition(r)
+        rr = inner(r, r)
+        rz_new = rr if precondition is None else inner(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
         it += 1
     return x

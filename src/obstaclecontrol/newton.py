@@ -18,13 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import SPACE_W, FEMatrices, NodalFunction, interpolate, vector_norm
-from .linalg import SolverError, cg_self_adjoint, solve_block_newton
+from .assembly import SPACE_W, FEMatrices, NodalFunction, inject, interpolate, vector_norm
+from .linalg import (
+    CgNoConvergenceError, NotPositiveDefiniteError, SolverError, block_solver,
+    cg_self_adjoint, solve_block_newton,
+)
 from .obstacle import ObstacleSolution, solve_obstacle
 from .operators import DerivativeSelector, apply_G, apply_P, extend_interior
 
 
 SELECTOR_POLICIES = ("strict_only", "strict_plus_biactive")
+# The Newton step's PCG stops at a fixed relative M-norm residual: a
+# tolerance tied to the outer residual changes the outer step counts.
+PCG_TOL = 1e-10
+# Past this many iterations the step is solved by the block LU instead.
+PCG_MAX_ITER = 30
 
 
 class ContractionViolationError(SolverError):
@@ -101,13 +109,42 @@ def newton_step_matrix_apply(
     return y + apply_P(extend_interior(w, mats), mats) / alpha
 
 
+def two_grid_preconditioner(selector: DerivativeSelector, alpha: float, mats: FEMatrices):
+    """r -> B^{-1} r = r - (1/alpha) Pr b_c(Pr^T M r), the two-grid
+    preconditioner of the Newton operator on a mesh with a coarse level.
+
+    It is (I - Pr Q) + Pr T_c^{-1} Q with Q = M_c^{-1} Pr^T M, where T_c
+    is the Newton operator of the mesh n/2 whose constrained nodes are
+    the fine ones injected, and b_c its block solve (factored here):
+    T_c^{-1} q = q - b_c(M_c q)/alpha, so M_c cancels.  B^{-1} is
+    self-adjoint and positive definite in the M inner product."""
+    coarse = mats.coarse
+    constrained = np.zeros(mats.mesh.num_nodes, dtype=bool)
+    constrained[mats.interior[selector.constrained]] = True
+    coarse_free = np.flatnonzero(~inject(constrained, mats.mesh)[coarse.interior])
+    solve_b = block_solver(coarse.newton_block(alpha), coarse_free)
+    pr, m = mats.prolongation, mats.M
+    return lambda r: r - pr @ solve_b(pr.T @ (m @ r)) / alpha
+
+
 def solve_newton_system(
     rhs: np.ndarray,
     selector: DerivativeSelector,
     alpha: float,
     mats: FEMatrices,
 ) -> np.ndarray:
-    """Direct block solve of the Newton update equation."""
+    """Solve the Newton update equation: by PCG with the
+    two_grid_preconditioner on a mesh with a coarse level, else by the
+    block solve on this mesh, which also takes over when PCG does not
+    reach PCG_TOL within PCG_MAX_ITER iterations."""
+    if mats.coarse is not None and selector.free.size:
+        try:
+            return solve_newton_system_cg(
+                rhs, selector, alpha, mats, PCG_TOL, PCG_MAX_ITER,
+                two_grid_preconditioner(selector, alpha, mats),
+            )
+        except CgNoConvergenceError:
+            pass  # the coarse level is too weak at small alpha n^2
     return solve_block_newton(mats.newton_block(alpha), selector.free, rhs)
 
 
@@ -117,18 +154,24 @@ def solve_newton_system_cg(
     alpha: float,
     mats: FEMatrices,
     tol: float = 1e-12,
+    max_iter: int = 20000,
+    precondition=None,
 ) -> np.ndarray:
-    """Matrix-free cross-check: conjugate directions in the M inner
-    product applied to the (M-self-adjoint, positive definite) Newton
-    operator.  Test-only path."""
+    """CG on the Newton operator in the M inner product, in which it is
+    self-adjoint and positive definite; its errors name the set sizes.
+    Without a preconditioner, the matrix-free cross-check of the block
+    solve."""
     m = mats.M
-
-    def inner(x, z):
-        return float(x @ (m @ z))
-
-    return cg_self_adjoint(
-        lambda v: newton_step_matrix_apply(v, selector, alpha, mats), rhs, inner, tol=tol
-    )
+    try:
+        return cg_self_adjoint(
+            lambda v: newton_step_matrix_apply(v, selector, alpha, mats), rhs,
+            lambda x, z: float(x @ (m @ z)), tol, max_iter, precondition,
+        )
+    except (CgNoConvergenceError, NotPositiveDefiniteError) as exc:
+        raise type(exc)(
+            f"Newton CG with |free| = {selector.free.size}, "
+            f"|constrained| = {selector.constrained.size}: {exc}"
+        ) from exc
 
 
 def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> NewtonReport:

@@ -184,7 +184,7 @@ def test_superlinear_tail():
 def test_cross_solver_consistency():
     rng = np.random.default_rng(77)
     worst = 0.0
-    for n in (8, 16):
+    for n in (8, 16, 32):  # n = 32 solves by two-grid PCG
         mesh = build_friedrichs_keller(n)
         mats = build_matrices(mesh)
         m = mats.interior.size

@@ -343,6 +343,26 @@ def test_cli_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, compute",
+    [
+        (["sweep", "--preset", "paper", "--sizes", "8"], "run_sweep"),
+        (["solve", "--preset", "paper", "--n", "8"], "run_single"),
+    ],
+    ids=["sweep", "solve"],
+)
+def test_cli_unwritable_out_is_reported_before_the_compute(argv, compute, tmp_path,
+                                                           monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{compute} ran before --out was checked")
+
+    monkeypatch.setattr(cli, compute, fail)
+    path = tmp_path / "missing" / "f"
+    assert main(argv + ["--out", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: cannot write {str(path)!r}")
+
+
 def test_cli_solve_vtk_matches_separately_interpolated_y_d(tmp_path):
     out = tmp_path / "solve.vtk"
     assert main(["solve", "--preset", "paper", "--n", "8", "--out", str(out)]) == 0

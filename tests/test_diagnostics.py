@@ -62,6 +62,17 @@ def test_contraction_passes():
     assert report.max_violation <= 1e-9
 
 
+def test_contraction_passes_through_the_pcg_at_n32(monkeypatch):
+    # n = 32 has a coarse level: every solve is two-grid PCG, none the block LU
+    def block_solve(block, free, rhs):
+        raise AssertionError("the block LU solved a step at n = 32")
+
+    monkeypatch.setattr(newton, "solve_block_newton", block_solve)
+    mesh, mats = mesh_and_mats(32)
+    report = check_contraction(mesh, mats, trials=10, seed=3, alpha=1e-5)
+    assert report.passed
+
+
 def test_contraction_fails_on_expanding_solve_and_run_raises(monkeypatch):
     # a Newton solve that doubles its rhs breaks the unit bound of the inverse
     monkeypatch.setattr(

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from obstaclecontrol import newton
 from obstaclecontrol.assembly import build_matrices, interpolate, vector_norm
 from obstaclecontrol.mesh import build_friedrichs_keller
+from obstaclecontrol.linalg import CgNoConvergenceError, NotPositiveDefiniteError, solve_block_newton
 from obstaclecontrol.newton import (
     DivergenceError,
     NewtonConfig,
@@ -10,6 +14,7 @@ from obstaclecontrol.newton import (
     run,
     solve_newton_system,
     solve_newton_system_cg,
+    two_grid_preconditioner,
 )
 from obstaclecontrol.operators import DerivativeSelector, apply_P
 
@@ -127,6 +132,48 @@ def test_cg_cross_check(rng):
         iterative = solve_newton_system_cg(rhs, sel, 1e-5, mats)
         diff = vector_norm(direct - iterative, "L2", mats.K, mats.M)
         assert diff <= 5e-9 * vector_norm(direct, "L2", mats.K, mats.M)
+
+
+def _random_selector(mats, rng):
+    m = mats.interior.size
+    return DerivativeSelector.from_node_set(np.flatnonzero(rng.random(m) < rng.uniform(0.1, 0.9)), mats)
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 1e-8])
+def test_two_grid_preconditioner_is_m_self_adjoint_and_positive(alpha, rng):
+    mesh, mats = mesh_and_mats(32)
+
+    def inner(x, z):
+        return float(x @ (mats.M @ z))
+
+    for _ in range(3):
+        apply_b = two_grid_preconditioner(_random_selector(mats, rng), alpha, mats)
+        r, s = rng.standard_normal((2, mesh.num_nodes))
+        br, bs = apply_b(r), apply_b(s)
+        assert abs(inner(br, s) - inner(r, bs)) <= 1e-12 * abs(inner(br, s))
+        assert inner(br, r) > 0.0 and inner(bs, s) > 0.0
+
+
+def test_pcg_at_its_cap_falls_back_to_the_block_solve(rng, monkeypatch):
+    # the fallback solves from scratch, so its step is the block solve's
+    mesh, mats = mesh_and_mats(32)
+    monkeypatch.setattr(newton, "PCG_MAX_ITER", 1)
+    sel = _random_selector(mats, rng)
+    rhs = rng.standard_normal(mesh.num_nodes)
+    y = solve_newton_system(rhs, sel, 1e-5, mats)
+    assert np.array_equal(y, solve_block_newton(mats.newton_block(1e-5), sel.free, rhs))
+
+
+def test_cg_errors_name_the_set_sizes(rng, monkeypatch):
+    mesh, mats = mesh_and_mats(8)
+    sel = _random_selector(mats, rng)
+    rhs = rng.standard_normal(mesh.num_nodes)
+    sizes = rf"^Newton CG with \|free\| = {sel.free.size}, \|constrained\| = {sel.constrained.size}: "
+    with pytest.raises(CgNoConvergenceError, match=sizes + "residual .* after 1 iterations$"):
+        solve_newton_system_cg(rhs, sel, 1e-5, mats, max_iter=1)
+    monkeypatch.setattr(newton, "newton_step_matrix_apply", lambda v, *args: -v)
+    with pytest.raises(NotPositiveDefiniteError, match=sizes + "CG iteration 0: nonpositive"):
+        solve_newton_system_cg(rhs, sel, 1e-5, mats)
 
 
 def test_paper_run_n16():
@@ -258,11 +305,19 @@ def test_small_alpha_converges_at_n32(alpha, max_steps):
 
 
 def _paper_run(n, alpha=1e-5, hierarchy=True):
+    """The paper run; without hierarchy, the obstacle solves see a copy of
+    the matrices without coarse levels, so every warm start reuses the
+    previous active set, while the Newton solves keep theirs."""
     mesh = build_friedrichs_keller(n)
     mats = build_matrices(mesh)
-    if not hierarchy:
-        mats.__dict__["coarse"] = None  # every warm start reuses the previous active set
-    return run(NewtonConfig(alpha=alpha, tol=1e-7), PAPER_Y_D, PAPER_PSI, mesh, mats)
+    with pytest.MonkeyPatch.context() as mp:
+        if not hierarchy:
+            flat = dataclasses.replace(mats)
+            flat.__dict__["coarse"] = None
+            solve = newton.solve_obstacle
+            mp.setattr(newton, "solve_obstacle",
+                       lambda z, psi, mesh, mats, **kw: solve(z, psi, mesh, flat, **kw))
+        return run(NewtonConfig(alpha=alpha, tol=1e-7), PAPER_Y_D, PAPER_PSI, mesh, mats)
 
 
 @pytest.mark.parametrize("n, alpha", [(32, 1e-5), (64, 1e-5), (32, 1e-8)])
