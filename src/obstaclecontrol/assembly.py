@@ -66,9 +66,7 @@ def _accumulate(mesh: Mesh, element: np.ndarray) -> sp.csr_matrix:
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    a = sp.coo_matrix((element.ravel(), (rows, cols)), shape=(mesh.num_nodes,) * 2).tocsr()
-    a.sum_duplicates()
-    return a
+    return sp.coo_matrix((element.ravel(), (rows, cols)), shape=(mesh.num_nodes,) * 2).tocsr()
 
 
 def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -122,10 +120,8 @@ class FEMatrices:
     @cached_property
     def kint_nd(self) -> linalg.OrderedMatrix:
         """K_int with the interior nodes in Mesh.nested_dissection order."""
-        local = np.full(self.mesh.num_nodes, -1)
-        local[self.interior] = np.arange(self.interior.size)
-        order = local[self.mesh.nested_dissection]
-        return linalg.reorder(self.K_int, order[order >= 0])
+        nd_rank = np.argsort(self.mesh.nested_dissection)  # the ND position of each node
+        return linalg.reorder(self.K_int, np.argsort(nd_rank[self.interior]))
 
     @cached_property
     def a_factorization(self) -> linalg.Factorization:
@@ -161,12 +157,10 @@ class FEMatrices:
         fine = np.arange(n + 1)
         rows = np.add.outer(fine * (n + 1), fine).ravel()
         ends = [np.add.outer(e * (nc + 1), e).ravel() for e in (fine // 2, (fine + 1) // 2)]
-        p = sp.coo_matrix(
+        return sp.coo_matrix(
             (np.full(2 * rows.size, 0.5), (np.tile(rows, 2), np.concatenate(ends))),
             shape=((n + 1) ** 2, (nc + 1) ** 2),
         ).tocsr()
-        p.sum_duplicates()
-        return p
 
     def newton_block(self, alpha: float) -> linalg.BlockPattern:
         """The Newton block system of linalg.solve_block_newton at alpha

@@ -56,7 +56,7 @@ class UsageError(Exception):
 
 def parse_field(spec: str):
     """Named scalar fields: 'const:c' or 'affine:a,b,c' for a + b*x1 + c*x2,
-    with finite coefficients."""
+    finite on the unit square."""
     if not isinstance(spec, str):
         raise UsageError(f"field spec must be a string, got {spec!r}")
     kind, _, arg = spec.partition(":")
@@ -73,9 +73,16 @@ def parse_field(spec: str):
             a, b, c = (float(s) for s in arg.split(","))
         except ValueError as exc:
             raise UsageError(f"bad affine field {spec!r}, expected affine:a,b,c") from exc
-        if not all(math.isfinite(x) for x in (a, b, c)):
-            raise UsageError(f"coefficients of field {spec!r} are not finite")
-        return lambda x1, x2: a + b * x1 + c * x2
+
+        def field(x1, x2):
+            return a + b * x1 + c * x2
+
+        # an affine field takes its extremes at the corners of the square
+        with np.errstate(over="ignore", invalid="ignore"):
+            corners = field(np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]))
+        if not np.isfinite(corners).all():
+            raise UsageError(f"field {spec!r} is not finite on the unit square")
+        return field
     raise UsageError(f"unknown field kind {spec!r}; use const:c or affine:a,b,c")
 
 

@@ -121,19 +121,14 @@ class OrderedMatrix(NamedTuple):
     rank: np.ndarray  # the position of each unknown of the original matrix
 
 
-def reorder(a: sp.csc_matrix, order: np.ndarray) -> OrderedMatrix:
-    """a[order][:, order] of a square CSC matrix, by renumbering the row
-    and column of each entry and sorting the entries by column, then row."""
-    size = order.size
-    rank = np.empty(size, dtype=np.intp)
-    rank[order] = np.arange(size)
-    row, col = rank[a.indices], np.repeat(rank, np.diff(a.indptr))
-    perm = np.argsort(col * size + row)
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col, minlength=size), out=indptr[1:])
-    matrix = sp.csc_matrix(
-        (a.data[perm], row[perm].astype(np.int32), indptr), shape=a.shape
-    )
+def reorder(a: sp.spmatrix, order: np.ndarray) -> OrderedMatrix:
+    """a[order][:, order] of a square sparse matrix without duplicate
+    entries, in canonical CSC form: scipy's COO -> CSC conversion sorts
+    the renumbered entries and keeps explicit zeros."""
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    coo = a.tocoo()
+    matrix = sp.csc_matrix((coo.data, (rank[coo.row], rank[coo.col])), shape=a.shape)
     return OrderedMatrix(matrix, order, rank)
 
 
@@ -186,8 +181,10 @@ def block_solver(block: BlockPattern, free: np.ndarray):
     The system is cut out of block, so it keeps the block's node order.
     Every 3x3 node block is nonsingular and the system is factored
     without pivoting in that order, so the factors keep the sparsity of
-    the ordering.
+    the ordering.  With no free node there is no w-unknown, so b = 0.
     """
+    if free.size == 0:
+        return lambda g: np.zeros(block.b_pos.size)
     keep = np.ones(block.matrix.shape[0], dtype=bool)
     keep[block.w_pos] = False
     keep[block.w_pos[free]] = True
@@ -223,29 +220,26 @@ def solve_block_newton(block: BlockPattern, free: np.ndarray, rhs: np.ndarray) -
 
     after eliminating y = rhs - b/alpha.  Returns y.
     """
-    if free.size == 0:
-        # G vanishes, the operator is the identity
-        return np.asarray(rhs, dtype=float).copy()
     b = block_solver(block, free)(block.mass @ rhs)
     return rhs - b / block.alpha
 
 
 def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float = 1e-13,
-                    max_iter: int = 20000, precondition=None) -> np.ndarray:
+                    max_iter: int = 20000, precondition=lambda r: r) -> np.ndarray:
     """Conjugate gradients for an operator self-adjoint and positive
     definite in the given inner product, preconditioned by precondition
     (r -> an approximate inverse applied to r, self-adjoint and positive
-    definite in that inner product) when it is given.
+    definite in that inner product; by default none).
 
     Stops when the residual norm is at most tol times that of rhs.
     Raises CgNoConvergenceError after max_iter iterations without that,
     and NotPositiveDefiniteError on a direction of nonpositive curvature."""
     x = np.zeros_like(rhs)
     r = rhs - apply_op(x)
-    z = r if precondition is None else precondition(r)
+    z = precondition(r)
     p = z.copy()
     rr = inner(r, r)
-    rz = rr if precondition is None else inner(r, z)
+    rz = inner(r, z)
     stop = tol * tol * max(inner(rhs, rhs), 1e-300)
     it = 0
     while not rr <= stop:  # a NaN residual goes on to fail below
@@ -263,9 +257,9 @@ def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float = 1e-13,
         a_step = rz / curvature
         x += a_step * p
         r -= a_step * ap
-        z = r if precondition is None else precondition(r)
+        z = precondition(r)
         rr = inner(r, r)
-        rz_new = rr if precondition is None else inner(r, z)
+        rz_new = inner(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
         it += 1

@@ -20,8 +20,8 @@ import numpy as np
 
 from .assembly import SPACE_W, FEMatrices, NodalFunction, inject, interpolate, vector_norm
 from .linalg import (
-    CgNoConvergenceError, NotPositiveDefiniteError, SolverError, block_solver,
-    cg_self_adjoint, solve_block_newton,
+    BlockFactorizationError, CgNoConvergenceError, NotPositiveDefiniteError, SolverError,
+    block_solver, cg_self_adjoint, solve_block_newton,
 )
 from .obstacle import ObstacleSolution, solve_obstacle
 from .operators import DerivativeSelector, apply_G, apply_P, extend_interior
@@ -122,7 +122,10 @@ def two_grid_preconditioner(selector: DerivativeSelector, alpha: float, mats: FE
     constrained = np.zeros(mats.mesh.num_nodes, dtype=bool)
     constrained[mats.interior[selector.constrained]] = True
     coarse_free = np.flatnonzero(~inject(constrained, mats.mesh)[coarse.interior])
-    solve_b = block_solver(coarse.newton_block(alpha), coarse_free)
+    try:
+        solve_b = block_solver(coarse.newton_block(alpha), coarse_free)
+    except BlockFactorizationError as exc:
+        raise BlockFactorizationError(f"coarse level n={coarse.mesh.n}: {exc}") from exc
     pr, m = mats.prolongation, mats.M
     return lambda r: r - pr @ solve_b(pr.T @ (m @ r)) / alpha
 
@@ -137,7 +140,7 @@ def solve_newton_system(
     two_grid_preconditioner on a mesh with a coarse level, else by the
     block solve on this mesh, which also takes over when PCG does not
     reach PCG_TOL within PCG_MAX_ITER iterations."""
-    if mats.coarse is not None and selector.free.size:
+    if mats.coarse is not None:
         try:
             return solve_newton_system_cg(
                 rhs, selector, alpha, mats, PCG_TOL, PCG_MAX_ITER,
@@ -155,7 +158,7 @@ def solve_newton_system_cg(
     mats: FEMatrices,
     tol: float = 1e-12,
     max_iter: int = 20000,
-    precondition=None,
+    precondition=lambda r: r,
 ) -> np.ndarray:
     """CG on the Newton operator in the M inner product, in which it is
     self-adjoint and positive definite; its errors name the set sizes.

@@ -94,8 +94,7 @@ def _pdas(mats: FEMatrices, z_full: np.ndarray, psi_full: np.ndarray,
     for it in range(1, PDAS_MAX_ITER + 1):
         free = np.flatnonzero(~active)
         w = np.where(active, psi_int, 0.0)
-        if free.size:
-            w[free] = mats.free_factorization(free).solve((load - k_int @ w)[free])
+        w[free] = mats.free_factorization(free).solve((load - k_int @ w)[free])
         lam = k_int @ w - load
         next_active = lam + (psi_int - w) > 0.0
         if np.array_equal(next_active, active):

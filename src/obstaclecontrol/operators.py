@@ -50,12 +50,10 @@ def apply_P(u: np.ndarray, mats: FEMatrices) -> np.ndarray:
 def apply_G(selector: DerivativeSelector, a: np.ndarray, mats: FEMatrices) -> np.ndarray:
     """Constrained Dirichlet solve: w = 0 on N and the boundary,
     K_ff w_f = (M a)|_f on the free nodes.  Returns w on interior nodes."""
-    m = mats.interior.size
-    w = np.zeros(m)
+    w = np.zeros(mats.interior.size)
     free = selector.free
-    if free.size:
-        load = (mats.M @ a)[mats.interior]
-        w[free] = mats.free_factorization(free).solve(load[free])
+    load = (mats.M @ a)[mats.interior]
+    w[free] = mats.free_factorization(free).solve(load[free])
     return w
 
 

@@ -204,8 +204,12 @@ def test_cli_check_zero_trials(capsys):
         ["check", "--names", "monotonicity", "--seed", "-1"],
         ["sweep", "--preset", "paper", "--sizes", "8,8"],
         ["check", "--names", "contraction,contraction", "--trials", "2"],
+        # finite coefficients whose field overflows on the unit square
+        ["solve", "--preset", "paper", "--n", "8", "--y-d", "affine:1e308,1e308,1e308"],
+        ["solve", "--preset", "paper", "--n", "8", "--psi", "affine:-1e308,-1e308,-1e308"],
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
     if argv[0] == "export":
         argv = argv + ["--out", str(tmp_path / "never.vtk")]
@@ -229,12 +233,15 @@ def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
         ("solve", '{"tol": false}'),
         ("solve", '{"alpah": 1e-6, "n": 8}'),  # a misspelt key is not ignored
         ("sweep", '{"sizes": [8], "large_size": 8}'),  # nor is one no command reads
+        ("solve", '{"n": 8, "y_d": "affine:1e308,1e308,1e308"}'),
     ],
     ids=[
         "missing", "malformed", "max_iter", "n", "alpha", "sizes", "y_d",
         "max_iter_bool", "alpha_bool", "tol_bool", "unknown_key", "large_size",
+        "y_d_overflow",
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_cli_bad_config_file_exit_2(command, text, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     if text is not None:
@@ -278,6 +285,17 @@ def test_cli_coarse_pdas_failure_is_one_error_line_exit_1(monkeypatch, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: outer iteration 1: coarse level n=16: active set did not settle")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_coarse_block_failure_names_its_level(capsys):
+    # the n=16 block system of the preconditioner meets an exactly zero pivot
+    assert main(["solve", "--preset", "paper", "--n", "32", "--alpha", "1e-300"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        "error: outer iteration 0: coarse level n=16: Newton block system with |free| = 225: "
+    )
 
 
 def test_cli_cg_failure_is_one_error_line_exit_1(monkeypatch, capsys):

@@ -258,6 +258,27 @@ def test_kint_and_a_are_the_reference_csc_matrices(n):
     assert_same_csc(mats.A, (mats.K + mats.M).tocsc())
 
 
+def _reorder_cases(mats):
+    # the block system is assembled with its explicit zeros, as newton_block does
+    interior = mats.interior
+    m = mats.M
+    block = sp.bmat([[mats.A, None, m * 1e5], [-m[interior], mats.K_int, None],
+                     [None, -m[:, interior], mats.A]], format="csc")
+    return [mats.A, mats.K_int, block]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["K+M", "K_int", "newton_block"])
+def test_reorder_is_the_fancy_indexed_permutation(case, rng):
+    # the oracle cuts in CSR form, with no COO conversion
+    mats = build_matrices(build_friedrichs_keller(8))
+    a = _reorder_cases(mats)[case]
+    order = rng.permutation(a.shape[0])
+    ordered = linalg.reorder(a, order)
+    assert_same_csc(ordered.matrix, a.tocsr()[np.ix_(order, order)].tocsc())
+    assert np.array_equal(ordered.rank[order], np.arange(order.size))
+    assert np.count_nonzero(ordered.matrix.data == 0.0) == np.count_nonzero(a.data == 0.0)
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_block_solve_matches_cg_at_tiny_alpha(n, rng):
     # at alpha = 1e-10 the block system is badly scaled; factoring it in

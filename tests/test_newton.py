@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from obstaclecontrol import newton
+from obstaclecontrol import linalg, newton
 from obstaclecontrol.assembly import build_matrices, interpolate, vector_norm
 from obstaclecontrol.mesh import build_friedrichs_keller
 from obstaclecontrol.linalg import CgNoConvergenceError, NotPositiveDefiniteError, solve_block_newton
@@ -162,6 +162,19 @@ def test_pcg_at_its_cap_falls_back_to_the_block_solve(rng, monkeypatch):
     rhs = rng.standard_normal(mesh.num_nodes)
     y = solve_newton_system(rhs, sel, 1e-5, mats)
     assert np.array_equal(y, solve_block_newton(mats.newton_block(1e-5), sel.free, rhs))
+
+
+def test_all_constrained_step_is_rhs_without_a_factorization(rng, monkeypatch):
+    # b_c = 0 makes the preconditioner the identity, so PCG takes one step
+    # of length exactly 1 from 0 to rhs
+    mats = build_matrices(build_friedrichs_keller(32))
+    mats.a_factorization  # P's factor belongs to the mesh, not to the step
+    calls = []
+    monkeypatch.setattr(linalg.spla, "splu", lambda *args, **kwargs: calls.append(1))
+    rhs = rng.standard_normal(mats.mesh.num_nodes)
+    y = solve_newton_system(rhs, all_constrained(mats), 1e-5, mats)
+    assert np.array_equal(y, rhs)
+    assert calls == []
 
 
 def test_cg_errors_name_the_set_sizes(rng, monkeypatch):
