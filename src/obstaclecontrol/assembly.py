@@ -5,6 +5,9 @@ H^1 matrix K + M for the full space W_h (all nodes).  Functions on the
 Dirichlet subspace V_h are stored on the interior index set and
 zero-extended on demand.
 
+Each mesh keeps one factor of K + M and one of K_int[free, free], for
+the last free set, the whole interior included.
+
 The meshes n, n/2, n/4, ... are nested: each coarse triangle is the
 union of four fine ones.  FEMatrices.coarse and FEMatrices.prolongation
 link a mesh to the next coarser one, down to COARSEST_N.
@@ -131,11 +134,6 @@ class FEMatrices:
         return linalg.Factorization(a.matrix, a.order)
 
     @cached_property
-    def kint_factorization(self) -> linalg.Factorization:
-        """Factorization of the interior (Dirichlet) stiffness matrix."""
-        return linalg.Factorization(self.kint_nd.matrix, self.kint_nd.order)
-
-    @cached_property
     def coarse(self) -> "FEMatrices | None":
         """The matrices of the mesh n/2, built on first use, or None when
         n is odd or n/2 is below COARSEST_N.  Each level owns its own
@@ -184,15 +182,14 @@ class FEMatrices:
     def free_factorization(self, free: np.ndarray):
         """Factorization of K_int[free, free] for sorted unique interior
         indices, cut from kint_nd, so in Mesh.nested_dissection order;
-        the only place a submatrix of K_int is factorized.
+        the only place K_int or a submatrix of it is factorized.  With
+        every interior node free the cut is kint_nd itself.
 
-        Keeps the whole-interior factor and the last other free set, so
-        the final PDAS iterate and G_N on the same set share one factor.
-        The key compares values, since int32 and int64 arrays can share bytes.
+        Keeps the factor of the last free set only, so the final PDAS
+        iterate and G_N on the same set share one factor.  The key
+        compares values, since int32 and int64 arrays can share bytes.
         """
         try:
-            if free.size == self.interior.size:
-                return self.kint_factorization
             if not np.array_equal(self._free_key, free):
                 # release the old factor first: holding two at once raises peak memory
                 self._free_key = self._free_fact = None

@@ -41,8 +41,8 @@ class ContractionViolationError(SolverError):
 
 
 class DivergenceError(SolverError):
-    """The L2 residual of an outer iteration is not finite: the iterates
-    grew until their norms overflowed."""
+    """A quantity of an outer iteration is not finite: zeta, or the L2
+    residual when the iterates grew until their norms overflowed."""
 
 
 def _is_number(value, kind) -> bool:
@@ -194,7 +194,10 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
     for i in range(config.max_iter + 1):
         try:
             py = apply_P(y, mats)
-            zeta = (p_yd - py) / config.alpha
+            with np.errstate(over="ignore", invalid="ignore"):
+                zeta = (p_yd - py) / config.alpha
+            if not np.all(np.isfinite(zeta)):
+                raise DivergenceError("zeta = (P I_h y_D - P y) / alpha is not finite")
             sol = solve_obstacle(
                 NodalFunction(zeta, SPACE_W, mesh), psi, mesh, mats, warm_start=sol,
             )

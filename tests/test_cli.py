@@ -265,8 +265,12 @@ def test_cli_bad_config_file_exit_2(command, text, tmp_path, capsys):
         (["--alpha", "1e-30"], None, "error: outer iteration 0:"),
         # SuperLU meets an exactly zero pivot in the block system
         (["--alpha", "1e-300"], None, "error: outer iteration 0:"),
+        # a finite y_D so large that P I_h y_D - P y overflows in zeta
+        (["--y-d", "const:1e308"], None, "error: outer iteration 0: zeta "),
+        (["--y-d", "affine:1e308,0,0"], None, "error: outer iteration 0: zeta "),
     ],
-    ids=["pdas_cap", "alpha_1e-25", "alpha_1e-30", "alpha_1e-300"],
+    ids=["pdas_cap", "alpha_1e-25", "alpha_1e-30", "alpha_1e-300", "y_d_const_1e308",
+         "y_d_affine_1e308"],
 )
 def test_cli_pdas_failure_is_one_error_line_exit_1(extra, pdas_cap, prefix, monkeypatch, capsys):
     if pdas_cap is not None:
@@ -341,6 +345,18 @@ def test_cli_indefinite_stiffness_is_one_error_line_exit_1(monkeypatch, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: outer iteration 0: level n=8, K_int[free, free]")
+
+
+def test_cli_sweep_large_appends_the_512_mesh(monkeypatch):
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return cli.SweepResult(rows=[])
+
+    monkeypatch.setattr(cli, "run_sweep", record)
+    assert main(["sweep", "--preset", "paper", "--sizes", "8,16", "--large"]) == 0
+    assert len(calls) == 1 and calls[0]["sizes"] == [8, 16, 512]
 
 
 @pytest.mark.parametrize(

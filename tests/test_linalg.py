@@ -200,7 +200,7 @@ def test_kint_and_a_factorizations_factor_the_reference_nd_matrices(n, rng, monk
     mats = build_matrices(build_friedrichs_keller(n))
     captured = _capture_splu(monkeypatch)
     cases = [
-        (lambda: mats.kint_factorization, mats.K, mats.interior),
+        (lambda: mats.free_factorization(np.arange(mats.interior.size)), mats.K, mats.interior),
         (lambda: mats.a_factorization, mats.K + mats.M, np.arange(mats.mesh.num_nodes)),
     ]
     for factorization, a, nodes in cases:
@@ -372,7 +372,7 @@ def test_solver_factorizations_never_read_l_or_u(rng, monkeypatch):
     free = np.flatnonzero(rng.random(m) < 0.6)
     for fact, size in [
         (mats.a_factorization, mats.mesh.num_nodes),
-        (mats.kint_factorization, m),
+        (mats.free_factorization(np.arange(m)), m),
         (mats.free_factorization(free), free.size),
     ]:
         assert isinstance(fact._lu, _FactorsNotRead)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -149,6 +152,7 @@ def test_free_factorization_alternating_sets_match_fresh_factorizations(rng, mon
     set_a = np.flatnonzero(rng.random(m) < 0.5)
     set_b = np.flatnonzero(rng.random(m) < 0.5)
     assert not np.array_equal(set_a, set_b)
+    whole = np.arange(m)
     load = rng.standard_normal(m)
     built = []
     init = linalg.Factorization.__init__
@@ -158,7 +162,7 @@ def test_free_factorization_alternating_sets_match_fresh_factorizations(rng, mon
         init(self, a, order)
 
     monkeypatch.setattr(linalg.Factorization, "__init__", recording_init)
-    for free in (set_a, set_b, set_a):
+    for free in (set_a, set_b, set_a, whole, set_a, whole):
         built.clear()
         got = mats.free_factorization(free).solve(load[free])
         cut, order = reference_free_submatrix(mats, free)
@@ -175,10 +179,14 @@ def test_free_factorization_key_compares_values_not_dtype():
     assert mats.free_factorization(free.astype(np.int32)) is fact
 
 
-def test_free_factorization_of_whole_interior_is_kint_factorization():
+def test_free_factorization_releases_the_whole_interior_factor():
+    # the whole interior takes the one free-set slot, so the next free set frees it
     mats = _fresh_mats(8)
     whole = np.arange(mats.interior.size)
-    assert mats.free_factorization(whole) is mats.kint_factorization
+    first = weakref.ref(mats.free_factorization(whole))
+    mats.free_factorization(whole[::2])
+    gc.collect()
+    assert first() is None
 
 
 def test_helmholtz_factorization_is_built_once(monkeypatch):
