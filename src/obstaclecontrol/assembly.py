@@ -10,11 +10,13 @@ the last free set, the whole interior included.
 
 The meshes n, n/2, n/4, ... are nested: each coarse triangle is the
 union of four fine ones.  FEMatrices.coarse and FEMatrices.prolongation
-link a mesh to the next coarser one, down to COARSEST_N.
+link a mesh to the next coarser one, down to COARSEST_N, and
+FEMatrices.newton_coarse picks the level of the Newton preconditioner.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,6 +27,11 @@ from .mesh import Mesh, build_friedrichs_keller, signed_areas
 SPACE_W = "W_h"
 SPACE_V = "V_h"
 COARSEST_N = 16  # no mesh coarser than this is built as a level of the hierarchy
+# FEMatrices.newton_coarse goes down to a level n_c only while alpha n_c^6
+# is at least this.  Two-grid PCG counts per Newton step depend on
+# alpha n_c^6 alone, not on n: at 100 and above they are 8 or fewer, and
+# they grow as it falls (the measured table is in the README).
+NEWTON_COARSE_ALPHA_N6 = 100.0
 
 
 @dataclass
@@ -106,6 +113,15 @@ def interpolate(f, mesh: Mesh) -> NodalFunction:
     return NodalFunction(vals, SPACE_W, mesh)
 
 
+class CoarseLink(NamedTuple):
+    """A coarse level of the hierarchy and the maps between it and a
+    finer mesh, on all nodes."""
+
+    level: "FEMatrices"
+    prolongation: sp.csr_matrix  # composite P1 prolongation from level
+    restriction: sp.csr_matrix  # its transpose
+
+
 @dataclass
 class FEMatrices:
     """Assembled operators for one mesh, shared by all solver stages."""
@@ -119,6 +135,7 @@ class FEMatrices:
     _free_key: np.ndarray | None = field(default=None, repr=False)
     _free_fact: object = field(default=None, repr=False)
     _block: object = field(default=None, repr=False)
+    _links: dict = field(default_factory=dict, init=False, repr=False)  # n_c -> CoarseLink
 
     @cached_property
     def kint_nd(self) -> linalg.OrderedMatrix:
@@ -159,6 +176,26 @@ class FEMatrices:
             (np.full(2 * rows.size, 0.5), (np.tile(rows, 2), np.concatenate(ends))),
             shape=((n + 1) ** 2, (nc + 1) ** 2),
         ).tocsr()
+
+    def newton_coarse(self, alpha: float) -> CoarseLink | None:
+        """The coarse level of the Newton preconditioner at alpha, or None
+        when this mesh has no coarse level.  From n/2 it walks down
+        FEMatrices.coarse while the next level n_c still has
+        alpha n_c^6 >= NEWTON_COARSE_ALPHA_N6, and keeps n/2 when even
+        that fails the bound.  The maps to each level are built once."""
+        level = self.coarse
+        if level is None:
+            return None
+        below = level.coarse
+        while below is not None and alpha * below.mesh.n**6 >= NEWTON_COARSE_ALPHA_N6:
+            level, below = below, below.coarse
+        n_c = level.mesh.n
+        if n_c not in self._links:
+            pr, finer = self.prolongation, self.coarse
+            while finer is not level:
+                pr, finer = pr @ finer.prolongation, finer.coarse
+            self._links[n_c] = CoarseLink(level, pr, pr.T.tocsr())
+        return self._links[n_c]
 
     def newton_block(self, alpha: float) -> linalg.BlockPattern:
         """The Newton block system of linalg.solve_block_newton at alpha

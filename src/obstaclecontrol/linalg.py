@@ -225,17 +225,18 @@ def solve_block_newton(block: BlockPattern, free: np.ndarray, rhs: np.ndarray) -
 
 
 def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float = 1e-13,
-                    max_iter: int = 20000, precondition=lambda r: r) -> np.ndarray:
+                    max_iter: int = 20000, precondition=lambda r: r) -> tuple[np.ndarray, int]:
     """Conjugate gradients for an operator self-adjoint and positive
     definite in the given inner product, preconditioned by precondition
     (r -> an approximate inverse applied to r, self-adjoint and positive
-    definite in that inner product; by default none).
+    definite in that inner product; by default none), from x = 0.
 
-    Stops when the residual norm is at most tol times that of rhs.
-    Raises CgNoConvergenceError after max_iter iterations without that,
-    and NotPositiveDefiniteError on a direction of nonpositive curvature."""
+    Stops when the residual norm is at most tol times that of rhs, and
+    returns x and the iterations taken.  Raises CgNoConvergenceError
+    after max_iter iterations without that, and NotPositiveDefiniteError
+    on a direction of nonpositive curvature."""
     x = np.zeros_like(rhs)
-    r = rhs - apply_op(x)
+    r = rhs.copy()  # the residual of x = 0, without applying the operator
     z = precondition(r)
     p = z.copy()
     rr = inner(r, r)
@@ -263,4 +264,4 @@ def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float = 1e-13,
         p = z + (rz_new / rz) * p
         rz = rz_new
         it += 1
-    return x
+    return x, it

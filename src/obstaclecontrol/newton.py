@@ -81,6 +81,10 @@ class IterationRecord:
     u: np.ndarray  # interior values
     pdas_iterations: int  # of the obstacle solve on this mesh
     coarse_pdas_iterations: tuple[int, ...]  # of its coarser levels, finest first
+    # of the Newton step from this iterate, as solve_newton_system returns
+    # them; 0 and None where the block LU alone solved it or no step was taken
+    pcg_iterations: int = 0
+    coarse_n: int | None = None  # the n of the preconditioner's coarse level
 
 
 @dataclass
@@ -114,20 +118,26 @@ def two_grid_preconditioner(selector: DerivativeSelector, alpha: float, mats: FE
     preconditioner of the Newton operator on a mesh with a coarse level.
 
     It is (I - Pr Q) + Pr T_c^{-1} Q with Q = M_c^{-1} Pr^T M, where T_c
-    is the Newton operator of the mesh n/2 whose constrained nodes are
-    the fine ones injected, and b_c its block solve (factored here):
-    T_c^{-1} q = q - b_c(M_c q)/alpha, so M_c cancels.  B^{-1} is
-    self-adjoint and positive definite in the M inner product."""
-    coarse = mats.coarse
+    is the Newton operator of the level FEMatrices.newton_coarse picks at
+    alpha, Pr the prolongation from it, and b_c the block solve of T_c
+    (factored here), whose constrained nodes are the fine ones injected
+    level by level: T_c^{-1} q = q - b_c(M_c q)/alpha, and M_c cancels
+    since Pr^T M Pr = M_c.  B^{-1} is self-adjoint and positive definite
+    in the M inner product."""
+    link = mats.newton_coarse(alpha)
+    coarse = link.level
     constrained = np.zeros(mats.mesh.num_nodes, dtype=bool)
     constrained[mats.interior[selector.constrained]] = True
-    coarse_free = np.flatnonzero(~inject(constrained, mats.mesh)[coarse.interior])
+    level = mats
+    while level is not coarse:
+        constrained, level = inject(constrained, level.mesh), level.coarse
+    coarse_free = np.flatnonzero(~constrained[coarse.interior])
     try:
         solve_b = block_solver(coarse.newton_block(alpha), coarse_free)
     except BlockFactorizationError as exc:
         raise BlockFactorizationError(f"coarse level n={coarse.mesh.n}: {exc}") from exc
-    pr, m = mats.prolongation, mats.M
-    return lambda r: r - pr @ solve_b(pr.T @ (m @ r)) / alpha
+    pr, restrict, m = link.prolongation, link.restriction, mats.M
+    return lambda r: r - pr @ solve_b(restrict @ (m @ r)) / alpha
 
 
 def solve_newton_system(
@@ -135,20 +145,27 @@ def solve_newton_system(
     selector: DerivativeSelector,
     alpha: float,
     mats: FEMatrices,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int, int | None]:
     """Solve the Newton update equation: by PCG with the
     two_grid_preconditioner on a mesh with a coarse level, else by the
     block solve on this mesh, which also takes over when PCG does not
-    reach PCG_TOL within PCG_MAX_ITER iterations."""
-    if mats.coarse is not None:
+    reach PCG_TOL within PCG_MAX_ITER iterations.
+
+    Returns the solution, the PCG iterations and the n of the
+    preconditioner's coarse level: 0 and None where the block LU alone
+    solved it, PCG_MAX_ITER where it took over from PCG."""
+    link = mats.newton_coarse(alpha)
+    if link is not None:
         try:
-            return solve_newton_system_cg(
+            y, iterations = solve_newton_system_cg(
                 rhs, selector, alpha, mats, PCG_TOL, PCG_MAX_ITER,
                 two_grid_preconditioner(selector, alpha, mats),
             )
+            return y, iterations, link.level.mesh.n
         except CgNoConvergenceError:
-            pass  # the coarse level is too weak at small alpha n^2
-    return solve_block_newton(mats.newton_block(alpha), selector.free, rhs)
+            pass  # the coarse level is too weak at small alpha n_c^6
+    y = solve_block_newton(mats.newton_block(alpha), selector.free, rhs)
+    return (y, 0, None) if link is None else (y, PCG_MAX_ITER, link.level.mesh.n)
 
 
 def solve_newton_system_cg(
@@ -159,11 +176,11 @@ def solve_newton_system_cg(
     tol: float = 1e-12,
     max_iter: int = 20000,
     precondition=lambda r: r,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """CG on the Newton operator in the M inner product, in which it is
-    self-adjoint and positive definite; its errors name the set sizes.
-    Without a preconditioner, the matrix-free cross-check of the block
-    solve."""
+    self-adjoint and positive definite; returns the solution and the
+    iterations, and its errors name the set sizes.  Without a
+    preconditioner, the matrix-free cross-check of the block solve."""
     m = mats.M
     try:
         return cg_self_adjoint(
@@ -210,18 +227,17 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
                 )
 
             selector = DerivativeSelector.from_solution(sol, mats, include_biactive)
-            history.append(
-                IterationRecord(
-                    index=i,
-                    residual=residual,
-                    n_constrained=selector.constrained.size,
-                    y=y.copy(),
-                    ytilde=ytilde,
-                    u=u_int.copy(),
-                    pdas_iterations=sol.pdas_iterations,
-                    coarse_pdas_iterations=sol.coarse_pdas_iterations,
-                )
+            record = IterationRecord(
+                index=i,
+                residual=residual,
+                n_constrained=selector.constrained.size,
+                y=y.copy(),
+                ytilde=ytilde,
+                u=u_int.copy(),
+                pdas_iterations=sol.pdas_iterations,
+                coarse_pdas_iterations=sol.coarse_pdas_iterations,
             )
+            history.append(record)
             if residual <= config.tol:
                 status = "converged"
                 break
@@ -229,7 +245,9 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
                 break
             # the update equation minus the Newton operator at y; solving for
             # the correction keeps the solver's relative error relative to it
-            step = solve_newton_system(ytilde - y, selector, config.alpha, mats)
+            step, record.pcg_iterations, record.coarse_n = solve_newton_system(
+                ytilde - y, selector, config.alpha, mats
+            )
             # the inverse Newton operator has unit L2 bound: the step cannot be
             # longer than its right-hand side, whose norm is the residual
             norm_step = vector_norm(step, "L2", mats.K, mats.M)

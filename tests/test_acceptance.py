@@ -193,8 +193,8 @@ def test_cross_solver_consistency():
                 np.flatnonzero(rng.random(m) < rng.uniform(0, 1)), mats
             )
             rhs = rng.standard_normal(mesh.num_nodes)
-            direct = solve_newton_system(rhs, sel, 1e-5, mats)
-            iterative = solve_newton_system_cg(rhs, sel, 1e-5, mats)
+            direct, *_ = solve_newton_system(rhs, sel, 1e-5, mats)
+            iterative, _ = solve_newton_system_cg(rhs, sel, 1e-5, mats)
             rel = vector_norm(direct - iterative, "L2", mats.K, mats.M) / vector_norm(
                 direct, "L2", mats.K, mats.M
             )

@@ -1,5 +1,6 @@
 """The nested mesh hierarchy: FEMatrices.coarse, the P1 prolongation
-from n/2 to n, injection, and the rule that moves active sets up."""
+from n/2 to n, injection, the rule that moves active sets up, and the
+coarse level of the Newton preconditioner."""
 
 import numpy as np
 import pytest
@@ -86,7 +87,8 @@ def test_single_active_coarse_node_stays_alone():
 
 @pytest.mark.parametrize("n", [2, 9, 16, 30, 31, 33])
 def test_no_coarse_level_for_odd_or_small_meshes(n):
-    assert build_matrices(build_friedrichs_keller(n)).coarse is None
+    mats = build_matrices(build_friedrichs_keller(n))
+    assert mats.coarse is None and mats.newton_coarse(1e-5) is None
 
 
 def test_coarse_levels_are_built_once_on_first_use():
@@ -100,3 +102,34 @@ def test_coarse_levels_are_built_once_on_first_use():
     assert coarse.coarse.coarse is None
     assert mats.prolongation is mats.prolongation
     assert mats.prolongation.shape == (mats.mesh.num_nodes, coarse.mesh.num_nodes)
+
+
+@pytest.mark.parametrize(
+    "n, alpha, n_c",
+    [
+        *[(32, alpha, 16) for alpha in (1e-5, 1e-8, 1e-10)],
+        (48, 1e-5, 24),
+        (64, 1e-5, 16),
+        (64, 1e-8, 32),
+        (128, 1e-5, 16),
+        (128, 1e-6, 32),
+        (128, 1e-8, 64),
+    ],
+)
+def test_newton_coarse_level_rule(n, alpha, n_c):
+    _, mats = mesh_and_mats(n)
+    assert mats.newton_coarse(alpha).level.mesh.n == n_c
+
+
+@pytest.mark.parametrize("n, alpha, levels", [(64, 1e-5, 2), (128, 1e-5, 3)])
+def test_composite_prolongation_is_galerkin(n, alpha, levels):
+    _, fine = mesh_and_mats(n)
+    link = fine.newton_coarse(alpha)
+    assert link is fine.newton_coarse(alpha)  # built once per level pair
+    product, level = fine.prolongation, fine.coarse
+    for _ in range(levels - 1):
+        product, level = product @ level.prolongation, level.coarse
+    assert link.level is level
+    assert abs(link.prolongation - product).max() == 0.0
+    assert abs(link.restriction - product.T).max() == 0.0
+    assert abs(link.restriction @ fine.M @ link.prolongation - level.M).max() <= 1e-18

@@ -77,7 +77,7 @@ def test_apply_linearity(rng):
 def test_solve_fully_constrained_returns_rhs(rng):
     mesh, mats = mesh_and_mats(4)
     rhs = rng.standard_normal(mesh.num_nodes)
-    assert np.array_equal(solve_newton_system(rhs, all_constrained(mats), 1e-5, mats), rhs)
+    assert np.array_equal(solve_newton_system(rhs, all_constrained(mats), 1e-5, mats)[0], rhs)
 
 
 def test_solve_matches_dense_probe(rng):
@@ -91,7 +91,7 @@ def test_solve_matches_dense_probe(rng):
         e[k] = 1.0
         dense[:, k] = newton_step_matrix_apply(e, sel, alpha, mats)
     rhs = rng.standard_normal(nw)
-    y = solve_newton_system(rhs, sel, alpha, mats)
+    y, *_ = solve_newton_system(rhs, sel, alpha, mats)
     expected = np.linalg.solve(dense, rhs)
     assert np.linalg.norm(y - expected) <= 1e-8 * np.linalg.norm(expected)
 
@@ -102,7 +102,7 @@ def test_solve_residual_in_m_norm(rng):
     m = mats.interior.size
     sel = DerivativeSelector.from_node_set(np.flatnonzero(rng.random(m) < 0.3), mats)
     rhs = rng.standard_normal(mesh.num_nodes)
-    y = solve_newton_system(rhs, sel, alpha, mats)
+    y, *_ = solve_newton_system(rhs, sel, alpha, mats)
     resid = newton_step_matrix_apply(y, sel, alpha, mats) - rhs
     rel = vector_norm(resid, "L2", mats.K, mats.M) / vector_norm(rhs, "L2", mats.K, mats.M)
     assert rel <= 5e-10
@@ -116,7 +116,7 @@ def test_contraction_bound(rng):
             np.flatnonzero(rng.random(m) < rng.uniform(0, 1)), mats
         )
         rhs = rng.uniform(-10, 10, mesh.num_nodes)
-        y = solve_newton_system(rhs, sel, 1e-5, mats)
+        y, *_ = solve_newton_system(rhs, sel, 1e-5, mats)
         assert vector_norm(y, "L2", mats.K, mats.M) <= (1 + 1e-9) * vector_norm(
             rhs, "L2", mats.K, mats.M
         )
@@ -128,8 +128,8 @@ def test_cg_cross_check(rng):
         m = mats.interior.size
         sel = DerivativeSelector.from_node_set(np.flatnonzero(rng.random(m) < 0.4), mats)
         rhs = rng.standard_normal(mesh.num_nodes)
-        direct = solve_newton_system(rhs, sel, 1e-5, mats)
-        iterative = solve_newton_system_cg(rhs, sel, 1e-5, mats)
+        direct, *_ = solve_newton_system(rhs, sel, 1e-5, mats)
+        iterative, _ = solve_newton_system_cg(rhs, sel, 1e-5, mats)
         diff = vector_norm(direct - iterative, "L2", mats.K, mats.M)
         assert diff <= 5e-9 * vector_norm(direct, "L2", mats.K, mats.M)
 
@@ -139,9 +139,10 @@ def _random_selector(mats, rng):
     return DerivativeSelector.from_node_set(np.flatnonzero(rng.random(m) < rng.uniform(0.1, 0.9)), mats)
 
 
-@pytest.mark.parametrize("alpha", [1e-5, 1e-8])
-def test_two_grid_preconditioner_is_m_self_adjoint_and_positive(alpha, rng):
-    mesh, mats = mesh_and_mats(32)
+# n = 64 at alpha = 1e-5 preconditions from n = 16, two levels down
+@pytest.mark.parametrize("n, alpha", [(32, 1e-5), (32, 1e-8), (64, 1e-5)])
+def test_two_grid_preconditioner_is_m_self_adjoint_and_positive(n, alpha, rng):
+    mesh, mats = mesh_and_mats(n)
 
     def inner(x, z):
         return float(x @ (mats.M @ z))
@@ -160,8 +161,9 @@ def test_pcg_at_its_cap_falls_back_to_the_block_solve(rng, monkeypatch):
     monkeypatch.setattr(newton, "PCG_MAX_ITER", 1)
     sel = _random_selector(mats, rng)
     rhs = rng.standard_normal(mesh.num_nodes)
-    y = solve_newton_system(rhs, sel, 1e-5, mats)
+    y, iterations, coarse_n = solve_newton_system(rhs, sel, 1e-5, mats)
     assert np.array_equal(y, solve_block_newton(mats.newton_block(1e-5), sel.free, rhs))
+    assert (iterations, coarse_n) == (1, 16)
 
 
 def test_all_constrained_step_is_rhs_without_a_factorization(rng, monkeypatch):
@@ -172,8 +174,8 @@ def test_all_constrained_step_is_rhs_without_a_factorization(rng, monkeypatch):
     calls = []
     monkeypatch.setattr(linalg.spla, "splu", lambda *args, **kwargs: calls.append(1))
     rhs = rng.standard_normal(mats.mesh.num_nodes)
-    y = solve_newton_system(rhs, all_constrained(mats), 1e-5, mats)
-    assert np.array_equal(y, rhs)
+    y, iterations, _ = solve_newton_system(rhs, all_constrained(mats), 1e-5, mats)
+    assert np.array_equal(y, rhs) and iterations == 1
     assert calls == []
 
 
@@ -197,6 +199,8 @@ def test_paper_run_n16():
     assert abs(report.iterations - 6) <= 1
     assert report.residuals[-1] <= 1e-7
     assert len(report.history) == report.iterations + 1
+    # no coarse level: the block LU alone solves every step
+    assert all((rec.pcg_iterations, rec.coarse_n) == (0, None) for rec in report.history)
 
 
 def test_unconstrained_problem_converges_fast():
@@ -355,6 +359,15 @@ def test_pdas_iterations_per_step_stay_small_at_n64():
     levels = [len(rec.coarse_pdas_iterations) for rec in report.history]
     assert levels == [0] + [2] * (len(levels) - 1)
     assert all(1 <= it <= 5 for rec in report.history for it in rec.coarse_pdas_iterations)
+
+
+def test_pcg_iterations_per_step_stay_small_at_n64():
+    # alpha n_c^6 = 168 at n_c = 16, so the preconditioner skips the level 32
+    report = _paper_run(64)
+    steps = report.history[:-1]
+    assert all(1 <= rec.pcg_iterations <= 7 and rec.coarse_n == 16 for rec in steps)
+    last = report.history[-1]
+    assert (last.pcg_iterations, last.coarse_n) == (0, None)  # no step from it
 
 
 def test_divergence_is_a_named_stop():
