@@ -195,8 +195,10 @@ def _open_out(path: str, newline: str | None = None):
 
 
 def _check_out_dir(path: str):
-    """A usage error, raised before any compute, when the directory that
-    would hold path is missing or not writable; _open_out checks the rest."""
+    """A usage error, raised before any compute, when path is a directory
+    or its directory is missing or not writable; _open_out checks the rest."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path!r}: Is a directory")
     parent = os.path.dirname(path) or "."
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise UsageError(f"cannot write {path!r}: {parent!r} is not a writable directory")
@@ -326,8 +328,10 @@ def paper_converged_zeta(n: int):
 
 
 def _load_config(args) -> dict:
+    """The settings of solve, export and sweep: each given flag, whose
+    dest is its key in CONFIG_KEYS, over the config file over the preset."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
@@ -340,18 +344,9 @@ def _load_config(args) -> dict:
             raise UsageError(
                 f"unknown key(s) {unknown} in config {args.config!r}; allowed: {list(CONFIG_KEYS)}"
             )
-    if getattr(args, "preset", None) == "paper":
-        merged = dict(PAPER_PRESET)
-        merged.update(cfg)
-        cfg = merged
-    for key, attr in [
-        ("alpha", "alpha"), ("tol", "tol"), ("max_iter", "max_iter"),
-        ("selector_policy", "selector"), ("y_d", "y_d"), ("psi", "psi"),
-    ]:
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+    preset = PAPER_PRESET if args.preset == "paper" else {}
+    flags = {key: getattr(args, key, None) for key in CONFIG_KEYS}
+    return {**preset, **cfg, **{key: val for key, val in flags.items() if val is not None}}
 
 
 def _require(cfg: dict, key: str):
@@ -369,6 +364,15 @@ def _newton_config(cfg: dict) -> NewtonConfig:
         raise UsageError(str(exc)) from exc
 
 
+def _parse_sizes(text: str) -> list[int]:
+    # argparse turns only ArgumentTypeError, TypeError and ValueError into
+    # its own two-line error; a UsageError reaches main as one line
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"bad --sizes {text!r}, expected integers like 16,32") from exc
+
+
 def _check_mesh_sizes(sizes):
     if not (isinstance(sizes, list) and all(isinstance(n, int) and n >= 2 for n in sizes)):
         raise UsageError(f"mesh sizes must be integers of at least 2, got {sizes!r}")
@@ -378,7 +382,7 @@ def _cmd_solve(args) -> int:
     """The solve and export commands: config -> NewtonConfig ->
     run_single -> VTK export when --out is given."""
     cfg = _load_config(args)
-    n = args.n if args.n is not None else cfg.get("n", args.default_n)
+    n = cfg.get("n", args.default_n)
     _check_mesh_sizes([n])
     config = _newton_config(cfg)
     mesh, mats, report = run_single(config, _require(cfg, "y_d"), _require(cfg, "psi"), n)
@@ -392,13 +396,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    if args.sizes:
-        try:
-            sizes = [int(s) for s in args.sizes.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"bad --sizes {args.sizes!r}, expected integers like 16,32") from exc
-    else:
-        sizes = _require(cfg, "sizes")
+    sizes = _require(cfg, "sizes")
     _check_mesh_sizes(sizes)
     if args.large:
         sizes = sizes + [PAPER_PRESET["large_size"]]
@@ -437,22 +435,22 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--preset", choices=["paper"], help="named configuration preset")
-        p.add_argument("--n", type=int, help="subdivisions per side")
         p.add_argument("--alpha", type=float)
         p.add_argument("--tol", type=float)
         p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--selector", choices=SELECTOR_POLICIES)
+        p.add_argument("--selector", dest="selector_policy", choices=SELECTOR_POLICIES)
         p.add_argument("--y-d", dest="y_d", help="field spec, e.g. affine:0,-1,-1")
         p.add_argument("--psi", help="field spec, e.g. const:-5")
 
     p_solve = sub.add_parser("solve", help="single Newton run")
     common(p_solve)
+    p_solve.add_argument("--n", type=int, help="subdivisions per side")
     p_solve.add_argument("--out", help="optional VTK output path")
     p_solve.set_defaults(func=_cmd_solve, default_n=16)
 
     p_sweep = sub.add_parser("sweep", help="mesh-independence study with EOC columns")
     common(p_sweep)
-    p_sweep.add_argument("--sizes", help="comma-separated mesh sizes")
+    p_sweep.add_argument("--sizes", type=_parse_sizes, help="comma-separated mesh sizes")
     p_sweep.add_argument("--large", action="store_true", help="append the 512 mesh")
     p_sweep.add_argument("--out", help="CSV output path")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -466,16 +464,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="solve and export fields to VTK")
     common(p_export)
+    p_export.add_argument("--n", type=int, help="subdivisions per side")
     p_export.add_argument("--out", required=True, help="VTK output path")
     p_export.set_defaults(func=_cmd_solve, default_n=64)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "out", None):
+        args = build_parser().parse_args(argv)
+        if args.out:
             _check_out_dir(args.out)
         return args.func(args)
     except (UsageError, InfeasibleConstraintsError) as exc:

@@ -82,7 +82,8 @@ class IterationRecord:
     pdas_iterations: int  # of the obstacle solve on this mesh
     coarse_pdas_iterations: tuple[int, ...]  # of its coarser levels, finest first
     # of the Newton step from this iterate, as solve_newton_system returns
-    # them; 0 and None where the block LU alone solved it or no step was taken
+    # them: (0, None) where the block LU alone solved it or no step was
+    # taken, (0, n_c) where PCG on n_c stalled and the block LU solved it
     pcg_iterations: int = 0
     coarse_n: int | None = None  # the n of the preconditioner's coarse level
 
@@ -151,9 +152,9 @@ def solve_newton_system(
     block solve on this mesh, which also takes over when PCG does not
     reach PCG_TOL within PCG_MAX_ITER iterations.
 
-    Returns the solution, the PCG iterations and the n of the
-    preconditioner's coarse level: 0 and None where the block LU alone
-    solved it, PCG_MAX_ITER where it took over from PCG."""
+    Returns the solution, the PCG iterations k and the n_c of the
+    preconditioner's coarse level: (k, n_c) where PCG solved it, (0, n_c)
+    where the block LU took over from PCG, (0, None) where it alone did."""
     link = mats.newton_coarse(alpha)
     if link is not None:
         try:
@@ -165,7 +166,7 @@ def solve_newton_system(
         except CgNoConvergenceError:
             pass  # the coarse level is too weak at small alpha n_c^6
     y = solve_block_newton(mats.newton_block(alpha), selector.free, rhs)
-    return (y, 0, None) if link is None else (y, PCG_MAX_ITER, link.level.mesh.n)
+    return y, 0, None if link is None else link.level.mesh.n
 
 
 def solve_newton_system_cg(

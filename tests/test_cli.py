@@ -378,23 +378,121 @@ def test_cli_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, compute",
+    "argv, compute, out",
     [
-        (["sweep", "--preset", "paper", "--sizes", "8"], "run_sweep"),
-        (["solve", "--preset", "paper", "--n", "8"], "run_single"),
+        (["sweep", "--preset", "paper", "--sizes", "8"], "run_sweep", "missing/f"),
+        (["solve", "--preset", "paper", "--n", "8"], "run_single", "missing/f"),
+        (["sweep", "--preset", "paper", "--sizes", "8"], "run_sweep", "."),  # a directory
     ],
-    ids=["sweep", "solve"],
+    ids=["sweep", "solve", "sweep_directory"],
 )
-def test_cli_unwritable_out_is_reported_before_the_compute(argv, compute, tmp_path,
+def test_cli_unwritable_out_is_reported_before_the_compute(argv, compute, out, tmp_path,
                                                            monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise AssertionError(f"{compute} ran before --out was checked")
 
     monkeypatch.setattr(cli, compute, fail)
-    path = tmp_path / "missing" / "f"
+    path = tmp_path / out
     assert main(argv + ["--out", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"usage error: cannot write {str(path)!r}")
+
+
+# Each settings flag with its config key, and three layers of values for
+# each key: the flag's, a config file's and the paper preset's.
+_FLAGS = {
+    "alpha": "--alpha", "tol": "--tol", "max_iter": "--max-iter",
+    "selector_policy": "--selector", "y_d": "--y-d", "psi": "--psi",
+    "n": "--n", "sizes": "--sizes",
+}
+_FLAG_VALUES = {
+    "alpha": 2e-5, "tol": 1e-6, "max_iter": 7, "selector_policy": "strict_plus_biactive",
+    "y_d": "const:1", "psi": "const:-4", "n": 12, "sizes": [8, 12],
+}
+_FILE_VALUES = {
+    "alpha": 3e-5, "tol": 1e-8, "max_iter": 9, "selector_policy": "strict_only",
+    "y_d": "const:2", "psi": "const:-3", "n": 10, "sizes": [10],
+}
+
+
+class _Solved(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command, default_n", [("solve", 16), ("export", 64), ("sweep", None)])
+@pytest.mark.parametrize("layers", ["preset", "preset+file", "preset+flags", "preset+file+flags"])
+def test_cli_each_settings_flag_reaches_its_setting(command, default_n, layers, tmp_path,
+                                                    monkeypatch):
+    keys = [k for k in _FLAGS if k != ("n" if command == "sweep" else "sizes")]
+    argv = [command, "--preset", "paper", "--out", str(tmp_path / "out")]
+    expected = {k: PAPER_PRESET[k] for k in keys if k != "n"}
+    if command != "sweep":
+        expected["n"] = default_n
+    if "file" in layers:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_FILE_VALUES))
+        argv += ["--config", str(cfg)]
+        expected = {k: _FILE_VALUES[k] for k in keys}
+    if "flags" in layers:
+        for k in keys:
+            v = _FLAG_VALUES[k]
+            argv += [_FLAGS[k], ",".join(map(str, v)) if isinstance(v, list) else str(v)]
+        expected = {k: _FLAG_VALUES[k] for k in keys}
+    seen = []
+
+    def solve(config, y_d, psi, n):
+        seen.append({"alpha": config.alpha, "tol": config.tol, "max_iter": config.max_iter,
+                     "selector_policy": config.selector_policy, "y_d": y_d, "psi": psi, "n": n})
+        raise _Solved
+
+    def sweep(**kw):
+        seen.append({"alpha": kw["alpha"], "tol": kw["tol"], "max_iter": kw["max_iter"],
+                     "selector_policy": kw["selector_policy"], "y_d": kw["y_d_spec"],
+                     "psi": kw["psi_spec"], "sizes": kw["sizes"]})
+        return cli.SweepResult(rows=[])
+
+    monkeypatch.setattr(cli, "run_single", solve)
+    monkeypatch.setattr(cli, "run_sweep", sweep)
+    if command == "sweep":
+        assert main(argv) == 0
+    else:
+        with pytest.raises(_Solved):
+            main(argv)
+    assert seen == [expected]
+
+
+def test_cli_sweep_takes_no_n(capsys):
+    # sweep reads --sizes; an --n it would ignore is not accepted
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--preset", "paper", "--sizes", "8", "--n", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 64" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--n " not in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, config, code, line",
+    [
+        (["solve", "--preset", "paper"], "[1, 2]", 2,
+         "usage error: config {cfg!r} must hold a JSON object"),
+        (["solve", "--n", "8"], None, 2,
+         "usage error: missing configuration value 'alpha' (use --preset paper or flags)"),
+        (["sweep", "--preset", "paper", "--sizes", "8", "--max-iter", "1"], None, 1,
+         "warning: some runs hit the iteration cap"),
+    ],
+    ids=["config_list", "no_preset", "iteration_cap"],
+)
+def test_cli_one_stderr_line(argv, config, code, line, tmp_path, capsys):
+    cfg = str(tmp_path / "cfg.json")
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv = argv + ["--config", cfg]
+    assert main(argv) == code
+    assert capsys.readouterr().err == line.format(cfg=cfg) + "\n"
 
 
 def test_cli_solve_vtk_matches_separately_interpolated_y_d(tmp_path):

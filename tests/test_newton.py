@@ -163,7 +163,7 @@ def test_pcg_at_its_cap_falls_back_to_the_block_solve(rng, monkeypatch):
     rhs = rng.standard_normal(mesh.num_nodes)
     y, iterations, coarse_n = solve_newton_system(rhs, sel, 1e-5, mats)
     assert np.array_equal(y, solve_block_newton(mats.newton_block(1e-5), sel.free, rhs))
-    assert (iterations, coarse_n) == (1, 16)
+    assert (iterations, coarse_n) == (0, 16)  # PCG on n = 16 stalled
 
 
 def test_all_constrained_step_is_rhs_without_a_factorization(rng, monkeypatch):
@@ -368,6 +368,15 @@ def test_pcg_iterations_per_step_stay_small_at_n64():
     assert all(1 <= rec.pcg_iterations <= 7 and rec.coarse_n == 16 for rec in steps)
     last = report.history[-1]
     assert (last.pcg_iterations, last.coarse_n) == (0, None)  # no step from it
+
+
+def test_pcg_stall_is_recorded_apart_from_a_pcg_solve():
+    # at n = 32, alpha = 1e-10 even n/2 = 16 fails alpha n_c^6 >= 100, so PCG
+    # reaches its cap at every step and the block LU solves it
+    mesh, mats = mesh_and_mats(32)
+    report = run(NewtonConfig(alpha=1e-10, tol=1e-7, max_iter=2), PAPER_Y_D, PAPER_PSI, mesh, mats)
+    records = [(rec.pcg_iterations, rec.coarse_n) for rec in report.history]
+    assert records == [(0, 16), (0, 16), (0, None)]
 
 
 def test_divergence_is_a_named_stop():
