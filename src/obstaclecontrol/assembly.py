@@ -98,10 +98,12 @@ def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     return _accumulate(mesh, signed_areas(mesh)[:, None, None] * _MASS_REF)
 
 
-def inject(full: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Values at the nodes of the mesh n/2, node (i, j) read at (2i, 2j)."""
+def inject(full: np.ndarray, mesh: Mesh, n_c: int) -> np.ndarray:
+    """Values at the nodes of the level n_c of the hierarchy below mesh,
+    node (i, j) read at (s i, s j) with s = n / n_c."""
     side = mesh.n + 1
-    return full.reshape(side, side)[::2, ::2].ravel()
+    stride = mesh.n // n_c
+    return full.reshape(side, side)[::stride, ::stride].ravel()
 
 
 def interpolate(f, mesh: Mesh) -> NodalFunction:
@@ -132,9 +134,9 @@ class FEMatrices:
     A: sp.csc_matrix  # K + M
     interior: np.ndarray
     K_int: sp.csc_matrix  # stiffness on V_h (all interior nodes)
-    _free_key: np.ndarray | None = field(default=None, repr=False)
-    _free_fact: object = field(default=None, repr=False)
-    _block: object = field(default=None, repr=False)
+    _free_key: np.ndarray | None = field(default=None, init=False, repr=False)
+    _free_fact: object = field(default=None, init=False, repr=False)
+    _block: object = field(default=None, init=False, repr=False)
     _links: dict = field(default_factory=dict, init=False, repr=False)  # n_c -> CoarseLink
 
     @cached_property
@@ -206,7 +208,7 @@ class FEMatrices:
             self._block = None  # release the old entries first
             m, inner, nw = self.M, self.interior, self.mesh.num_nodes
             system = sp.bmat([[self.A, None, m * (1 / alpha)], [-m[inner], self.K_int, None],
-                              [None, -m[:, inner], self.A]], format="csc")
+                              [None, -m[:, inner], self.A]], format="coo")
             rank = np.argsort(self.mesh.nested_dissection)  # the ND position of each node
             keys = np.concatenate([3 * rank, 3 * rank[inner] + 1, 3 * rank + 2])
             ordered = linalg.reorder(system, np.argsort(keys))

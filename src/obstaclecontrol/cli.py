@@ -46,7 +46,7 @@ PAPER_PRESET = {
 }
 
 
-# The keys a config file may set: the values solve, sweep and export read.
+# The settings flags' dests; a command's config file may set those of its own flags.
 CONFIG_KEYS = ("alpha", "tol", "max_iter", "selector_policy", "y_d", "psi", "n", "sizes")
 
 
@@ -179,7 +179,6 @@ def run_sweep(
                 status=report.status,
             )
         )
-    rows.sort(key=lambda r: -r.h)
     result = SweepResult(rows=rows)
     if out_csv is not None:
         write_sweep_csv(result, out_csv)
@@ -329,7 +328,9 @@ def paper_converged_zeta(n: int):
 
 def _load_config(args) -> dict:
     """The settings of solve, export and sweep: each given flag, whose
-    dest is its key in CONFIG_KEYS, over the config file over the preset."""
+    dest is its key in CONFIG_KEYS, over the config file over the preset.
+    A config file may set only the keys of the command's own flags."""
+    keys = [key for key in CONFIG_KEYS if key in vars(args)]
     cfg = {}
     if args.config:
         try:
@@ -339,13 +340,13 @@ def _load_config(args) -> dict:
             raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise UsageError(f"config {args.config!r} must hold a JSON object")
-        unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+        unknown = sorted(set(cfg) - set(keys))
         if unknown:
             raise UsageError(
-                f"unknown key(s) {unknown} in config {args.config!r}; allowed: {list(CONFIG_KEYS)}"
+                f"unknown key(s) {unknown} in config {args.config!r}; allowed: {keys}"
             )
     preset = PAPER_PRESET if args.preset == "paper" else {}
-    flags = {key: getattr(args, key, None) for key in CONFIG_KEYS}
+    flags = {key: getattr(args, key) for key in keys}
     return {**preset, **cfg, **{key: val for key, val in flags.items() if val is not None}}
 
 

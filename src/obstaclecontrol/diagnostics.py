@@ -115,7 +115,7 @@ def check_newton_differentiability(
     mesh: Mesh,
     mats: FEMatrices,
     base: NodalFunction,
-    psi: NodalFunction | None = None,
+    psi: NodalFunction,
     seed: int = 0,
 ) -> CheckReport:
     """Taylor-remainder decay of the obstacle map along a fixed random
@@ -125,8 +125,6 @@ def check_newton_differentiability(
     tenth of that at the largest, or at most the round-off floor over t
     (see NEWTON_DIFF_ROUNDOFF)."""
     rng = np.random.default_rng(seed)
-    if psi is None:
-        psi = _const_psi(mesh)
     d = rng.uniform(-1.0, 1.0, mesh.num_nodes)
     d_norm = vector_norm(d, "L2", mats.K, mats.M)
     if d_norm == 0.0:
@@ -157,7 +155,7 @@ def check_newton_differentiability(
 
 
 def check_contraction(
-    mesh: Mesh, mats: FEMatrices, trials: int = 100, seed: int = 0, alpha: float = 1e-5
+    mesh: Mesh, mats: FEMatrices, alpha: float, trials: int = 100, seed: int = 0
 ) -> CheckReport:
     """Unit bound of the inverse Newton operator in the L2 norm."""
     rng = np.random.default_rng(seed)

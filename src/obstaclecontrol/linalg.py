@@ -64,14 +64,14 @@ class Factorization:
 
     a is factored in the order in which it is given.  order[k] is the
     unknown at position k of a, through which solve maps right-hand
-    sides and solutions; None keeps them in the order of a.
+    sides and solutions.
 
     A zero pivot is an error (SuperLU reports it, or exchanges rows at
     it).  Every other pivot is positive if a is diagonally dominant, as
     every solver matrix is; other input, such as M, has its pivots read
     from U, which makes SuperLU keep a copy of both factors."""
 
-    def __init__(self, a: sp.spmatrix, order: np.ndarray | None = None):
+    def __init__(self, a: sp.spmatrix, order: np.ndarray):
         a = a.tocsc()
         if a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
@@ -105,8 +105,6 @@ class Factorization:
             raise ValueError(f"rhs has shape {b.shape}, expected ({self.shape[0]},)")
         if self._lu is None:
             return b.copy()
-        if self._order is None:
-            return self._lu.solve(b)
         x = np.empty_like(b)
         x[self._order] = self._lu.solve(b[self._order])
         return x

@@ -122,17 +122,14 @@ def two_grid_preconditioner(selector: DerivativeSelector, alpha: float, mats: FE
     is the Newton operator of the level FEMatrices.newton_coarse picks at
     alpha, Pr the prolongation from it, and b_c the block solve of T_c
     (factored here), whose constrained nodes are the fine ones injected
-    level by level: T_c^{-1} q = q - b_c(M_c q)/alpha, and M_c cancels
+    to it: T_c^{-1} q = q - b_c(M_c q)/alpha, and M_c cancels
     since Pr^T M Pr = M_c.  B^{-1} is self-adjoint and positive definite
     in the M inner product."""
     link = mats.newton_coarse(alpha)
     coarse = link.level
     constrained = np.zeros(mats.mesh.num_nodes, dtype=bool)
     constrained[mats.interior[selector.constrained]] = True
-    level = mats
-    while level is not coarse:
-        constrained, level = inject(constrained, level.mesh), level.coarse
-    coarse_free = np.flatnonzero(~constrained[coarse.interior])
+    coarse_free = np.flatnonzero(~inject(constrained, mats.mesh, coarse.mesh.n)[coarse.interior])
     try:
         solve_b = block_solver(coarse.newton_block(alpha), coarse_free)
     except BlockFactorizationError as exc:

@@ -39,8 +39,8 @@ class ObstacleSolution:
     biactive: np.ndarray
     pdas_iterations: int
     # final PDAS masks of this mesh and of each coarser level, finest first
-    active_masks: tuple[np.ndarray, ...] = ()
-    coarse_pdas_iterations: tuple[int, ...] = ()  # PDAS iterations of the coarser levels
+    active_masks: tuple[np.ndarray, ...]
+    coarse_pdas_iterations: tuple[int, ...]  # PDAS iterations of the coarser levels
 
 
 def _check_feasible(psi_full: np.ndarray, mesh: Mesh):
@@ -82,8 +82,8 @@ def _pdas(mats: FEMatrices, z_full: np.ndarray, psi_full: np.ndarray,
     coarse = None if previous is None else mats.coarse
     if coarse is not None:
         _, _, masks, its = _pdas(
-            coarse, inject(z_full, mats.mesh), inject(psi_full, mats.mesh), previous[1:],
-            "coarse level",
+            coarse, inject(z_full, mats.mesh, coarse.mesh.n),
+            inject(psi_full, mats.mesh, coarse.mesh.n), previous[1:], "coarse level",
         )
         if len(previous) < 2 or not np.array_equal(masks[0], previous[1]):
             active = prolong_active(mats, masks[0])

@@ -198,6 +198,8 @@ def brute_force_oracle(
         strictly_active=strict,
         biactive=biactive,
         pdas_iterations=0,
+        active_masks=(),
+        coarse_pdas_iterations=(),
     )
 
 

@@ -234,11 +234,13 @@ def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
         ("solve", '{"alpah": 1e-6, "n": 8}'),  # a misspelt key is not ignored
         ("sweep", '{"sizes": [8], "large_size": 8}'),  # nor is one no command reads
         ("solve", '{"n": 8, "y_d": "affine:1e308,1e308,1e308"}'),
+        ("sweep", '{"sizes": [8], "n": 64}'),  # a key of another command's flag
+        ("solve", '{"n": 8, "sizes": [8]}'),
     ],
     ids=[
         "missing", "malformed", "max_iter", "n", "alpha", "sizes", "y_d",
         "max_iter_bool", "alpha_bool", "tol_bool", "unknown_key", "large_size",
-        "y_d_overflow",
+        "y_d_overflow", "sweep_n", "solve_sizes",
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -430,7 +432,7 @@ def test_cli_each_settings_flag_reaches_its_setting(command, default_n, layers, 
         expected["n"] = default_n
     if "file" in layers:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(_FILE_VALUES))
+        cfg.write_text(json.dumps({k: _FILE_VALUES[k] for k in keys}))
         argv += ["--config", str(cfg)]
         expected = {k: _FILE_VALUES[k] for k in keys}
     if "flags" in layers:

@@ -39,7 +39,7 @@ def test_convexity_rejects_zero_trials():
     "check",
     [
         lambda: check_derivative_monotonicity(*mesh_and_mats(8), trials=0),
-        lambda: check_contraction(*mesh_and_mats(8), trials=0),
+        lambda: check_contraction(*mesh_and_mats(8), alpha=1e-5, trials=0),
         lambda: check_lipschitz_scaling(mesh_sizes=(4, 8), trials=0),
     ],
     ids=["monotonicity", "contraction", "lipschitz"],
@@ -79,7 +79,7 @@ def test_contraction_fails_on_expanding_solve_and_run_raises(monkeypatch):
         newton, "solve_block_newton", lambda block, free, rhs: 2.0 * rhs
     )
     mesh, mats = mesh_and_mats(8)
-    report = check_contraction(mesh, mats, trials=3, seed=0)
+    report = check_contraction(mesh, mats, trials=3, seed=0, alpha=1e-5)
     assert not report.passed
     assert report.max_violation == pytest.approx(1.0)
     with pytest.raises(newton.ContractionViolationError):
@@ -106,7 +106,8 @@ def test_newton_diff_generic_base_decays():
     mesh, mats = mesh_and_mats(8)
     rng = np.random.default_rng(11)
     base = NodalFunction(rng.uniform(-20, 20, mesh.num_nodes), SPACE_W, mesh)
-    report = check_newton_differentiability(mesh, mats, base, seed=5)
+    psi = NodalFunction(np.full(mesh.num_nodes, -1.0), SPACE_W, mesh)
+    report = check_newton_differentiability(mesh, mats, base, psi=psi, seed=5)
     assert report.passed
 
 
@@ -144,7 +145,7 @@ def test_registry_names():
 
 def test_report_serializes():
     mesh, mats = mesh_and_mats(8)
-    report = check_contraction(mesh, mats, trials=3, seed=0)
+    report = check_contraction(mesh, mats, trials=3, seed=0, alpha=1e-5)
     d = report.as_dict()
     assert d["name"] == "contraction"
     assert isinstance(d["passed"], bool)

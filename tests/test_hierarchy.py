@@ -51,7 +51,16 @@ def test_injection_inverts_prolongation(rng):
     for nc in (2, 8, 16):
         fine_mesh, fine = mesh_and_mats(2 * nc)
         values = rng.standard_normal((nc + 1) ** 2)
-        assert np.array_equal(inject(fine.prolongation @ values, fine_mesh), values)
+        assert np.array_equal(inject(fine.prolongation @ values, fine_mesh, nc), values)
+
+
+@pytest.mark.parametrize("n, n_c", [(64, 16), (96, 24), (128, 16), (128, 32)])
+def test_injection_to_a_level_is_repeated_halving(n, n_c, rng):
+    full = rng.standard_normal((n + 1) ** 2)
+    halved, m = full, n
+    while m > n_c:
+        halved, m = inject(halved, build_friedrichs_keller(m), m // 2), m // 2
+    assert np.array_equal(inject(full, build_friedrichs_keller(n), n_c), halved)
 
 
 def test_prolonged_active_set_needs_both_ends(rng):
@@ -109,6 +118,7 @@ def test_coarse_levels_are_built_once_on_first_use():
     [
         *[(32, alpha, 16) for alpha in (1e-5, 1e-8, 1e-10)],
         (48, 1e-5, 24),
+        (96, 1e-5, 24),  # a stride of 4 on a mesh size that is not a power of two
         (64, 1e-5, 16),
         (64, 1e-8, 32),
         (128, 1e-5, 16),

@@ -28,20 +28,20 @@ from conftest import (
 
 
 def test_identity_roundtrip():
-    f = Factorization(sp.identity(7, format="csc"))
+    f = Factorization(sp.identity(7, format="csc"), np.arange(7))
     b = np.arange(7.0)
     assert np.allclose(solve(f, b), b)
 
 
 def test_two_by_two_hand_solve():
     a = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    f = Factorization(a)
+    f = Factorization(a, np.arange(a.shape[0]))
     assert np.allclose(f.solve(np.array([3.0, 3.0])), [1.0, 1.0])
 
 
 def test_helmholtz_constants():
     mesh, mats = mesh_and_mats(4)
-    f = Factorization(mats.A)
+    f = Factorization(mats.A, np.arange(mesh.num_nodes))
     b = mats.M @ np.ones(mesh.num_nodes)
     x = f.solve(b)
     assert np.max(np.abs(x - 1.0)) < 1e-10
@@ -49,7 +49,7 @@ def test_helmholtz_constants():
 
 def test_residual_bound(rng):
     mesh, mats = mesh_and_mats(8)
-    f = Factorization(mats.A)
+    f = Factorization(mats.A, np.arange(mesh.num_nodes))
     for _ in range(5):
         b = rng.standard_normal(mesh.num_nodes)
         x = f.solve(b)
@@ -59,15 +59,15 @@ def test_residual_bound(rng):
 def test_deterministic_roundtrip(rng):
     mesh, mats = mesh_and_mats(4)
     b = rng.standard_normal(mesh.num_nodes)
-    x1 = Factorization(mats.A).solve(b)
-    x2 = Factorization(mats.A).solve(b)
+    x1 = Factorization(mats.A, np.arange(mesh.num_nodes)).solve(b)
+    x2 = Factorization(mats.A, np.arange(mesh.num_nodes)).solve(b)
     assert np.array_equal(x1, x2)
 
 
 def test_rejects_indefinite():
     a = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
     with pytest.raises(NotPositiveDefiniteError):
-        Factorization(a)
+        Factorization(a, np.arange(a.shape[0]))
 
 
 def test_rejects_indefinite_with_a_zero_pivot():
@@ -75,17 +75,17 @@ def test_rejects_indefinite_with_a_zero_pivot():
     a = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))  # eigenvalues 1, -1
     message = r"^2 x 2 matrix: row exchange at an exactly zero pivot$"
     with pytest.raises(NotPositiveDefiniteError, match=message):
-        Factorization(a)
+        Factorization(a, np.arange(a.shape[0]))
 
 
 def test_dimension_mismatch():
-    f = Factorization(sp.identity(3, format="csc"))
+    f = Factorization(sp.identity(3, format="csc"), np.arange(3))
     with pytest.raises(ValueError):
         f.solve(np.zeros(4))
 
 
 def test_empty_factorization():
-    f = Factorization(sp.csc_matrix((0, 0)))
+    f = Factorization(sp.csc_matrix((0, 0)), np.arange(0))
     out = f.solve(np.zeros(0))
     assert out.shape == (0,)
 
@@ -336,7 +336,7 @@ def test_solver_matrices_are_certified_and_their_pivots_agree(n, rng):
     for a in matrices:
         assert linalg.diagonally_dominant(a)
         assert np.all(linalg._splu(a).U.diagonal() > 0.0)
-        Factorization(a)
+        Factorization(a, np.arange(a.shape[0]))
 
 
 @pytest.mark.parametrize("dense", [
@@ -349,7 +349,7 @@ def test_matrix_with_an_empty_column_is_rejected(dense):
     a.eliminate_zeros()
     assert not linalg.diagonally_dominant(a)
     with pytest.raises(NotPositiveDefiniteError):
-        Factorization(a)
+        Factorization(a, np.arange(a.shape[0]))
 
 
 class _FactorsNotRead:
@@ -393,11 +393,11 @@ def test_non_dominant_spd_matrix_is_accepted_through_the_pivot_read(monkeypatch)
     a = sp.csc_matrix(dense)
     assert not linalg.diagonally_dominant(a)
     b = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(dense @ Factorization(a).solve(b), b)
+    assert np.allclose(dense @ Factorization(a, np.arange(a.shape[0])).solve(b), b)
     real_splu = linalg._splu
     monkeypatch.setattr(linalg, "_splu", lambda a: _FactorsNotRead(real_splu(a)))
     with pytest.raises(AssertionError, match="U was read"):
-        Factorization(a)
+        Factorization(a, np.arange(a.shape[0]))
 
 
 def test_newton_block_is_scaled_once_per_alpha(rng, monkeypatch):

@@ -370,6 +370,14 @@ def test_pcg_iterations_per_step_stay_small_at_n64():
     assert (last.pcg_iterations, last.coarse_n) == (0, None)  # no step from it
 
 
+def test_paper_run_n96_preconditions_from_the_level_24():
+    # levels 96, 48 and 24: alpha 24^6 >= 100, and 24 has no coarse level
+    report = _paper_run(96)
+    assert report.status == "converged" and report.iterations == 6
+    steps = report.history[:-1]
+    assert all(rec.pcg_iterations >= 1 and rec.coarse_n == 24 for rec in steps)
+
+
 def test_pcg_stall_is_recorded_apart_from_a_pcg_solve():
     # at n = 32, alpha = 1e-10 even n/2 = 16 fails alpha n_c^6 >= 100, so PCG
     # reaches its cap at every step and the block LU solves it
