@@ -6,7 +6,8 @@ Dirichlet subspace V_h are stored on the interior index set and
 zero-extended on demand.
 
 Each mesh keeps one factor of K + M and one of K_int[free, free], for
-the last free set, the whole interior included.
+the last free set, the whole interior included; meshes with n up to
+BANDED_MAX_N factor them by band Cholesky, finer ones by SuperLU.
 
 The meshes n, n/2, n/4, ... are nested: each coarse triangle is the
 union of four fine ones.  FEMatrices.coarse and FEMatrices.prolongation
@@ -27,6 +28,20 @@ from .mesh import Mesh, build_friedrichs_keller, signed_areas
 SPACE_W = "W_h"
 SPACE_V = "V_h"
 COARSEST_N = 16  # no mesh coarser than this is built as a level of the hierarchy
+# A level with n up to this factors K + M and each K_int[free, free] in
+# natural node order by band Cholesky (linalg.Factorization without an
+# order); a finer level factors them by SuperLU in
+# Mesh.nested_dissection order.  In natural order K_int has
+# half-bandwidth n - 1 and K + M n + 2, so a band factor costs about
+# n^4 and falls behind nested dissection between n = 96 and 128.
+# SuperLU / band times through linalg.Factorization, best of 5 runs,
+# one BLAS thread, a disc of radius 0.3 active (the README has the
+# full table):
+#     n     factor K_ff       solve K_ff        solve K + M
+#     16    0.16 / 0.05 ms    14 / 6 us         22 / 7 us
+#     64    4.4 / 1.9 ms      185 / 132 us      329 / 157 us
+#     128   20.0 / 22.4 ms    956 / 1006 us     1744 / 1613 us
+BANDED_MAX_N = 64
 # FEMatrices.newton_coarse goes down to a level n_c only while alpha n_c^6
 # is at least this.  Two-grid PCG counts per Newton step depend on
 # alpha n_c^6 alone, not on n: at 100 and above they are 8 or fewer, and
@@ -139,16 +154,24 @@ class FEMatrices:
     _block: object = field(default=None, init=False, repr=False)
     _links: dict = field(default_factory=dict, init=False, repr=False)  # n_c -> CoarseLink
 
+    @property
+    def banded(self) -> bool:
+        """Whether this level factors by band Cholesky (BANDED_MAX_N)."""
+        return self.mesh.n <= BANDED_MAX_N
+
     @cached_property
     def kint_nd(self) -> linalg.OrderedMatrix:
-        """K_int with the interior nodes in Mesh.nested_dissection order."""
+        """K_int with the interior nodes in Mesh.nested_dissection order,
+        from which a level that is not banded cuts its free-set submatrices."""
         nd_rank = np.argsort(self.mesh.nested_dissection)  # the ND position of each node
         return linalg.reorder(self.K_int, np.argsort(nd_rank[self.interior]))
 
     @cached_property
     def a_factorization(self) -> linalg.Factorization:
-        """Factorization of K + M (Neumann Helmholtz operator), in
-        Mesh.nested_dissection order."""
+        """Factorization of K + M (Neumann Helmholtz operator): in natural
+        order on a banded level, else in Mesh.nested_dissection order."""
+        if self.banded:
+            return linalg.Factorization(self.A)
         a = linalg.reorder(self.A, self.mesh.nested_dissection)
         return linalg.Factorization(a.matrix, a.order)
 
@@ -220,25 +243,31 @@ class FEMatrices:
 
     def free_factorization(self, free: np.ndarray):
         """Factorization of K_int[free, free] for sorted unique interior
-        indices, cut from kint_nd, so in Mesh.nested_dissection order;
-        the only place K_int or a submatrix of it is factorized.  With
-        every interior node free the cut is kint_nd itself.
+        indices; the only place K_int or a submatrix of it is factorized.
+        On a banded level it is cut from K_int, so in natural order, else
+        from kint_nd, so in Mesh.nested_dissection order.
 
-        Keeps the factor of the last free set only, so the final PDAS
-        iterate and G_N on the same set share one factor.  The key
-        compares values, since int32 and int64 arrays can share bytes.
+        Keeps the factor of the last free set only, the whole interior
+        included, so the final PDAS iterate and G_N on the same set share
+        one factor.  The key compares values, since int32 and int64
+        arrays can share bytes.
         """
         try:
             if not np.array_equal(self._free_key, free):
                 # release the old factor first: holding two at once raises peak memory
                 self._free_key = self._free_fact = None
-                nd = self.kint_nd
                 keep = np.zeros(self.interior.size, dtype=bool)
-                keep[nd.rank[free]] = True
-                sub = linalg.principal_submatrix(nd.matrix, keep)
-                slot = np.empty(self.interior.size, dtype=np.int64)  # index into free
-                slot[free] = np.arange(free.size)
-                self._free_fact = linalg.Factorization(sub, slot[nd.order[keep]])
+                if self.banded:
+                    keep[free] = True
+                    sub = linalg.principal_submatrix(self.K_int, keep)
+                    self._free_fact = linalg.Factorization(sub)
+                else:
+                    nd = self.kint_nd
+                    keep[nd.rank[free]] = True
+                    sub = linalg.principal_submatrix(nd.matrix, keep)
+                    slot = np.empty(self.interior.size, dtype=np.int64)  # index into free
+                    slot[free] = np.arange(free.size)
+                    self._free_fact = linalg.Factorization(sub, slot[nd.order[keep]])
                 self._free_key = np.array(free)
             return self._free_fact
         except linalg.NotPositiveDefiniteError as exc:

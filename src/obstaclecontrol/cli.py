@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (
     SPACE_V, SPACE_W, FEMatrices, NodalFunction, build_matrices, interpolate, vector_norm,
@@ -86,10 +87,11 @@ def parse_field(spec: str):
     raise UsageError(f"unknown field kind {spec!r}; use const:c or affine:a,b,c")
 
 
-def compute_eoc(history: list[np.ndarray], norm_kind: str, mats: FEMatrices):
+def compute_eoc(history: list[np.ndarray], norm_kind: str, mats: "FEMatrices | _SweepRun"):
     """Experimental order of convergence at the last iterate:
     log of the ratio of the last two consecutive-difference norms divided
-    by the log of the previous ratio.  Returns None when undefined."""
+    by the log of the previous ratio, in the norm of mats.K and mats.M.
+    Returns None when undefined."""
     if len(history) < 4:
         raise ValueError("EOC needs at least 4 iterates")
     tail = history[-4:]
@@ -140,6 +142,32 @@ def run_single(config: NewtonConfig, y_d_spec: str, psi_spec: str, n: int):
     return mesh, mats, report
 
 
+class _SweepRun(NamedTuple):
+    """What the rows of a sweep need of one run: the full-node y, ytilde
+    and u of every iterate, and the K and M of the mesh for their norms.
+    The run's FEMatrices, with its factors and coarse levels, is not kept."""
+
+    h: float
+    iterations: int
+    final_residue: float
+    status: str
+    ys: list[np.ndarray]
+    ytildes: list[np.ndarray]
+    us: list[np.ndarray]
+    K: sp.csr_matrix
+    M: sp.csr_matrix
+
+
+def _sweep_run(config: NewtonConfig, y_d_spec: str, psi_spec: str, n: int) -> _SweepRun:
+    mesh, mats, report = run_single(config, y_d_spec, psi_spec, n)
+    history = report.history
+    return _SweepRun(
+        mesh.h, report.iterations, report.residuals[-1], report.status,
+        [rec.y for rec in history], [rec.ytilde for rec in history],
+        [extend_interior(rec.u, mats) for rec in history], mats.K, mats.M,
+    )
+
+
 def run_sweep(
     alpha: float,
     tol: float,
@@ -157,26 +185,23 @@ def run_sweep(
     config = NewtonConfig(
         alpha=alpha, tol=tol, max_iter=max_iter, selector_policy=selector_policy
     )
-    runs = [run_single(config, y_d_spec, psi_spec, n) for n in sorted(sizes)]
+    runs = [_sweep_run(config, y_d_spec, psi_spec, n) for n in sorted(sizes)]
     # EOCs are evaluated at the largest iteration index reached in every
     # run of the sweep, so the difference quotients compare like with like
-    common = min(report.iterations for _, _, report in runs)
+    common = min(run.iterations for run in runs)
     rows = []
-    for mesh, mats, report in runs:
-        history = report.history[: common + 1]
-        ys = [rec.y for rec in history]
-        yts = [rec.ytilde for rec in history]
-        us = [extend_interior(rec.u, mats) for rec in history]
-        has_eoc = len(history) >= 4
+    for run in runs:
+        ys, yts, us = (vectors[: common + 1] for vectors in (run.ys, run.ytildes, run.us))
+        has_eoc = len(ys) >= 4
         rows.append(
             SweepRow(
-                h=mesh.h,
-                iterations=report.iterations,
-                final_residue=report.residuals[-1],
-                eoc_l2_y=compute_eoc(ys, "L2", mats) if has_eoc else None,
-                eoc_h1_ytilde=compute_eoc(yts, "H1", mats) if has_eoc else None,
-                eoc_h10_u=compute_eoc(us, "H1_semi", mats) if has_eoc else None,
-                status=report.status,
+                h=run.h,
+                iterations=run.iterations,
+                final_residue=run.final_residue,
+                eoc_l2_y=compute_eoc(ys, "L2", run) if has_eoc else None,
+                eoc_h1_ytilde=compute_eoc(yts, "H1", run) if has_eoc else None,
+                eoc_h10_u=compute_eoc(us, "H1_semi", run) if has_eoc else None,
+                status=run.status,
             )
         )
     result = SweepResult(rows=rows)

@@ -1,15 +1,19 @@
-"""Sparse direct solves for the SPD systems of the solver pipeline.
+"""Sparse direct solves for the systems of the solver pipeline.
 
-A thin wrapper around SuperLU.  For symmetric positive definite input we
-run the factorization in symmetric mode with diagonal pivoting disabled,
-which makes it behave like a Cholesky factorization.  A symmetric matrix
-with a positive diagonal that dominates every column (K + M, K_int and
-every K_int[free, free], at every mesh size, since K is exact) is
-certified positive definite from its entries; any other matrix is
-checked through the pivots of its factor.  SuperLU factors in the
-order it is given (NATURAL): the caller puts the unknowns in a
-fill-reducing order, such as Mesh.nested_dissection, once per matrix,
-so no ordering pass runs on each factorization.
+Factorization factors a symmetric positive definite matrix by one of
+two kernels.  A matrix in natural node order, whose band is narrow on
+the small meshes, goes to LAPACK's band Cholesky (dpbtrf, then dpbtrs
+per solve), which certifies positive definiteness as it factors.  A
+matrix in a fill-reducing order, such as Mesh.nested_dissection, goes
+to SuperLU in symmetric mode with diagonal pivoting disabled, which
+makes it behave like a Cholesky factorization: a symmetric matrix with
+a positive diagonal that dominates every column (K + M, K_int and every
+K_int[free, free], at every mesh size, since K is exact) is certified
+positive definite from its entries; any other matrix is checked through
+the pivots of its factor.  SuperLU factors in the order it is given
+(NATURAL): the caller puts the unknowns in that order once per matrix,
+so no ordering pass runs on each factorization.  The Newton block
+system, which is not symmetric, is always factored by SuperLU.
 """
 
 from typing import NamedTuple
@@ -17,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 
 class SolverError(Exception):
@@ -59,27 +64,55 @@ def diagonally_dominant(a: sp.csc_matrix) -> bool:
     return bool((diag > 0.0).all() and (total <= 2.0 * diag).all())
 
 
+def _upper_band(a: sp.csc_matrix) -> np.ndarray:
+    """The upper triangle of a square canonical CSC matrix in LAPACK's
+    band storage: entry (i, j), i <= j, at row b + i - j of column j,
+    with b the largest j - i of an entry."""
+    col = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+    upper = a.indices <= col
+    col = col[upper]
+    offset = col - a.indices[upper]
+    b = int(offset.max(initial=0))
+    band = np.zeros((b + 1, a.shape[1]), order="F")
+    band[b - offset, col] = a.data[upper]
+    return band
+
+
 class Factorization:
     """Reusable direct factorization of a sparse SPD matrix.
 
-    a is factored in the order in which it is given.  order[k] is the
-    unknown at position k of a, through which solve maps right-hand
-    sides and solutions.
+    With no order, a is in its natural order, in which its band is
+    narrow, and LAPACK's band Cholesky factors its upper triangle: a
+    leading minor that is not positive, or a factor that is not finite,
+    is an error.
 
-    A zero pivot is an error (SuperLU reports it, or exchanges rows at
-    it).  Every other pivot is positive if a is diagonally dominant, as
-    every solver matrix is; other input, such as M, has its pivots read
-    from U, which makes SuperLU keep a copy of both factors."""
+    With an order, a is given in that order and SuperLU factors it:
+    order[k] is the unknown at position k of a, through which solve
+    maps right-hand sides and solutions.  A zero pivot is an error
+    (SuperLU reports it, or exchanges rows at it).  Every other pivot is
+    positive if a is diagonally dominant, as every solver matrix is;
+    other input, such as M, has its pivots read from U, which makes
+    SuperLU keep a copy of both factors."""
 
-    def __init__(self, a: sp.spmatrix, order: np.ndarray):
+    def __init__(self, a: sp.spmatrix, order: np.ndarray | None = None):
         a = a.tocsc()
         if a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
         self.shape = a.shape
         self._order = order
+        self._lu = self._band = None
         size = a.shape[0]
         if size == 0:
-            self._lu = None
+            return
+        if order is None:
+            a.sum_duplicates()
+            self._band, info = lapack.dpbtrf(_upper_band(a), overwrite_ab=True)
+            if info > 0:
+                raise NotPositiveDefiniteError(
+                    f"{size} x {size} matrix: leading minor of order {info} is not positive"
+                )
+            if not np.isfinite(self._band[-1]).all():  # a NaN entry passes dpbtrf
+                raise NotPositiveDefiniteError(f"{size} x {size} matrix: factor is not finite")
             return
         try:
             self._lu = _splu(a)  # sums duplicates of a in place
@@ -103,6 +136,8 @@ class Factorization:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.shape[0],):
             raise ValueError(f"rhs has shape {b.shape}, expected ({self.shape[0]},)")
+        if self._band is not None:
+            return lapack.dpbtrs(self._band, b)[0]
         if self._lu is None:
             return b.copy()
         x = np.empty_like(b)

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from obstaclecontrol import assembly
 from obstaclecontrol.assembly import (
     SPACE_V,
     FEMatrices,
@@ -131,6 +132,17 @@ def reference_free_submatrix(mats: FEMatrices, free: np.ndarray):
     K at the free interior nodes) and the index into free at each
     position."""
     return reference_nd_cut(mats.K, mats.mesh, mats.interior[free])
+
+
+def reference_level_cut(a: sp.spmatrix, mats: FEMatrices, nodes: np.ndarray):
+    """a[nodes, nodes] for sorted full-node indices and the order, as the
+    level of mats hands them to Factorization: on a level with n up to
+    assembly.BANDED_MAX_N the nodes in ascending order, cut by fancy
+    indexing in CSR form and converted to CSC, and no order; on a finer
+    level reference_nd_cut."""
+    if mats.mesh.n <= assembly.BANDED_MAX_N:
+        return a.tocsr()[np.ix_(nodes, nodes)].tocsc(), None
+    return reference_nd_cut(a, mats.mesh, nodes)
 
 
 def norm(v: NodalFunction, kind: str, mats: "FEMatrices | None" = None) -> float:

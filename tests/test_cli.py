@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -103,6 +104,26 @@ def test_sweep_csv_deterministic(tmp_path):
         )
         paths.append(out.read_bytes())
     assert paths[0] == paths[1]
+
+
+def test_sweep_releases_each_runs_matrices(monkeypatch):
+    # a run's FEMatrices, with its factors, is gone before the next run builds its own
+    built = []
+    alive = []  # FEMatrices of earlier runs alive as each run starts
+    real = cli.build_matrices
+
+    def recording(mesh):
+        alive.append(sum(ref() is not None for ref in built))
+        mats = real(mesh)
+        built.append(weakref.ref(mats))
+        return mats
+
+    monkeypatch.setattr(cli, "build_matrices", recording)
+    result = run_sweep(
+        alpha=1e-5, tol=1e-7, y_d_spec="affine:0,-1,-1", psi_spec="const:-5", sizes=[8, 10, 12],
+    )
+    assert [row.status for row in result.rows] == ["converged"] * 3
+    assert alive == [0, 0, 0]
 
 
 def test_sweep_empty_sizes_rejected():
@@ -261,15 +282,16 @@ def test_cli_bad_config_file_exit_2(command, text, tmp_path, capsys):
         # zeta vanishes at the initial guess I_h(y_D), so no node is active and
         # outer step 0 needs one PDAS iteration; the cap bites at step 1
         ([], 1, "error: outer iteration 1:"),
-        # the iterates diverge until their norms overflow to inf and NaN
+        # the iterates grow until a step outruns its right-hand side or
+        # their norms overflow to inf and NaN
         (["--alpha", "1e-25"], None, "error: outer iteration "),
         # the first step is longer than its right-hand side
         (["--alpha", "1e-30"], None, "error: outer iteration 0:"),
         # SuperLU meets an exactly zero pivot in the block system
         (["--alpha", "1e-300"], None, "error: outer iteration 0:"),
         # a finite y_D so large that P I_h y_D - P y overflows in zeta
-        (["--y-d", "const:1e308"], None, "error: outer iteration 0: zeta "),
-        (["--y-d", "affine:1e308,0,0"], None, "error: outer iteration 0: zeta "),
+        (["--y-d", "const:1.7e308"], None, "error: outer iteration 0: zeta "),
+        (["--y-d", "affine:1.7e308,0,0"], None, "error: outer iteration 0: zeta "),
     ],
     ids=["pdas_cap", "alpha_1e-25", "alpha_1e-30", "alpha_1e-300", "y_d_const_1e308",
          "y_d_affine_1e308"],

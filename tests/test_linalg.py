@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from obstaclecontrol import linalg, newton
+from obstaclecontrol import assembly, linalg, newton
 from obstaclecontrol.assembly import build_matrices, vector_norm
 from obstaclecontrol.linalg import (
     BlockFactorizationError,
@@ -179,6 +179,7 @@ def test_block_solve_factors_the_reference_system(n, alpha, free_set, rng, monke
 def test_free_factorization_factors_the_reference_submatrix(n, rng, monkeypatch):
     # K_int[free, free] in nested-dissection order, explicit zeros of K_int
     # kept, and every solve is that of a fresh factorization of the cut
+    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)
     mats = build_matrices(build_friedrichs_keller(n))
     m = mats.interior.size
     captured = _capture_splu(monkeypatch)
@@ -197,6 +198,7 @@ def test_free_factorization_factors_the_reference_submatrix(n, rng, monkeypatch)
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16])
 def test_kint_and_a_factorizations_factor_the_reference_nd_matrices(n, rng, monkeypatch):
+    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)
     mats = build_matrices(build_friedrichs_keller(n))
     captured = _capture_splu(monkeypatch)
     cases = [
@@ -223,6 +225,7 @@ def test_every_superlu_call_of_a_paper_solve_is_natural(monkeypatch):
         return real_splu(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg.spla, "splu", recording_splu)
+    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)
     mesh = build_friedrichs_keller(16)
     mats = build_matrices(mesh)
     report = newton.run(
@@ -367,6 +370,7 @@ class _FactorsNotRead:
 def test_solver_factorizations_never_read_l_or_u(rng, monkeypatch):
     real_splu = linalg._splu
     monkeypatch.setattr(linalg, "_splu", lambda a: _FactorsNotRead(real_splu(a)))
+    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)
     mats = build_matrices(build_friedrichs_keller(16))
     m = mats.interior.size
     free = np.flatnonzero(rng.random(m) < 0.6)
@@ -458,10 +462,28 @@ def test_only_the_unit_pattern_is_scaled():
     assert np.array_equal(low.matrix.data[~coupling], high.matrix.data[~coupling])
 
 
-def test_free_factorization_error_names_the_level_and_the_free_set(rng):
+def _negated_kint_cut(rng):
+    """A level n = 8 whose K_int is negated, and a random free set."""
     mats = build_matrices(build_friedrichs_keller(8))
     mats.K_int = -mats.K_int
-    free = np.flatnonzero(rng.random(mats.interior.size) < 0.6)
+    return mats, np.flatnonzero(rng.random(mats.interior.size) < 0.6)
+
+
+def test_free_factorization_error_names_the_level_and_the_free_set(rng):
+    # the band kernel stops at the first leading minor
+    mats, free = _negated_kint_cut(rng)
+    size = free.size
+    message = (
+        rf"^level n=8, K_int\[free, free\] with \|free\| = {size}: "
+        rf"{size} x {size} matrix: leading minor of order 1 is not positive$"
+    )
+    with pytest.raises(NotPositiveDefiniteError, match=message):
+        mats.free_factorization(free)
+
+
+def test_free_factorization_error_on_a_superlu_level(rng, monkeypatch):
+    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)
+    mats, free = _negated_kint_cut(rng)
     size = free.size
     message = (
         rf"^level n=8, K_int\[free, free\] with \|free\| = {size}: "
@@ -469,3 +491,94 @@ def test_free_factorization_error_names_the_level_and_the_free_set(rng):
     )
     with pytest.raises(NotPositiveDefiniteError, match=message):
         mats.free_factorization(free)
+
+
+def _spy_kernels(monkeypatch):
+    """Count the band Cholesky and SuperLU factorizations, and record the
+    order of every Factorization."""
+    calls = {"band": 0, "superlu": 0, "orders": []}
+    real_dpbtrf, real_splu, init = linalg.lapack.dpbtrf, linalg._splu, Factorization.__init__
+
+    def band(*args, **kwargs):
+        calls["band"] += 1
+        return real_dpbtrf(*args, **kwargs)
+
+    def superlu(a):
+        calls["superlu"] += 1
+        return real_splu(a)
+
+    def recording_init(self, a, order=None):
+        calls["orders"].append(order)
+        init(self, a, order)
+
+    monkeypatch.setattr(linalg.lapack, "dpbtrf", band)
+    monkeypatch.setattr(linalg, "_splu", superlu)
+    monkeypatch.setattr(Factorization, "__init__", recording_init)
+    return calls
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_levels_up_to_banded_max_n_factor_by_band_cholesky(n, rng, monkeypatch):
+    # K + M, K_int and a free-set cut of one level all go to one kernel,
+    # chosen by n alone: band Cholesky in natural order, or SuperLU in
+    # nested-dissection order
+    mats = build_matrices(build_friedrichs_keller(n))
+    m = mats.interior.size
+    calls = _spy_kernels(monkeypatch)
+    facts = [
+        mats.a_factorization,
+        mats.free_factorization(np.arange(m)),
+        mats.free_factorization(np.flatnonzero(rng.random(m) < 0.6)),
+    ]
+    banded = n <= assembly.BANDED_MAX_N
+    assert (calls["band"], calls["superlu"]) == ((3, 0) if banded else (0, 3))
+    assert all((fact._lu is None) == banded for fact in facts)
+    if banded:
+        assert calls["orders"] == [None] * 3
+    else:
+        assert np.array_equal(calls["orders"][0], mats.mesh.nested_dissection)
+        assert all(order is not None for order in calls["orders"])
+
+
+@pytest.mark.parametrize("n", [8, 16, 33, 64])
+def test_band_and_superlu_solves_agree(n, rng):
+    # the band factor of each level against a SuperLU factor of the
+    # nested-dissection cut of the same matrix
+    mats = build_matrices(build_friedrichs_keller(n))
+    m = mats.interior.size
+    sets = [np.flatnonzero(rng.random(m) < rng.uniform(0.1, 0.9)) for _ in range(20)]
+    cases = [
+        (mats.free_factorization(free), *reference_free_submatrix(mats, free))
+        for free in [*sets, np.arange(0), np.arange(m)]
+    ]
+    nodes = np.arange(mats.mesh.num_nodes)
+    cases.append((mats.a_factorization, *reference_nd_cut(mats.K + mats.M, mats.mesh, nodes)))
+    for band, cut, order in cases:
+        assert band._lu is None
+        b = rng.standard_normal(cut.shape[0])
+        expected = Factorization(cut, order).solve(b)
+        got = band.solve(b)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_band_kernel_rejects_indefinite():
+    a = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
+    message = r"^2 x 2 matrix: leading minor of order 2 is not positive$"
+    with pytest.raises(NotPositiveDefiniteError, match=message):
+        Factorization(a)
+
+
+def test_band_kernel_rejects_a_nan_entry():
+    a = sp.csc_matrix(np.array([[2.0, np.nan], [np.nan, 2.0]]))
+    with pytest.raises(NotPositiveDefiniteError, match=r"^2 x 2 matrix: factor is not finite$"):
+        Factorization(a)
+
+
+def test_band_kernel_sums_duplicate_entries():
+    # column 1 stores its diagonal as 1 + 1, as SuperLU would sum it
+    a = sp.csc_matrix(
+        (np.array([2.0, 1.0, 1.0, 1.0, 1.0]), np.array([0, 1, 0, 1, 1]), np.array([0, 2, 5])),
+        shape=(2, 2),
+    )
+    dense = np.array([[2.0, 1.0], [1.0, 2.0]])
+    assert np.allclose(dense @ Factorization(a).solve(np.array([1.0, 2.0])), [1.0, 2.0])

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from obstaclecontrol import linalg
+from obstaclecontrol import assembly, linalg
 from obstaclecontrol.assembly import (
     SPACE_W,
     FEMatrices,
@@ -26,8 +26,7 @@ from obstaclecontrol.operators import (
 from conftest import (
     assert_same_csc,
     mesh_and_mats,
-    reference_free_submatrix,
-    reference_nd_cut,
+    reference_level_cut,
 )
 
 
@@ -146,7 +145,20 @@ def _fresh_mats(n):
     return build_matrices(build_friedrichs_keller(n))
 
 
-def test_free_factorization_alternating_sets_match_fresh_factorizations(rng, monkeypatch):
+def _record_factorizations(monkeypatch):
+    """Record the matrix and order of every Factorization built."""
+    built = []
+    init = linalg.Factorization.__init__
+
+    def recording_init(self, a, order=None):
+        built.append((a, order))
+        init(self, a, order)
+
+    monkeypatch.setattr(linalg.Factorization, "__init__", recording_init)
+    return built
+
+
+def _alternating_sets_match_fresh_factorizations(rng, monkeypatch):
     mats = _fresh_mats(8)
     m = mats.interior.size
     set_a = np.flatnonzero(rng.random(m) < 0.5)
@@ -154,22 +166,26 @@ def test_free_factorization_alternating_sets_match_fresh_factorizations(rng, mon
     assert not np.array_equal(set_a, set_b)
     whole = np.arange(m)
     load = rng.standard_normal(m)
-    built = []
-    init = linalg.Factorization.__init__
-
-    def recording_init(self, a, order=None):
-        built.append(a)
-        init(self, a, order)
-
-    monkeypatch.setattr(linalg.Factorization, "__init__", recording_init)
+    built = _record_factorizations(monkeypatch)
     for free in (set_a, set_b, set_a, whole, set_a, whole):
         built.clear()
         got = mats.free_factorization(free).solve(load[free])
-        cut, order = reference_free_submatrix(mats, free)
+        cut, order = reference_level_cut(mats.K, mats, mats.interior[free])
         assert len(built) == 1
-        assert_same_csc(built[0], cut)
+        assert_same_csc(built[0][0], cut)
         fresh = linalg.Factorization(cut, order)
         assert np.array_equal(got, fresh.solve(load[free]))
+
+
+def test_free_factorization_alternating_sets_match_fresh_factorizations(rng, monkeypatch):
+    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)  # nested-dissection order
+    _alternating_sets_match_fresh_factorizations(rng, monkeypatch)
+
+
+def test_banded_free_factorization_alternating_sets_match_fresh_factorizations(
+    rng, monkeypatch
+):
+    _alternating_sets_match_fresh_factorizations(rng, monkeypatch)
 
 
 def test_free_factorization_key_compares_values_not_dtype():
@@ -189,26 +205,31 @@ def test_free_factorization_releases_the_whole_interior_factor():
     assert first() is None
 
 
-def test_helmholtz_factorization_is_built_once(monkeypatch):
+def _helmholtz_factorization_is_built_once(monkeypatch):
     mats = _fresh_mats(8)
-    built = []
-    init = linalg.Factorization.__init__
-
-    def recording_init(self, a, order=None):
-        built.append((a, order))
-        init(self, a, order)
-
-    monkeypatch.setattr(linalg.Factorization, "__init__", recording_init)
+    built = _record_factorizations(monkeypatch)
     u = np.sin(np.arange(mats.mesh.num_nodes, dtype=float))
     first = apply_P(u, mats)
     assert np.array_equal(first, apply_P(u, mats))
     assert len(built) == 1
-    # K + M in nested-dissection order, solved as by a fresh factorization of it
-    cut, order = reference_nd_cut(mats.K + mats.M, mats.mesh, np.arange(mats.mesh.num_nodes))
+    # K + M in the order of the level, solved as by a fresh factorization of it
+    cut, order = reference_level_cut(mats.K + mats.M, mats, np.arange(mats.mesh.num_nodes))
     assert_same_csc(built[0][0], cut)
-    assert np.array_equal(built[0][1], mats.mesh.nested_dissection)
+    if order is None:
+        assert built[0][1] is None
+    else:
+        assert np.array_equal(built[0][1], mats.mesh.nested_dissection)
     assert np.array_equal(first, linalg.Factorization(cut, order).solve(mats.M @ u))
     assert mats.a_factorization is mats.a_factorization
+
+
+def test_helmholtz_factorization_is_built_once(monkeypatch):
+    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)  # nested-dissection order
+    _helmholtz_factorization_is_built_once(monkeypatch)
+
+
+def test_banded_helmholtz_factorization_is_built_once(monkeypatch):
+    _helmholtz_factorization_is_built_once(monkeypatch)
 
 
 def test_newton_pattern_is_built_once(monkeypatch):
@@ -229,35 +250,37 @@ def test_newton_pattern_is_built_once(monkeypatch):
     assert mats.newton_block(1e-5) is mats.newton_block(1e-5)
 
 
-def test_paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
-    built = []  # the matrix of every factorization
+def _paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
     factorized = []  # free set, matrix and one solve of each new free-set factorization
-    init = linalg.Factorization.__init__
+    built = _record_factorizations(monkeypatch)
     owner = FEMatrices.free_factorization
-
-    def recording_init(self, a, order=None):
-        built.append(a)
-        init(self, a, order)
 
     def recording_owner(self, free):
         before = len(built)
         fact = owner(self, free)
         if len(built) > before:
             b = np.sin(np.arange(free.size) + 1.0)
-            factorized.append((self, np.array(free), built[-1], fact.solve(b), b))
+            factorized.append((self, np.array(free), built[-1][0], fact.solve(b), b))
         return fact
 
-    monkeypatch.setattr(linalg.Factorization, "__init__", recording_init)
     monkeypatch.setattr(FEMatrices, "free_factorization", recording_owner)
     config = NewtonConfig(alpha=1e-5, tol=1e-7)
     _, _, report = run_single(config, "affine:0,-1,-1", "const:-5", 16)
-    monkeypatch.undo()
     assert report.status == "converged"
     assert len(factorized) > 1
     for prev, cur in zip(factorized, factorized[1:]):
         assert not np.array_equal(prev[1], cur[1])
-    # each is the nested-dissection cut, solved as by a fresh factorization of it
+    # each is the cut of its level, solved as by a fresh factorization of it
     for mats, free, matrix, solution, b in factorized:
-        cut, order = reference_free_submatrix(mats, free)
+        cut, order = reference_level_cut(mats.K, mats, mats.interior[free])
         assert_same_csc(matrix, cut)
         assert np.array_equal(solution, linalg.Factorization(cut, order).solve(b))
+
+
+def test_paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
+    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)  # nested-dissection order
+    _paper_solve_never_refactorizes_the_same_free_set(monkeypatch)
+
+
+def test_banded_paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
+    _paper_solve_never_refactorizes_the_same_free_set(monkeypatch)
