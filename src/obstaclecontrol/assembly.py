@@ -31,16 +31,11 @@ COARSEST_N = 16  # no mesh coarser than this is built as a level of the hierarch
 # A level with n up to this factors K + M and each K_int[free, free] in
 # natural node order by band Cholesky (linalg.Factorization without an
 # order); a finer level factors them by SuperLU in
-# Mesh.nested_dissection order.  In natural order K_int has
-# half-bandwidth n - 1 and K + M n + 2, so a band factor costs about
-# n^4 and falls behind nested dissection between n = 96 and 128.
-# SuperLU / band times through linalg.Factorization, best of 5 runs,
-# one BLAS thread, a disc of radius 0.3 active (the README has the
-# full table):
-#     n     factor K_ff       solve K_ff        solve K + M
-#     16    0.16 / 0.05 ms    14 / 6 us         22 / 7 us
-#     64    4.4 / 1.9 ms      185 / 132 us      329 / 157 us
-#     128   20.0 / 22.4 ms    956 / 1006 us     1744 / 1613 us
+# Mesh.nested_dissection order.  A band factor costs about n^4 and
+# falls behind between n = 96 and 128 (the README has the kernel
+# times).  64 is the largest level the benchmark workloads run, so the
+# gain is measured end to end only up to it; n = 96 is left on SuperLU,
+# which keeps the iterates of every run finer than 64 as they were.
 BANDED_MAX_N = 64
 # FEMatrices.newton_coarse goes down to a level n_c only while alpha n_c^6
 # is at least this.  Two-grid PCG counts per Newton step depend on

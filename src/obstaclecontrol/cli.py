@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (
     SPACE_V, SPACE_W, FEMatrices, NodalFunction, build_matrices, interpolate, vector_norm,
@@ -31,7 +30,6 @@ from .linalg import SolverError
 from .mesh import Mesh, build_friedrichs_keller
 from .newton import SELECTOR_POLICIES, NewtonConfig, NewtonReport, run
 from .obstacle import InfeasibleConstraintsError
-from .operators import extend_interior
 
 # The reference configuration of the mesh-independence study.  These
 # constants live here and nowhere else.
@@ -87,16 +85,16 @@ def parse_field(spec: str):
     raise UsageError(f"unknown field kind {spec!r}; use const:c or affine:a,b,c")
 
 
-def compute_eoc(history: list[np.ndarray], norm_kind: str, mats: "FEMatrices | _SweepRun"):
+def compute_eoc(history: list[np.ndarray], norm_kind: str, K, M):
     """Experimental order of convergence at the last iterate:
     log of the ratio of the last two consecutive-difference norms divided
-    by the log of the previous ratio, in the norm of mats.K and mats.M.
-    Returns None when undefined."""
+    by the log of the previous ratio, in the norm of K and M.  Returns
+    None when undefined."""
     if len(history) < 4:
         raise ValueError("EOC needs at least 4 iterates")
     tail = history[-4:]
     diffs = [
-        vector_norm(tail[k + 1] - tail[k], norm_kind, mats.K, mats.M)
+        vector_norm(tail[k + 1] - tail[k], norm_kind, K, M)
         for k in range(3)
     ]
     if any(d == 0.0 for d in diffs):
@@ -142,30 +140,11 @@ def run_single(config: NewtonConfig, y_d_spec: str, psi_spec: str, n: int):
     return mesh, mats, report
 
 
-class _SweepRun(NamedTuple):
-    """What the rows of a sweep need of one run: the full-node y, ytilde
-    and u of every iterate, and the K and M of the mesh for their norms.
-    The run's FEMatrices, with its factors and coarse levels, is not kept."""
-
-    h: float
-    iterations: int
-    final_residue: float
-    status: str
-    ys: list[np.ndarray]
-    ytildes: list[np.ndarray]
-    us: list[np.ndarray]
-    K: sp.csr_matrix
-    M: sp.csr_matrix
-
-
-def _sweep_run(config: NewtonConfig, y_d_spec: str, psi_spec: str, n: int) -> _SweepRun:
+def _sweep_run(config: NewtonConfig, y_d_spec: str, psi_spec: str, n: int):
+    """run_single without the FEMatrices, whose factors and coarse levels
+    the rows do not need: the mesh, the report, and K and M for the norms."""
     mesh, mats, report = run_single(config, y_d_spec, psi_spec, n)
-    history = report.history
-    return _SweepRun(
-        mesh.h, report.iterations, report.residuals[-1], report.status,
-        [rec.y for rec in history], [rec.ytilde for rec in history],
-        [extend_interior(rec.u, mats) for rec in history], mats.K, mats.M,
-    )
+    return mesh, report, mats.K, mats.M
 
 
 def run_sweep(
@@ -188,20 +167,25 @@ def run_sweep(
     runs = [_sweep_run(config, y_d_spec, psi_spec, n) for n in sorted(sizes)]
     # EOCs are evaluated at the largest iteration index reached in every
     # run of the sweep, so the difference quotients compare like with like
-    common = min(run.iterations for run in runs)
+    common = min(report.iterations for _, report, _, _ in runs)
     rows = []
-    for run in runs:
-        ys, yts, us = (vectors[: common + 1] for vectors in (run.ys, run.ytildes, run.us))
-        has_eoc = len(ys) >= 4
+    for mesh, report, K, M in runs:
+        history = report.history[: common + 1]
+        ys = [rec.y for rec in history]
+        yts = [rec.ytilde for rec in history]
+        us = [np.zeros(mesh.num_nodes) for _ in history]
+        for u, rec in zip(us, history):
+            u[mesh.interior] = rec.u
+        has_eoc = len(history) >= 4
         rows.append(
             SweepRow(
-                h=run.h,
-                iterations=run.iterations,
-                final_residue=run.final_residue,
-                eoc_l2_y=compute_eoc(ys, "L2", run) if has_eoc else None,
-                eoc_h1_ytilde=compute_eoc(yts, "H1", run) if has_eoc else None,
-                eoc_h10_u=compute_eoc(us, "H1_semi", run) if has_eoc else None,
-                status=run.status,
+                h=mesh.h,
+                iterations=report.iterations,
+                final_residue=report.residuals[-1],
+                eoc_l2_y=compute_eoc(ys, "L2", K, M) if has_eoc else None,
+                eoc_h1_ytilde=compute_eoc(yts, "H1", K, M) if has_eoc else None,
+                eoc_h10_u=compute_eoc(us, "H1_semi", K, M) if has_eoc else None,
+                status=report.status,
             )
         )
     result = SweepResult(rows=rows)

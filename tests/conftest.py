@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from obstaclecontrol import assembly
 from obstaclecontrol.assembly import (
     SPACE_V,
     FEMatrices,
@@ -136,11 +135,10 @@ def reference_free_submatrix(mats: FEMatrices, free: np.ndarray):
 
 def reference_level_cut(a: sp.spmatrix, mats: FEMatrices, nodes: np.ndarray):
     """a[nodes, nodes] for sorted full-node indices and the order, as the
-    level of mats hands them to Factorization: on a level with n up to
-    assembly.BANDED_MAX_N the nodes in ascending order, cut by fancy
-    indexing in CSR form and converted to CSC, and no order; on a finer
-    level reference_nd_cut."""
-    if mats.mesh.n <= assembly.BANDED_MAX_N:
+    level of mats hands them to Factorization: on a banded level the
+    nodes in ascending order, cut by fancy indexing in CSR form and
+    converted to CSC, and no order; on any other level reference_nd_cut."""
+    if mats.banded:
         return a.tocsr()[np.ix_(nodes, nodes)].tocsc(), None
     return reference_nd_cut(a, mats.mesh, nodes)
 

@@ -54,25 +54,25 @@ def test_eoc_quadratic_history():
     # consecutive difference norms 0.5^(2^i): doubly geometric decay
     mesh, mats = mesh_and_mats(4)
     history = _history_from_diffs(mesh, [0.5**2, 0.5**4, 0.5**8])
-    assert compute_eoc(history, "L2", mats) == pytest.approx(2.0, abs=1e-10)
+    assert compute_eoc(history, "L2", mats.K, mats.M) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_eoc_linear_history():
     mesh, mats = mesh_and_mats(4)
     history = _history_from_diffs(mesh, [0.5, 0.5**2, 0.5**3])
-    assert compute_eoc(history, "L2", mats) == pytest.approx(1.0, abs=1e-10)
+    assert compute_eoc(history, "L2", mats.K, mats.M) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_eoc_needs_four_iterates():
     mesh, mats = mesh_and_mats(4)
     with pytest.raises(ValueError):
-        compute_eoc([np.zeros(mesh.num_nodes)] * 3, "L2", mats)
+        compute_eoc([np.zeros(mesh.num_nodes)] * 3, "L2", mats.K, mats.M)
 
 
 def test_eoc_zero_difference_reported_absent():
     mesh, mats = mesh_and_mats(4)
     v = np.ones(mesh.num_nodes)
-    assert compute_eoc([v, v, v, v], "L2", mats) is None
+    assert compute_eoc([v, v, v, v], "L2", mats.K, mats.M) is None
 
 
 def test_sweep_single_mesh_csv(tmp_path):
