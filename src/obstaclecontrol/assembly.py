@@ -38,10 +38,12 @@ COARSEST_N = 16  # no mesh coarser than this is built as a level of the hierarch
 # which keeps the iterates of every run finer than 64 as they were.
 BANDED_MAX_N = 64
 # FEMatrices.newton_coarse goes down to a level n_c only while alpha n_c^6
-# is at least this.  Two-grid PCG counts per Newton step depend on
-# alpha n_c^6 alone, not on n: at 100 and above they are 8 or fewer, and
-# they grow as it falls (the measured table is in the README).
+# is at least the first (two-grid PCG then takes 8 or fewer iterations per
+# Newton step), and picks no level, so that the fine block LU solves it,
+# where alpha n_c^4 is below the second: PCG stalls at up to 3.3e-5 and
+# takes up to 27 iterations at 5.2e-5 (the README has both tables).
 NEWTON_COARSE_ALPHA_N6 = 100.0
+NEWTON_PCG_ALPHA_N4 = 8e-5
 
 
 @dataclass
@@ -199,8 +201,9 @@ class FEMatrices:
 
     def newton_coarse(self, alpha: float) -> CoarseLink | None:
         """The coarse level of the Newton preconditioner at alpha, or None
-        when this mesh has no coarse level.  From n/2 it walks down
-        FEMatrices.coarse while the next level n_c still has
+        where the fine block LU solves the Newton step: on a mesh without a
+        coarse level, or at alpha n_c^4 < NEWTON_PCG_ALPHA_N4.  From n/2
+        it walks down FEMatrices.coarse while the next level n_c still has
         alpha n_c^6 >= NEWTON_COARSE_ALPHA_N6, and keeps n/2 when even
         that fails the bound.  The maps to each level are built once."""
         level = self.coarse
@@ -210,6 +213,8 @@ class FEMatrices:
         while below is not None and alpha * below.mesh.n**6 >= NEWTON_COARSE_ALPHA_N6:
             level, below = below, below.coarse
         n_c = level.mesh.n
+        if alpha * n_c**4 < NEWTON_PCG_ALPHA_N4:
+            return None
         if n_c not in self._links:
             pr, finer = self.prolongation, self.coarse
             while finer is not level:

@@ -31,7 +31,7 @@ SELECTOR_POLICIES = ("strict_only", "strict_plus_biactive")
 # The Newton step's PCG stops at a fixed relative M-norm residual: a
 # tolerance tied to the outer residual changes the outer step counts.
 PCG_TOL = 1e-10
-# Past this many iterations the step is solved by the block LU instead.
+# A PCG that reaches this many iterations is a CgNoConvergenceError.
 PCG_MAX_ITER = 30
 
 
@@ -81,9 +81,8 @@ class IterationRecord:
     u: np.ndarray  # interior values
     pdas_iterations: int  # of the obstacle solve on this mesh
     coarse_pdas_iterations: tuple[int, ...]  # of its coarser levels, finest first
-    # of the Newton step from this iterate, as solve_newton_system returns
-    # them: (0, None) where the block LU alone solved it or no step was
-    # taken, (0, n_c) where PCG on n_c stalled and the block LU solved it
+    # of the Newton step from this iterate, as solve_newton_system returns them:
+    # (k >= 1, n_c) where PCG solved it, (0, None) where the block LU did or none was taken
     pcg_iterations: int = 0
     coarse_n: int | None = None  # the n of the preconditioner's coarse level
 
@@ -114,18 +113,17 @@ def newton_step_matrix_apply(
     return y + apply_P(extend_interior(w, mats), mats) / alpha
 
 
-def two_grid_preconditioner(selector: DerivativeSelector, alpha: float, mats: FEMatrices):
+def two_grid_preconditioner(selector: DerivativeSelector, alpha: float, mats: FEMatrices, link):
     """r -> B^{-1} r = r - (1/alpha) Pr b_c(Pr^T M r), the two-grid
     preconditioner of the Newton operator on a mesh with a coarse level.
 
     It is (I - Pr Q) + Pr T_c^{-1} Q with Q = M_c^{-1} Pr^T M, where T_c
-    is the Newton operator of the level FEMatrices.newton_coarse picks at
-    alpha, Pr the prolongation from it, and b_c the block solve of T_c
-    (factored here), whose constrained nodes are the fine ones injected
-    to it: T_c^{-1} q = q - b_c(M_c q)/alpha, and M_c cancels
-    since Pr^T M Pr = M_c.  B^{-1} is self-adjoint and positive definite
-    in the M inner product."""
-    link = mats.newton_coarse(alpha)
+    is the Newton operator of the level of link, the CoarseLink that
+    FEMatrices.newton_coarse picks at alpha, Pr the prolongation from it,
+    and b_c the block solve of T_c (factored here), whose constrained
+    nodes are the fine ones injected to it: T_c^{-1} q = q - b_c(M_c q)/alpha,
+    and M_c cancels since Pr^T M Pr = M_c.  B^{-1} is self-adjoint and
+    positive definite in the M inner product."""
     coarse = link.level
     constrained = np.zeros(mats.mesh.num_nodes, dtype=bool)
     constrained[mats.interior[selector.constrained]] = True
@@ -139,31 +137,22 @@ def two_grid_preconditioner(selector: DerivativeSelector, alpha: float, mats: FE
 
 
 def solve_newton_system(
-    rhs: np.ndarray,
-    selector: DerivativeSelector,
-    alpha: float,
-    mats: FEMatrices,
+    rhs: np.ndarray, selector: DerivativeSelector, alpha: float, mats: FEMatrices
 ) -> tuple[np.ndarray, int, int | None]:
-    """Solve the Newton update equation: by PCG with the
-    two_grid_preconditioner on a mesh with a coarse level, else by the
-    block solve on this mesh, which also takes over when PCG does not
-    reach PCG_TOL within PCG_MAX_ITER iterations.
-
-    Returns the solution, the PCG iterations k and the n_c of the
-    preconditioner's coarse level: (k, n_c) where PCG solved it, (0, n_c)
-    where the block LU took over from PCG, (0, None) where it alone did."""
+    """Solve the Newton update equation by the path FEMatrices.newton_coarse
+    picks at alpha: PCG with the two_grid_preconditioner from its level, to
+    PCG_TOL within PCG_MAX_ITER iterations (else CgNoConvergenceError), or,
+    where it returns None, the block solve on this mesh.  Returns the
+    solution, the PCG iterations k and the preconditioner's coarse n_c:
+    (k, n_c) where PCG solved it, (0, None) where the block LU did."""
     link = mats.newton_coarse(alpha)
-    if link is not None:
-        try:
-            y, iterations = solve_newton_system_cg(
-                rhs, selector, alpha, mats, PCG_TOL, PCG_MAX_ITER,
-                two_grid_preconditioner(selector, alpha, mats),
-            )
-            return y, iterations, link.level.mesh.n
-        except CgNoConvergenceError:
-            pass  # the coarse level is too weak at small alpha n_c^6
-    y = solve_block_newton(mats.newton_block(alpha), selector.free, rhs)
-    return y, 0, None if link is None else link.level.mesh.n
+    if link is None:
+        return solve_block_newton(mats.newton_block(alpha), selector.free, rhs), 0, None
+    y, iterations = solve_newton_system_cg(
+        rhs, selector, alpha, mats, PCG_TOL, PCG_MAX_ITER,
+        two_grid_preconditioner(selector, alpha, mats, link),
+    )
+    return y, iterations, link.level.mesh.n
 
 
 def solve_newton_system_cg(

@@ -316,14 +316,23 @@ def test_cli_coarse_pdas_failure_is_one_error_line_exit_1(monkeypatch, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_cli_coarse_block_failure_names_its_level(capsys):
-    # the n=16 block system of the preconditioner meets an exactly zero pivot
+def test_cli_block_failure_below_the_pcg_cut_is_on_the_fine_level(capsys):
+    # alpha n_c^4 is far below NEWTON_PCG_ALPHA_N4, so the fine block LU
+    # solves the step, and its system has entries that overflow when squared
     assert main(["solve", "--preset", "paper", "--n", "32", "--alpha", "1e-300"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith(
-        "error: outer iteration 0: coarse level n=16: Newton block system with |free| = 225: "
-    )
+    assert err[0].startswith("error: outer iteration 0: Newton block system with |free| = 961: ")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_pcg_at_its_cap_is_one_error_line_exit_1(monkeypatch, capsys):
+    # a PCG that reaches its cap is a named failure, not a block LU solve
+    monkeypatch.setattr(newton, "PCG_MAX_ITER", 1)
+    assert main(["solve", "--preset", "paper", "--n", "32"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: outer iteration 0: Newton CG with |free| = ")
 
 
 def test_cli_cg_failure_is_one_error_line_exit_1(monkeypatch, capsys):

@@ -116,19 +116,27 @@ def test_coarse_levels_are_built_once_on_first_use():
 @pytest.mark.parametrize(
     "n, alpha, n_c",
     [
-        *[(32, alpha, 16) for alpha in (1e-5, 1e-8, 1e-10)],
+        *[(32, alpha, 16) for alpha in (1e-5, 1e-8, 2e-9)],
         (48, 1e-5, 24),
         (96, 1e-5, 24),  # a stride of 4 on a mesh size that is not a power of two
         (64, 1e-5, 16),
         (64, 1e-8, 32),
+        (64, 1e-10, 32),  # alpha n_c^4 = 1.05e-4, just above the cut
         (128, 1e-5, 16),
         (128, 1e-6, 32),
         (128, 1e-8, 64),
+        (128, 1e-10, 64),
+        # alpha n_c^4 below NEWTON_PCG_ALPHA_N4 = 8e-5: the fine block LU
+        (32, 1e-10, None),
+        (32, 1e-9, None),
+        (48, 1e-10, None),
+        (64, 3e-11, None),
     ],
 )
 def test_newton_coarse_level_rule(n, alpha, n_c):
     _, mats = mesh_and_mats(n)
-    assert mats.newton_coarse(alpha).level.mesh.n == n_c
+    link = mats.newton_coarse(alpha)
+    assert (None if link is None else link.level.mesh.n) == n_c
 
 
 @pytest.mark.parametrize("n, alpha, levels", [(64, 1e-5, 2), (128, 1e-5, 3)])

@@ -122,14 +122,27 @@ def test_block_solve_matches_dense_probe(rng):
 
 
 def test_block_solve_zero_pivot_names_the_free_set(rng):
-    # at alpha = 1e-300 the scaled mass block is so large that
-    # eliminating it leaves an exactly zero pivot
+    # at alpha = 1e-300 the scaled mass block is so large that eliminating
+    # it would overflow to an exactly zero pivot, so it is not factored
     mesh, mats = mesh_and_mats(8)
     sel = _random_selector(mats, rng)
     rhs = rng.standard_normal(mesh.num_nodes)
     message = rf"^Newton block system with \|free\| = {sel.free.size}: "
     with pytest.raises(BlockFactorizationError, match=message):
         solve_block_newton(mats.newton_block(1e-300), sel.free, rhs)
+
+
+def test_block_entries_whose_square_overflows_never_reach_superlu(monkeypatch):
+    # at n = 32 SuperLU, going on past such a pivot, can crash the process
+    def no_splu(*args, **kwargs):
+        raise AssertionError("SuperLU factored a system that overflows")
+
+    monkeypatch.setattr(linalg.spla, "splu", no_splu)
+    _, mats = mesh_and_mats(32)
+    free = np.arange(mats.interior.size)
+    message = r"^Newton block system with \|free\| = 961: entry \S+ overflows when squared$"
+    with pytest.raises(BlockFactorizationError, match=message):
+        linalg.block_solver(mats.newton_block(1e-300), free)
 
 
 def test_block_solve_large_alpha_limit(rng):

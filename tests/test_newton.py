@@ -6,7 +6,9 @@ import pytest
 from obstaclecontrol import linalg, newton
 from obstaclecontrol.assembly import build_matrices, interpolate, vector_norm
 from obstaclecontrol.mesh import build_friedrichs_keller
-from obstaclecontrol.linalg import CgNoConvergenceError, NotPositiveDefiniteError, solve_block_newton
+from obstaclecontrol.linalg import (
+    BlockFactorizationError, CgNoConvergenceError, NotPositiveDefiniteError,
+)
 from obstaclecontrol.newton import (
     DivergenceError,
     NewtonConfig,
@@ -148,22 +150,23 @@ def test_two_grid_preconditioner_is_m_self_adjoint_and_positive(n, alpha, rng):
         return float(x @ (mats.M @ z))
 
     for _ in range(3):
-        apply_b = two_grid_preconditioner(_random_selector(mats, rng), alpha, mats)
+        apply_b = two_grid_preconditioner(
+            _random_selector(mats, rng), alpha, mats, mats.newton_coarse(alpha)
+        )
         r, s = rng.standard_normal((2, mesh.num_nodes))
         br, bs = apply_b(r), apply_b(s)
         assert abs(inner(br, s) - inner(r, bs)) <= 1e-12 * abs(inner(br, s))
         assert inner(br, r) > 0.0 and inner(bs, s) > 0.0
 
 
-def test_pcg_at_its_cap_falls_back_to_the_block_solve(rng, monkeypatch):
-    # the fallback solves from scratch, so its step is the block solve's
-    mesh, mats = mesh_and_mats(32)
-    monkeypatch.setattr(newton, "PCG_MAX_ITER", 1)
-    sel = _random_selector(mats, rng)
-    rhs = rng.standard_normal(mesh.num_nodes)
-    y, iterations, coarse_n = solve_newton_system(rhs, sel, 1e-5, mats)
-    assert np.array_equal(y, solve_block_newton(mats.newton_block(1e-5), sel.free, rhs))
-    assert (iterations, coarse_n) == (0, 16)  # PCG on n = 16 stalled
+def test_coarse_block_failure_names_its_level():
+    # no CLI input reaches it: an alpha small enough to break the block
+    # factor is far below the cut, where newton_coarse picks no level
+    _, mats = mesh_and_mats(32)
+    link = mats.newton_coarse(1e-5)
+    message = r"^coarse level n=16: Newton block system with \|free\| = 225: "
+    with pytest.raises(BlockFactorizationError, match=message):
+        two_grid_preconditioner(unconstrained(mats), 1e-300, mats, link)
 
 
 def test_all_constrained_step_is_rhs_without_a_factorization(rng, monkeypatch):
@@ -378,13 +381,17 @@ def test_paper_run_n96_preconditions_from_the_level_24():
     assert all(rec.pcg_iterations >= 1 and rec.coarse_n == 24 for rec in steps)
 
 
-def test_pcg_stall_is_recorded_apart_from_a_pcg_solve():
-    # at n = 32, alpha = 1e-10 even n/2 = 16 fails alpha n_c^6 >= 100, so PCG
-    # reaches its cap at every step and the block LU solves it
+def test_block_lu_side_of_the_cut_runs_no_pcg(monkeypatch):
+    # at n = 32, alpha = 1e-10 the level 16 has alpha n_c^4 = 6.6e-6, below
+    # NEWTON_PCG_ALPHA_N4, so the block LU solves every step with no PCG work
+    def no_pcg(*args):
+        raise AssertionError("a two-grid preconditioner was built")
+
+    monkeypatch.setattr(newton, "two_grid_preconditioner", no_pcg)
     mesh, mats = mesh_and_mats(32)
     report = run(NewtonConfig(alpha=1e-10, tol=1e-7, max_iter=2), PAPER_Y_D, PAPER_PSI, mesh, mats)
     records = [(rec.pcg_iterations, rec.coarse_n) for rec in report.history]
-    assert records == [(0, 16), (0, 16), (0, None)]
+    assert records == [(0, None)] * 3
 
 
 def test_divergence_is_a_named_stop():
