@@ -2,8 +2,8 @@
 
 Assembles the consistent mass matrix M, the stiffness matrix K and the
 H^1 matrix K + M for the full space W_h (all nodes).  Functions on the
-Dirichlet subspace V_h are stored on the interior index set and
-zero-extended on demand.
+Dirichlet subspace V_h are plain arrays on the interior index set;
+operators.extend_interior zero-extends them.
 
 Each mesh keeps one factor of K + M and one of K_int[free, free], for
 the last free set, the whole interior included; meshes with n up to
@@ -25,8 +25,6 @@ import scipy.sparse as sp
 from . import linalg
 from .mesh import Mesh, build_friedrichs_keller, signed_areas
 
-SPACE_W = "W_h"
-SPACE_V = "V_h"
 COARSEST_N = 16  # no mesh coarser than this is built as a level of the hierarchy
 # A level with n up to this factors K + M and each K_int[free, free] in
 # natural node order by band Cholesky (linalg.Factorization without an
@@ -48,38 +46,21 @@ NEWTON_PCG_ALPHA_N4 = 8e-5
 
 @dataclass
 class NodalFunction:
-    """Coefficient vector of a P1 function, tagged with its space."""
+    """Coefficient vector of a P1 function on W_h: one finite value per
+    mesh node."""
 
     values: np.ndarray
-    space: str
     mesh: Mesh
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        dim = expected_dim(self.mesh, self.space)
-        if self.values.shape != (dim,):
+        if self.values.shape != (self.mesh.num_nodes,):
             raise ValueError(
-                f"{self.space} on n={self.mesh.n} needs {dim} values, "
+                f"W_h on n={self.mesh.n} needs {self.mesh.num_nodes} values, "
                 f"got shape {self.values.shape}"
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("nodal values must be finite")
-
-    def extended(self) -> np.ndarray:
-        """Coefficients on all mesh nodes (zero on the boundary for V_h)."""
-        if self.space == SPACE_W:
-            return self.values
-        full = np.zeros(self.mesh.num_nodes)
-        full[self.mesh.interior] = self.values
-        return full
-
-
-def expected_dim(mesh: Mesh, space: str) -> int:
-    if space == SPACE_W:
-        return mesh.num_nodes
-    if space == SPACE_V:
-        return mesh.interior.size
-    raise ValueError(f"unknown space tag {space!r}")
 
 
 def _accumulate(mesh: Mesh, element: np.ndarray) -> sp.csr_matrix:
@@ -122,9 +103,7 @@ def interpolate(f, mesh: Mesh) -> NodalFunction:
     """Nodal interpolant of a scalar field: values[k] = f(x_k)."""
     x1, x2 = mesh.nodes[:, 0], mesh.nodes[:, 1]
     vals = np.broadcast_to(np.asarray(f(x1, x2), dtype=float), x1.shape).copy()
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("field returned a non-finite value at a mesh node")
-    return NodalFunction(vals, SPACE_W, mesh)
+    return NodalFunction(vals, mesh)
 
 
 class CoarseLink(NamedTuple):

@@ -16,9 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assembly import (
-    SPACE_V, SPACE_W, FEMatrices, NodalFunction, build_matrices, interpolate, vector_norm,
-)
+from .assembly import FEMatrices, NodalFunction, build_matrices, interpolate, vector_norm
 from .diagnostics import (
     check_contraction,
     check_derivative_monotonicity,
@@ -30,6 +28,7 @@ from .linalg import SolverError
 from .mesh import Mesh, build_friedrichs_keller
 from .newton import SELECTOR_POLICIES, NewtonConfig, NewtonReport, run
 from .obstacle import InfeasibleConstraintsError
+from .operators import extend_interior
 
 # The reference configuration of the mesh-independence study.  These
 # constants live here and nowhere else.
@@ -203,8 +202,11 @@ def _open_out(path: str, newline: str | None = None):
 
 
 def _check_out_dir(path: str):
-    """A usage error, raised before any compute, when path is a directory
-    or its directory is missing or not writable; _open_out checks the rest."""
+    """A usage error, raised before any compute, when path is empty or a
+    directory or its directory is missing or not writable; _open_out
+    checks the rest."""
+    if not path:
+        raise UsageError("cannot write '': the path is empty")
     if os.path.isdir(path):
         raise UsageError(f"cannot write {path!r}: Is a directory")
     parent = os.path.dirname(path) or "."
@@ -223,16 +225,17 @@ def write_sweep_csv(result: SweepResult, path: str):
             writer.writerow(_sweep_cells(r) + ([r.status] if any_failed else []))
 
 
-def export_fields(report: NewtonReport, mesh: Mesh, path: str, y_d: np.ndarray):
+def export_fields(report: NewtonReport, mats: FEMatrices, path: str):
     """Write the desired state, final state, control and multiplier as
-    point scalars of a legacy ASCII VTK unstructured grid."""
+    point scalars of a legacy ASCII VTK unstructured grid; u and lambda
+    are zero on the boundary."""
     fields = {
-        "y_D": y_d,
+        "y_D": report.y_d,
         "y_tilde": report.ytilde,
-        "u": NodalFunction(report.u, SPACE_V, mesh).extended(),
-        "lambda": NodalFunction(report.final_solution.lam, SPACE_V, mesh).extended(),
+        "u": extend_interior(report.u, mats),
+        "lambda": extend_interior(report.final_solution.lam, mats),
     }
-    write_vtk(mesh, fields, path)
+    write_vtk(mats.mesh, fields, path)
 
 
 def write_vtk(mesh: Mesh, fields: dict, path: str):
@@ -332,7 +335,7 @@ def paper_converged_zeta(n: int):
     p = PAPER_PRESET
     mesh, mats, report = run_single(_newton_config(p), p["y_d"], p["psi"], n)
     psi = interpolate(parse_field(p["psi"]), mesh)
-    return mesh, mats, NodalFunction(report.zeta, SPACE_W, mesh), psi
+    return mesh, mats, NodalFunction(report.zeta, mesh), psi
 
 
 def _load_config(args) -> dict:
@@ -341,7 +344,7 @@ def _load_config(args) -> dict:
     A config file may set only the keys of the command's own flags."""
     keys = [key for key in CONFIG_KEYS if key in vars(args)]
     cfg = {}
-    if args.config:
+    if args.config is not None:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
@@ -398,8 +401,8 @@ def _cmd_solve(args) -> int:
     mesh, mats, report = run_single(config, _require(cfg, "y_d"), _require(cfg, "psi"), n)
     print(f"n={n} h={mesh.h} status={report.status} iterations={report.iterations} "
           f"final_residue={report.residuals[-1]:.4e}")
-    if args.out:
-        export_fields(report, mesh, args.out, report.y_d)
+    if args.out is not None:
+        export_fields(report, mats, args.out)
         print(f"fields written to {args.out}")
     return 0 if report.status == "converged" else 1
 
@@ -483,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.out:
+        if args.out is not None:
             _check_out_dir(args.out)
         return args.func(args)
     except (UsageError, InfeasibleConstraintsError) as exc:

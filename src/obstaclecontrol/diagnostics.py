@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .assembly import SPACE_W, FEMatrices, NodalFunction, build_matrices, vector_norm
+from .assembly import FEMatrices, NodalFunction, build_matrices, vector_norm
 from .mesh import Mesh, build_friedrichs_keller
 from .newton import solve_newton_system
 from .obstacle import solve_obstacle
@@ -50,11 +50,11 @@ class CheckReport:
 
 
 def _random_field(rng, mesh: Mesh) -> NodalFunction:
-    return NodalFunction(rng.uniform(-10.0, 10.0, mesh.num_nodes), SPACE_W, mesh)
+    return NodalFunction(rng.uniform(-10.0, 10.0, mesh.num_nodes), mesh)
 
 
 def _const_psi(mesh: Mesh, value: float = -1.0) -> NodalFunction:
-    return NodalFunction(np.full(mesh.num_nodes, value), SPACE_W, mesh)
+    return NodalFunction(np.full(mesh.num_nodes, value), mesh)
 
 
 def _random_selector(rng, mats: FEMatrices) -> DerivativeSelector:
@@ -74,11 +74,11 @@ def check_pointwise_convexity(
     for _ in range(trials):
         z1 = _random_field(rng, mesh)
         z2 = _random_field(rng, mesh)
-        s1 = solve_obstacle(z1, psi, mesh, mats).w.values
-        s2 = solve_obstacle(z2, psi, mesh, mats).w.values
+        s1 = solve_obstacle(z1, psi, mats).w
+        s2 = solve_obstacle(z2, psi, mats).w
         lam = lambdas[rng.integers(len(lambdas))]
-        mix = NodalFunction(lam * z1.values + (1 - lam) * z2.values, SPACE_W, mesh)
-        s_mix = solve_obstacle(mix, psi, mesh, mats).w.values
+        mix = NodalFunction(lam * z1.values + (1 - lam) * z2.values, mesh)
+        s_mix = solve_obstacle(mix, psi, mats).w
         violation = float(np.max(s_mix - (lam * s1 + (1 - lam) * s2)))
         worst = max(worst, violation)
     return CheckReport(
@@ -130,19 +130,19 @@ def check_newton_differentiability(
     if d_norm == 0.0:
         raise ValueError("zero perturbation direction")
     d = d / d_norm
-    s_base = solve_obstacle(base, psi, mesh, mats).w.values
+    s_base = solve_obstacle(base, psi, mats).w
     base_norm = vector_norm(extend_interior(s_base, mats), "L2", mats.K, mats.M)
     ratios = []
     for t in NEWTON_DIFF_SCALES:
         z = t * d
-        perturbed = NodalFunction(base.values + z, SPACE_W, mesh)
-        sol = solve_obstacle(perturbed, psi, mesh, mats)
+        perturbed = NodalFunction(base.values + z, mesh)
+        sol = solve_obstacle(perturbed, psi, mats)
         sel = DerivativeSelector.from_solution(sol, mats)
         gz = apply_G(sel, z, mats)
-        remainder = extend_interior(sol.w.values - s_base - gz, mats)
+        remainder = extend_interior(sol.w - s_base - gz, mats)
         ratios.append(vector_norm(remainder, "L2", mats.K, mats.M) / t)
     final, initial = ratios[-1], ratios[0]
-    perturbed_norm = vector_norm(extend_interior(sol.w.values, mats), "L2", mats.K, mats.M)
+    perturbed_norm = vector_norm(extend_interior(sol.w, mats), "L2", mats.K, mats.M)
     zero_floor = NEWTON_DIFF_ROUNDOFF * float(np.finfo(float).eps) * (perturbed_norm + base_norm)
     return CheckReport(
         name="newton_diff",
@@ -193,11 +193,11 @@ def check_lipschitz_scaling(
             u = _random_field(rng, mesh)
             d = rng.uniform(-1.0, 1.0, mesh.num_nodes)
             d /= vector_norm(d, "L2", mats.K, mats.M)
-            su = solve_obstacle(u, psi, mesh, mats).w.values
+            su = solve_obstacle(u, psi, mats).w
             for t in (1e-1, 1e-2, 1e-3):
                 z = t * d
-                perturbed = NodalFunction(u.values + z, SPACE_W, mesh)
-                suz = solve_obstacle(perturbed, psi, mesh, mats).w.values
+                perturbed = NodalFunction(u.values + z, mesh)
+                suz = solve_obstacle(perturbed, psi, mats).w
                 diff = extend_interior(suz - su, mats)
                 worst = max(worst, vector_norm(diff, "L2", mats.K, mats.M) / t)
         maxima[n] = worst

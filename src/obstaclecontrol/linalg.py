@@ -262,12 +262,12 @@ def solve_block_newton(block: BlockPattern, free: np.ndarray, rhs: np.ndarray) -
     return rhs - b / block.alpha
 
 
-def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float = 1e-13,
-                    max_iter: int = 20000, precondition=lambda r: r) -> tuple[np.ndarray, int]:
+def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float, max_iter: int,
+                    precondition) -> tuple[np.ndarray, int]:
     """Conjugate gradients for an operator self-adjoint and positive
     definite in the given inner product, preconditioned by precondition
     (r -> an approximate inverse applied to r, self-adjoint and positive
-    definite in that inner product; by default none), from x = 0.
+    definite in that inner product), from x = 0.
 
     Stops when the residual norm is at most tol times that of rhs, and
     returns x and the iterations taken.  Raises CgNoConvergenceError

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import SPACE_W, FEMatrices, NodalFunction, inject, interpolate, vector_norm
+from .assembly import FEMatrices, NodalFunction, inject, interpolate, vector_norm
 from .linalg import (
     BlockFactorizationError, CgNoConvergenceError, NotPositiveDefiniteError, SolverError,
     block_solver, cg_self_adjoint, solve_block_newton,
@@ -186,10 +186,10 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
     The fields y_D and psi are callables f(x1, x2) evaluated at the nodes."""
     y_d = interpolate(y_d_field, mesh)
     psi = interpolate(psi_field, mesh)
-    y0 = y_d if config.y0 is None else NodalFunction(config.y0, SPACE_W, mesh)
-    y = y0.extended().copy()
+    y0 = y_d if config.y0 is None else NodalFunction(config.y0, mesh)
+    y = y0.values.copy()
 
-    p_yd = apply_P(y_d.extended(), mats)
+    p_yd = apply_P(y_d.values, mats)
     include_biactive = config.selector_policy == "strict_plus_biactive"
 
     history: list[IterationRecord] = []
@@ -202,10 +202,8 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
                 zeta = (p_yd - py) / config.alpha
             if not np.all(np.isfinite(zeta)):
                 raise DivergenceError("zeta = (P I_h y_D - P y) / alpha is not finite")
-            sol = solve_obstacle(
-                NodalFunction(zeta, SPACE_W, mesh), psi, mesh, mats, warm_start=sol,
-            )
-            u_int = sol.w.values
+            sol = solve_obstacle(NodalFunction(zeta, mesh), psi, mats, warm_start=sol)
+            u_int = sol.w
             ytilde = apply_P(extend_interior(u_int, mats), mats)
             residual = vector_norm(y - ytilde, "L2", mats.K, mats.M)
             if not math.isfinite(residual):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import SPACE_V, FEMatrices, NodalFunction, inject
+from .assembly import FEMatrices, NodalFunction, inject
 from .linalg import SolverError
 from .mesh import Mesh
 
@@ -32,7 +32,7 @@ class PdasNoConvergenceError(SolverError):
 class ObstacleSolution:
     """State, multiplier and node classification of one obstacle solve."""
 
-    w: NodalFunction  # V_h state
+    w: np.ndarray  # state on interior nodes
     lam: np.ndarray  # multiplier on interior nodes
     inactive: np.ndarray
     strictly_active: np.ndarray
@@ -119,7 +119,6 @@ def prolong_active(mats: FEMatrices, coarse_mask: np.ndarray) -> np.ndarray:
 def solve_obstacle(
     z: NodalFunction,
     psi: NodalFunction,
-    mesh: Mesh,
     mats: FEMatrices,
     warm_start: ObstacleSolution | None = None,
 ) -> ObstacleSolution:
@@ -133,14 +132,13 @@ def solve_obstacle(
     The final iterate is the solve on the final active set, whichever
     start led to it; PDAS_MAX_ITER caps the PDAS loop of every level.
     """
-    psi_full = psi.extended()
-    _check_feasible(psi_full, mesh)
+    _check_feasible(psi.values, mats.mesh)
     previous = None if warm_start is None else warm_start.active_masks
-    w, lam, masks, its = _pdas(mats, z.extended(), psi_full, previous)
+    w, lam, masks, its = _pdas(mats, z.values, psi.values, previous)
 
-    inactive, strict, biactive = classify_nodes(w, lam, psi_full[mats.interior])
+    inactive, strict, biactive = classify_nodes(w, lam, psi.values[mats.interior])
     return ObstacleSolution(
-        w=NodalFunction(w, SPACE_V, mesh),
+        w=w,
         lam=lam,
         inactive=inactive,
         strictly_active=strict,

@@ -4,7 +4,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from obstaclecontrol.assembly import (
-    SPACE_V,
     FEMatrices,
     NodalFunction,
     build_matrices,
@@ -144,21 +143,17 @@ def reference_level_cut(a: sp.spmatrix, mats: FEMatrices, nodes: np.ndarray):
 
 
 def norm(v: NodalFunction, kind: str, mats: "FEMatrices | None" = None) -> float:
-    """Discrete L2, H1 or H1-seminorm of a P1 function.
-
-    V_h vectors are zero-extended to the full node set first.
-    """
+    """Discrete L2, H1 or H1-seminorm of a P1 function on W_h."""
     if mats is None:
         K, M = stiffness_matrix(v.mesh), mass_matrix(v.mesh)
     else:
         K, M = mats.K, mats.M
-    return vector_norm(v.extended(), kind, K, M)
+    return vector_norm(v.values, kind, K, M)
 
 
 def brute_force_oracle(
     z: NodalFunction,
     psi: NodalFunction,
-    mesh: Mesh,
     mats: FEMatrices,
     tol: float = 1e-10,
 ) -> ObstacleSolution:
@@ -166,8 +161,8 @@ def brute_force_oracle(
 
     Only usable on meshes with at most 16 interior nodes.
     """
-    psi_full = psi.extended()
-    if np.any(psi_full[mesh.boundary_mask] >= 0.0):
+    psi_full = psi.values
+    if np.any(psi_full[mats.mesh.boundary_mask] >= 0.0):
         raise InfeasibleConstraintsError(
             "obstacle must be negative on the boundary (zero boundary data)"
         )
@@ -176,7 +171,7 @@ def brute_force_oracle(
     if m > 16:
         raise ValueError(f"oracle limited to 16 interior nodes, mesh has {m}")
     psi_int = psi_full[inter]
-    load = (mats.M @ z.extended())[inter]
+    load = (mats.M @ z.values)[inter]
     k_dense = mats.K_int.toarray()
 
     best = None
@@ -202,7 +197,7 @@ def brute_force_oracle(
     w, lam = best
     inactive, strict, biactive = classify_nodes(w, lam, psi_int)
     return ObstacleSolution(
-        w=NodalFunction(w, SPACE_V, mesh),
+        w=w,
         lam=lam,
         inactive=inactive,
         strictly_active=strict,

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from obstaclecontrol.assembly import SPACE_W, NodalFunction, build_matrices, vector_norm
+from obstaclecontrol.assembly import NodalFunction, build_matrices, vector_norm
 from obstaclecontrol.cli import PAPER_PRESET, paper_converged_zeta, run_sweep
 from obstaclecontrol.diagnostics import (
     check_contraction,
@@ -103,11 +103,11 @@ def test_oracle_equivalence():
     worst = 0.0
     agree = True
     for _ in range(50):
-        z = NodalFunction(rng.uniform(-60, 60, mesh.num_nodes), SPACE_W, mesh)
-        psi = NodalFunction(rng.uniform(-3, -0.01, mesh.num_nodes), SPACE_W, mesh)
-        a = solve_obstacle(z, psi, mesh, mats)
-        b = brute_force_oracle(z, psi, mesh, mats)
-        worst = max(worst, float(np.max(np.abs(a.w.values - b.w.values))))
+        z = NodalFunction(rng.uniform(-60, 60, mesh.num_nodes), mesh)
+        psi = NodalFunction(rng.uniform(-3, -0.01, mesh.num_nodes), mesh)
+        a = solve_obstacle(z, psi, mats)
+        b = brute_force_oracle(z, psi, mats)
+        worst = max(worst, float(np.max(np.abs(a.w - b.w))))
         agree = agree and np.array_equal(a.inactive, b.inactive)
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and agree and elapsed <= 10.0

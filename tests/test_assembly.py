@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obstaclecontrol.assembly import (
-    SPACE_V,
-    SPACE_W,
     NodalFunction,
     interpolate,
     mass_matrix,
     stiffness_matrix,
+    vector_norm,
 )
 from obstaclecontrol.mesh import build_friedrichs_keller
+from obstaclecontrol.operators import extend_interior
 
 from conftest import mesh_and_mats, norm
 
@@ -139,7 +139,7 @@ def test_interpolate_rejects_nonfinite():
 
 def test_norm_constants():
     mesh, _ = mesh_and_mats(4)
-    one = NodalFunction(np.ones(mesh.num_nodes), SPACE_W, mesh)
+    one = NodalFunction(np.ones(mesh.num_nodes), mesh)
     assert norm(one, "L2") == pytest.approx(1.0, abs=1e-12)
     assert norm(one, "H1_semi") == pytest.approx(0.0, abs=1e-7)
 
@@ -156,22 +156,25 @@ def test_norm_of_x1():
 def test_norm_pythagoras(seed):
     mesh, _ = mesh_and_mats(4)
     v = NodalFunction(
-        np.random.default_rng(seed).uniform(-10, 10, mesh.num_nodes), SPACE_W, mesh
+        np.random.default_rng(seed).uniform(-10, 10, mesh.num_nodes), mesh
     )
     l2, h1, semi = (norm(v, k) for k in ("L2", "H1", "H1_semi"))
     assert h1**2 == pytest.approx(l2**2 + semi**2, rel=1e-12, abs=1e-12)
 
 
 def test_norm_zero_extends_interior_functions():
-    mesh, _ = mesh_and_mats(4)
+    # a V_h function is an array on the interior nodes; extend_interior
+    # gives the W_h coefficients, zero on the boundary, that a norm reads
+    mesh, mats = mesh_and_mats(4)
     inter = mesh.interior
     vals = np.arange(1.0, inter.size + 1)
-    v = NodalFunction(vals, SPACE_V, mesh)
     full = np.zeros(mesh.num_nodes)
     full[inter] = vals
-    w = NodalFunction(full, SPACE_W, mesh)
+    extended = extend_interior(vals, mats)
+    assert np.array_equal(extended, full)
+    w = NodalFunction(full, mesh)
     for kind in ("L2", "H1", "H1_semi"):
-        assert norm(v, kind) == pytest.approx(norm(w, kind), rel=1e-14)
+        assert vector_norm(extended, kind, mats.K, mats.M) == norm(w, kind, mats)
 
 
 def test_galerkin_consistency_for_affine_products():
@@ -187,9 +190,11 @@ def test_galerkin_consistency_for_affine_products():
 def test_nodal_function_validation():
     mesh, _ = mesh_and_mats(2)
     with pytest.raises(ValueError):
-        NodalFunction(np.zeros(5), SPACE_W, mesh)
+        NodalFunction(np.zeros(5), mesh)
+    with pytest.raises(ValueError):  # a V_h vector, on the interior nodes only
+        NodalFunction(np.zeros(mesh.interior.size), mesh)
     with pytest.raises(ValueError):
-        NodalFunction(np.array([np.inf]), SPACE_V, mesh)
+        NodalFunction(np.full(mesh.num_nodes, np.inf), mesh)
 
 
 def test_matrices_exactly_symmetric():

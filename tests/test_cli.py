@@ -179,10 +179,9 @@ def test_vtk_roundtrip_bit_exact(tmp_path):
 
 def test_export_after_solve_has_nonzero_multiplier(tmp_path):
     config = NewtonConfig(alpha=1e-5, tol=1e-7)
-    mesh, mats, report = run_single(config, "affine:0,-1,-1", "const:-5", 16)
+    _, mats, report = run_single(config, "affine:0,-1,-1", "const:-5", 16)
     path = tmp_path / "run.vtk"
-    y_d = parse_field("affine:0,-1,-1")(mesh.nodes[:, 0], mesh.nodes[:, 1])
-    export_fields(report, mesh, str(path), y_d)
+    export_fields(report, mats, str(path))
     _, _, parsed = read_vtk(str(path))
     assert set(parsed) == {"y_D", "y_tilde", "u", "lambda"}
     assert np.max(np.abs(parsed["lambda"])) > 0.0
@@ -431,6 +430,30 @@ def test_cli_unwritable_out_is_reported_before_the_compute(argv, compute, out, t
     assert len(err) == 1 and err[0].startswith(f"usage error: cannot write {str(path)!r}")
 
 
+@pytest.mark.parametrize(
+    "argv, compute, prefix",
+    [
+        (["solve", "--preset", "paper", "--n", "8", "--out="], "run_single", "cannot write ''"),
+        (["export", "--preset", "paper", "--n", "8", "--out="], "run_single", "cannot write ''"),
+        (["sweep", "--preset", "paper", "--sizes", "8", "--out="], "run_sweep", "cannot write ''"),
+        (["check", "--names", "monotonicity", "--trials", "1", "--out="], "run_checks",
+         "cannot write ''"),
+        (["solve", "--preset", "paper", "--n", "8", "--config="], "run_single",
+         "cannot read config ''"),
+    ],
+    ids=["solve", "export", "sweep", "check", "config"],
+)
+def test_cli_empty_path_is_a_usage_error_before_the_compute(argv, compute, prefix, monkeypatch,
+                                                            capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{compute} ran with an empty path")
+
+    monkeypatch.setattr(cli, compute, fail)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: {prefix}")
+
+
 # Each settings flag with its config key, and three layers of values for
 # each key: the flag's, a config file's and the paper preset's.
 _FLAGS = {
@@ -531,14 +554,15 @@ def test_cli_one_stderr_line(argv, config, code, line, tmp_path, capsys):
 def test_cli_solve_vtk_matches_separately_interpolated_y_d(tmp_path):
     out = tmp_path / "solve.vtk"
     assert main(["solve", "--preset", "paper", "--n", "8", "--out", str(out)]) == 0
-    mesh, _, report = run_single(
+    mesh, mats, report = run_single(
         NewtonConfig(alpha=PAPER_PRESET["alpha"], tol=PAPER_PRESET["tol"]),
         PAPER_PRESET["y_d"], PAPER_PRESET["psi"], 8,
     )
     ref = tmp_path / "ref.vtk"
-    y_d = interpolate(parse_field(PAPER_PRESET["y_d"]), mesh).values
-    export_fields(report, mesh, str(ref), y_d)
+    export_fields(report, mats, str(ref))
     assert out.read_bytes() == ref.read_bytes()
+    y_d = interpolate(parse_field(PAPER_PRESET["y_d"]), mesh).values
+    assert np.array_equal(read_vtk(str(out))[2]["y_D"], y_d)
 
 
 def test_cli_check_runs_and_writes_report(tmp_path, capsys):

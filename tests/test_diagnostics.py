@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from obstaclecontrol import diagnostics, newton
-from obstaclecontrol.assembly import SPACE_W, NodalFunction
+from obstaclecontrol.assembly import NodalFunction
 from obstaclecontrol.cli import registered_checks
 from obstaclecontrol.diagnostics import (
     check_contraction,
@@ -95,8 +95,8 @@ def test_contraction_fails_on_expanding_solve_and_run_raises(monkeypatch):
 def test_newton_diff_linear_regime_is_exactly_zero():
     mesh, mats = mesh_and_mats(8)
     rng = np.random.default_rng(9)
-    base = NodalFunction(rng.uniform(-5, 5, mesh.num_nodes), SPACE_W, mesh)
-    psi = NodalFunction(np.full(mesh.num_nodes, -1e9), SPACE_W, mesh)
+    base = NodalFunction(rng.uniform(-5, 5, mesh.num_nodes), mesh)
+    psi = NodalFunction(np.full(mesh.num_nodes, -1e9), mesh)
     report = check_newton_differentiability(mesh, mats, base, psi=psi, seed=4)
     assert report.passed
     assert all(r <= 1e-9 for r in report.details["ratios"])
@@ -105,8 +105,8 @@ def test_newton_diff_linear_regime_is_exactly_zero():
 def test_newton_diff_generic_base_decays():
     mesh, mats = mesh_and_mats(8)
     rng = np.random.default_rng(11)
-    base = NodalFunction(rng.uniform(-20, 20, mesh.num_nodes), SPACE_W, mesh)
-    psi = NodalFunction(np.full(mesh.num_nodes, -1.0), SPACE_W, mesh)
+    base = NodalFunction(rng.uniform(-20, 20, mesh.num_nodes), mesh)
+    psi = NodalFunction(np.full(mesh.num_nodes, -1.0), mesh)
     report = check_newton_differentiability(mesh, mats, base, psi=psi, seed=5)
     assert report.passed
 

@@ -321,7 +321,7 @@ def test_cg_raises_at_iteration_cap(rng):
     with pytest.raises(CgNoConvergenceError):
         cg_self_adjoint(
             lambda v: newton_step_matrix_apply(v, sel, 1e-5, mats), rhs, _m_inner(mats),
-            max_iter=2,
+            1e-13, 2, lambda r: r,
         )
 
 
@@ -330,7 +330,7 @@ def test_cg_raises_on_nonpositive_curvature(sign, rng):
     mesh, mats = mesh_and_mats(4)
     rhs = rng.standard_normal(mesh.num_nodes)
     with pytest.raises(NotPositiveDefiniteError):
-        cg_self_adjoint(lambda v: sign * v, rhs, _m_inner(mats))
+        cg_self_adjoint(lambda v: sign * v, rhs, _m_inner(mats), 1e-13, 10, lambda r: r)
 
 
 def _random_cuts(mats, rng, count=3):

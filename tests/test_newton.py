@@ -336,7 +336,7 @@ def _paper_run(n, alpha=1e-5, hierarchy=True):
             flat.__dict__["coarse"] = None
             solve = newton.solve_obstacle
             mp.setattr(newton, "solve_obstacle",
-                       lambda z, psi, mesh, mats, **kw: solve(z, psi, mesh, flat, **kw))
+                       lambda z, psi, mats, **kw: solve(z, psi, flat, **kw))
         return run(NewtonConfig(alpha=alpha, tol=1e-7), PAPER_Y_D, PAPER_PSI, mesh, mats)
 
 

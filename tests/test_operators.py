@@ -6,7 +6,6 @@ import pytest
 
 from obstaclecontrol import assembly, linalg
 from obstaclecontrol.assembly import (
-    SPACE_W,
     FEMatrices,
     NodalFunction,
     build_matrices,
@@ -125,9 +124,9 @@ def test_nesting_monotonicity_of_quadratic_forms(rng):
 
 def test_selector_from_solution_respects_admissibility(rng):
     mesh, mats = mesh_and_mats(8)
-    z = NodalFunction(rng.uniform(-80, -20, mesh.num_nodes), SPACE_W, mesh)
-    psi = NodalFunction(np.full(mesh.num_nodes, -0.05), SPACE_W, mesh)
-    sol = solve_obstacle(z, psi, mesh, mats)
+    z = NodalFunction(rng.uniform(-80, -20, mesh.num_nodes), mesh)
+    psi = NodalFunction(np.full(mesh.num_nodes, -0.05), mesh)
+    sol = solve_obstacle(z, psi, mats)
     sel = DerivativeSelector.from_solution(sol, mats)
     assert np.all(np.isin(sol.strictly_active, sel.constrained))
     assert not np.any(np.isin(sol.inactive, sel.constrained))
