@@ -7,7 +7,9 @@ operators.extend_interior zero-extends them.
 
 Each mesh keeps one factor of K + M and one of K_int[free, free], for
 the last free set, the whole interior included; meshes with n up to
-BANDED_MAX_N factor them by band Cholesky, finer ones by SuperLU.
+BANDED_MAX_N factor them by band Cholesky, finer ones by SuperLU.  A
+mesh with n up to SCHUR_MAX_N solves its Newton block systems through
+their dense Schur complement, a finer one by SuperLU.
 
 The meshes n, n/2, n/4, ... are nested: each coarse triangle is the
 union of four fine ones.  FEMatrices.coarse and FEMatrices.prolongation
@@ -35,6 +37,18 @@ COARSEST_N = 16  # no mesh coarser than this is built as a level of the hierarch
 # gain is measured end to end only up to it; n = 96 is left on SuperLU,
 # which keeps the iterates of every run finer than 64 as they were.
 BANDED_MAX_N = 64
+# A level with n up to this solves its Newton block system through the
+# dense Schur complement on the free w-unknowns (linalg.SchurBlock), from
+# K_int and C = B^T M B built once per level; a finer level factors the
+# sparse block system by SuperLU.  Factor / solve with every interior node
+# free, one BLAS thread, against SuperLU (the README has the table):
+#   n =  8:  0.05 ms / 42 us   against 0.52 ms / 19 us
+#   n = 16:  0.77 ms / 96 us   against 2.1 ms / 67 us
+#   n = 24:  6.4 ms / 376 us   against 5.5 ms / 177 us
+# The dense factor costs |free|^3 ~ n^6 and loses by n = 24.  16 is the
+# coarse level of every paper run, and every block system above it keeps
+# its iterates bit for bit.
+SCHUR_MAX_N = 16
 # FEMatrices.newton_coarse goes down to a level n_c only while alpha n_c^6
 # is at least the first (two-grid PCG then takes 8 or fewer iterations per
 # Newton step), and picks no level, so that the fine block LU solves it,
@@ -136,6 +150,14 @@ class FEMatrices:
         return self.mesh.n <= BANDED_MAX_N
 
     @cached_property
+    def schur_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """K_int and C = B^T M B of linalg.SchurBlock, dense, with
+        B = (K+M)^{-1} M E one solve of a_factorization with a column per
+        interior node."""
+        basis = self.a_factorization.solve(self.M[:, self.interior].toarray())
+        return self.K_int.toarray(), basis.T @ (self.M @ basis)
+
+    @cached_property
     def kint_nd(self) -> linalg.OrderedMatrix:
         """K_int with the interior nodes in Mesh.nested_dissection order,
         from which a level that is not banded cuts its free-set submatrices."""
@@ -201,11 +223,17 @@ class FEMatrices:
             self._links[n_c] = CoarseLink(level, pr, pr.T.tocsr())
         return self._links[n_c]
 
-    def newton_block(self, alpha: float) -> linalg.BlockPattern:
-        """The Newton block system of linalg.solve_block_newton at alpha
-        with every interior node free, in node-interleaved
-        Mesh.nested_dissection order.  Keeps the system of the last
-        alpha, which every step of a Newton run shares."""
+    def newton_block(self, alpha: float) -> linalg.BlockPattern | linalg.SchurBlock:
+        """The Newton block system of linalg.solve_block_newton at alpha,
+        in the form the kernel of this level factors, chosen by n alone: up
+        to SCHUR_MAX_N the SchurBlock from schur_parts, else the system with
+        every interior node free, in node-interleaved
+        Mesh.nested_dissection order, which is kept for the last alpha,
+        since every step of a Newton run shares it."""
+        if self.mesh.n <= SCHUR_MAX_N:
+            return linalg.SchurBlock(
+                *self.schur_parts, self.a_factorization, self.M, self.interior, alpha
+            )
         if self._block is None or self._block.alpha != alpha:
             self._block = None  # release the old entries first
             m, inner, nw = self.M, self.interior, self.mesh.num_nodes

@@ -434,7 +434,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    names = args.names.split(",") if args.names else sorted(registered_checks())
+    # an empty --names= lists one empty name, which run_checks rejects
+    names = args.names.split(",") if args.names is not None else sorted(registered_checks())
     return run_checks(names, seed=args.seed, out_path=args.out, trials=args.trials)
 
 

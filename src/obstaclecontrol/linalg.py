@@ -13,7 +13,10 @@ positive definite from its entries; any other matrix is checked through
 the pivots of its factor.  SuperLU factors in the order it is given
 (NATURAL): the caller puts the unknowns in that order once per matrix,
 so no ordering pass runs on each factorization.  The Newton block
-system, which is not symmetric, is always factored by SuperLU.
+system, which is not symmetric, is factored by SuperLU, or, on the
+small levels, reduced to a dense symmetric positive definite Schur
+complement on its w-unknowns, which LAPACK's dense Cholesky (dpotrf)
+factors.
 """
 
 from typing import NamedTuple
@@ -21,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 
 class SolverError(Exception):
@@ -35,8 +38,9 @@ class NotPositiveDefiniteError(SolverError):
 
 
 class BlockFactorizationError(SolverError):
-    """SuperLU could not factor the Newton block system, for example
-    because a pivot is exactly zero."""
+    """The Newton block system could not be factored: by SuperLU, for
+    example because a pivot is exactly zero, or through its Schur
+    complement, which is not finite or not positive definite."""
 
 
 class CgNoConvergenceError(SolverError):
@@ -133,9 +137,12 @@ class Factorization:
                 )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution for a right-hand side of shape (N,), or for each
+        column of one of shape (N, k)."""
         b = np.asarray(b, dtype=float)
-        if b.shape != (self.shape[0],):
-            raise ValueError(f"rhs has shape {b.shape}, expected ({self.shape[0]},)")
+        if b.ndim not in (1, 2) or b.shape[0] != self.shape[0]:
+            size = self.shape[0]
+            raise ValueError(f"rhs has shape {b.shape}, expected ({size},) or ({size}, k)")
         if self._band is not None:
             return lapack.dpbtrs(self._band, b)[0]
         if self._lu is None:
@@ -184,6 +191,28 @@ class BlockPattern(NamedTuple):
     alpha: float  # the alpha of matrix
 
 
+class SchurBlock(NamedTuple):
+    """The Newton block system of solve_block_newton at alpha, with its
+    a- and b-unknowns eliminated, in dense form.
+
+    With B = (K+M)^{-1} M E (all nodes x interior nodes, E the zero
+    extension of the interior) and C = B^T M B, the system for the free
+    set f reduces to the symmetric positive definite Schur complement
+
+        S w = B_f^T g,   S = K_int[f, f] + C[f, f] / alpha,   b = B_f w,
+
+    with B_f the columns of B at f (Benzi, Golub & Liesen, Acta Numer.
+    14, 2005, section 5).  Every field but alpha is shared by every
+    alpha and free set."""
+
+    kint: np.ndarray  # K_int, dense
+    coupling: np.ndarray  # C
+    helmholtz: Factorization  # of K + M, which applies B and B^T
+    mass: sp.csr_matrix  # M, which maps the right-hand side
+    interior: np.ndarray  # the node of each interior index
+    alpha: float
+
+
 def principal_submatrix(a: sp.csc_matrix, keep: np.ndarray):
     """Principal submatrix of a canonical CSC matrix on the unknowns
     where keep is True: an entry is kept when its column and its row are.
@@ -205,19 +234,66 @@ def principal_submatrix(a: sp.csc_matrix, keep: np.ndarray):
     return sub
 
 
-def block_solver(block: BlockPattern, free: np.ndarray):
-    """Cut the Newton block system of block (see solve_block_newton) for
-    the free interior nodes and factor it.  Returns the solve g -> b of
-    the system with right-hand side g in the a-rows and 0 elsewhere; the
-    one place a Newton block system is factored.
+def _schur_solver(block: SchurBlock, free: np.ndarray):
+    """Factor the Schur complement of block on the free set (SchurBlock)
+    by dense Cholesky and return the solve g -> b.
 
-    The system is cut out of block, so it keeps the block's node order.
-    Every 3x3 node block is nonsingular and the system is factored
-    without pivoting in that order, so the factors keep the sparsity of
-    the ordering.  With no free node there is no w-unknown, so b = 0.
+    B_f and B_f^T are applied by solves of K + M, so that a, w and b
+    satisfy the first and last rows of the block system to round-off.
+    C is a Gram matrix, so at small alpha S is far worse conditioned
+    than the block system, and a plain solve of S loses up to 4e-11 of
+    relative accuracy in y at alpha = 1e-10.  So each solve takes one
+    step of refinement against the w-rows, K_ff w - (M a)_f (Björck,
+    BIT 7, 1967, for the augmented system of least squares)."""
+    cut = np.ix_(free, free)
+    k_ff = block.kint[cut]
+    with np.errstate(over="ignore", invalid="ignore"):
+        schur = k_ff + block.coupling[cut] / block.alpha
+    failure = f"Newton block system with |free| = {free.size}: Schur complement"
+    if not np.isfinite(schur).all():
+        raise BlockFactorizationError(f"{failure} is not finite")
+    factor, info = lapack.dpotrf(schur, overwrite_a=True)
+    if info > 0:
+        raise BlockFactorizationError(
+            f"{failure} is not positive definite: leading minor of order {info}"
+        )
+    helmholtz, mass, nodes, alpha = block.helmholtz, block.mass, block.interior[free], block.alpha
+
+    def apply_b(w: np.ndarray) -> np.ndarray:  # B_f w
+        extended = np.zeros(mass.shape[0])
+        extended[nodes] = w
+        return helmholtz.solve(mass @ extended)
+
+    def apply_s_inverse(r: np.ndarray) -> np.ndarray:
+        # two dtrsv calls: dpotrs takes about twice as long for one right-hand side
+        return blas.dtrsv(factor, blas.dtrsv(factor, r, trans=1))
+
+    def solve(g: np.ndarray) -> np.ndarray:
+        w = apply_s_inverse((mass @ helmholtz.solve(g))[nodes])
+        a = helmholtz.solve(g - mass @ apply_b(w) / alpha)
+        w += apply_s_inverse((mass @ a)[nodes] - k_ff @ w)
+        return apply_b(w)
+
+    return solve
+
+
+def block_solver(block: BlockPattern | SchurBlock, free: np.ndarray):
+    """Factor the Newton block system of block (see solve_block_newton)
+    for the free interior nodes.  Returns the solve g -> b of the system
+    with right-hand side g in the a-rows and 0 elsewhere; the one place a
+    Newton block system is factored.  With no free node there is no
+    w-unknown, so b = 0.
+
+    A SchurBlock is factored through its dense Schur complement.  A
+    BlockPattern is cut for the free set and factored by SuperLU: the
+    system keeps the block's node order, every 3x3 node block is
+    nonsingular, and the system is factored without pivoting in that
+    order, so the factors keep the sparsity of the ordering.
     """
     if free.size == 0:
-        return lambda g: np.zeros(block.b_pos.size)
+        return lambda g: np.zeros(block.mass.shape[0])
+    if isinstance(block, SchurBlock):
+        return _schur_solver(block, free)
     keep = np.ones(block.matrix.shape[0], dtype=bool)
     keep[block.w_pos] = False
     keep[block.w_pos[free]] = True
@@ -243,9 +319,11 @@ def block_solver(block: BlockPattern, free: np.ndarray):
     return solve
 
 
-def solve_block_newton(block: BlockPattern, free: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (Id + P E G R P) y = rhs for y via the sparse block system
-    at block.alpha (FEMatrices.newton_block).
+def solve_block_newton(
+    block: BlockPattern | SchurBlock, free: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve (Id + P E G R P) y = rhs for y via the block system at
+    block.alpha (FEMatrices.newton_block), factored by block_solver.
 
     The composition of the Helmholtz solves P = (K+M)^{-1} M (scaled by
     1/alpha) and the constrained Dirichlet solve G on the free interior

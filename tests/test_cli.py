@@ -200,6 +200,17 @@ def test_cli_check_unknown_name(capsys):
     assert "foo" in err and "convexity" in err
 
 
+def test_cli_check_empty_names_is_a_usage_error_before_any_check(monkeypatch, capsys):
+    # --names= lists no check; it does not fall back to the whole suite
+    def fail(seed, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "registered_checks", lambda: {"contraction": cli.RegisteredCheck(fail)})
+    assert main(["check", "--names="]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: unknown check(s) ['']")
+
+
 def test_cli_check_zero_trials(capsys):
     code = main(["check", "--names", "convexity", "--trials", "0"])
     assert code == 2
@@ -274,31 +285,34 @@ def test_cli_bad_config_file_exit_2(command, text, tmp_path, capsys):
 
 
 # A numeric warning printed to stderr would be a second line: make it fail.
+# The inputs that break the Newton block system use a mesh finer than
+# assembly.SCHUR_MAX_N, whose block system SuperLU factors.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "extra, pdas_cap, prefix",
+    "n, extra, pdas_cap, prefix",
     [
         # zeta vanishes at the initial guess I_h(y_D), so no node is active and
         # outer step 0 needs one PDAS iteration; the cap bites at step 1
-        ([], 1, "error: outer iteration 1:"),
+        (8, [], 1, "error: outer iteration 1:"),
         # the iterates grow until a step outruns its right-hand side or
         # their norms overflow to inf and NaN
-        (["--alpha", "1e-25"], None, "error: outer iteration "),
+        (17, ["--alpha", "1e-25"], None, "error: outer iteration "),
         # the first step is longer than its right-hand side
-        (["--alpha", "1e-30"], None, "error: outer iteration 0:"),
-        # SuperLU meets an exactly zero pivot in the block system
-        (["--alpha", "1e-300"], None, "error: outer iteration 0:"),
+        (24, ["--alpha", "1e-30"], None, "error: outer iteration 0:"),
+        # the block system has entries whose square overflows, so SuperLU does not factor it
+        (24, ["--alpha", "1e-300"], None, "error: outer iteration 0:"),
         # a finite y_D so large that P I_h y_D - P y overflows in zeta
-        (["--y-d", "const:1.7e308"], None, "error: outer iteration 0: zeta "),
-        (["--y-d", "affine:1.7e308,0,0"], None, "error: outer iteration 0: zeta "),
+        (8, ["--y-d", "const:1.7e308"], None, "error: outer iteration 0: zeta "),
+        (8, ["--y-d", "affine:1.7e308,0,0"], None, "error: outer iteration 0: zeta "),
     ],
     ids=["pdas_cap", "alpha_1e-25", "alpha_1e-30", "alpha_1e-300", "y_d_const_1e308",
          "y_d_affine_1e308"],
 )
-def test_cli_pdas_failure_is_one_error_line_exit_1(extra, pdas_cap, prefix, monkeypatch, capsys):
+def test_cli_pdas_failure_is_one_error_line_exit_1(n, extra, pdas_cap, prefix, monkeypatch,
+                                                    capsys):
     if pdas_cap is not None:
         monkeypatch.setattr(obstacle, "PDAS_MAX_ITER", pdas_cap)
-    assert main(["solve", "--preset", "paper", "--n", "8", *extra]) == 1
+    assert main(["solve", "--preset", "paper", "--n", str(n), *extra]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(prefix)
 
@@ -347,20 +361,21 @@ def test_cli_cg_failure_is_one_error_line_exit_1(monkeypatch, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "extra, pdas_cap, line",
+    "n, extra, pdas_cap, line",
     [
         # step 1 starts from step 0's active set, which is empty
-        ([], 1, "error: outer iteration 1: level n=8: active set did not settle within 1 "
-                "iterations; last iterate |free| = 49, |active| = 0"),
-        (["--alpha", "1e-300"], None, "error: outer iteration 0: Newton block system with "
-                                      "|free| = 49: "),
+        (8, [], 1, "error: outer iteration 1: level n=8: active set did not settle within 1 "
+                   "iterations; last iterate |free| = 49, |active| = 0"),
+        # SuperLU factors the block system above assembly.SCHUR_MAX_N
+        (24, ["--alpha", "1e-300"], None, "error: outer iteration 0: Newton block system with "
+                                          "|free| = 529: "),
     ],
     ids=["pdas_cap", "zero_pivot"],
 )
-def test_cli_failure_line_names_the_set_sizes(extra, pdas_cap, line, monkeypatch, capsys):
+def test_cli_failure_line_names_the_set_sizes(n, extra, pdas_cap, line, monkeypatch, capsys):
     if pdas_cap is not None:
         monkeypatch.setattr(obstacle, "PDAS_MAX_ITER", pdas_cap)
-    assert main(["solve", "--preset", "paper", "--n", "8", *extra]) == 1
+    assert main(["solve", "--preset", "paper", "--n", str(n), *extra]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(line)
 

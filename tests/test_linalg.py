@@ -123,8 +123,9 @@ def test_block_solve_matches_dense_probe(rng):
 
 def test_block_solve_zero_pivot_names_the_free_set(rng):
     # at alpha = 1e-300 the scaled mass block is so large that eliminating
-    # it would overflow to an exactly zero pivot, so it is not factored
-    mesh, mats = mesh_and_mats(8)
+    # it would overflow to an exactly zero pivot, so it is not factored;
+    # n = 24 is above SCHUR_MAX_N, so SuperLU factors its block system
+    mesh, mats = mesh_and_mats(24)
     sel = _random_selector(mats, rng)
     rhs = rng.standard_normal(mesh.num_nodes)
     message = rf"^Newton block system with \|free\| = {sel.free.size}: "
@@ -172,6 +173,7 @@ def _capture_splu(monkeypatch):
 def test_block_solve_factors_the_reference_system(n, alpha, free_set, rng, monkeypatch):
     # the system cut from the cached pattern is the bmat construction, entry
     # for entry, so SuperLU computes the same factors and the same solution
+    monkeypatch.setattr(assembly, "SCHUR_MAX_N", 0)
     mesh, mats = mesh_and_mats(n)
     m = mats.interior.size
     free = {
@@ -186,6 +188,105 @@ def test_block_solve_factors_the_reference_system(n, alpha, free_set, rng, monke
     if free.size:
         assert_same_csc(captured[0], reference_block_matrix(mats, free, alpha)[0])
     assert np.array_equal(y, reference_block_newton(mats, free, alpha, rhs))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+@pytest.mark.parametrize("alpha", [1e-3, 1e-5, 1e-8, 1e-10, 1e12])
+@pytest.mark.parametrize("free_set", ["empty", "full", "random"])
+def test_schur_solve_matches_the_reference_block_solve(n, alpha, free_set, rng, monkeypatch):
+    # a level with n <= SCHUR_MAX_N solves the block system through its
+    # dense Schur complement, without SuperLU, to the accuracy of the sparse
+    # block LU, also at alpha = 1e-10, where S is worst conditioned
+    mesh, mats = mesh_and_mats(n)
+    m = mats.interior.size
+    free = {
+        "empty": np.array([], dtype=int),
+        "full": np.arange(m),
+        "random": np.flatnonzero(rng.random(m) < rng.uniform(0.2, 0.8)),
+    }[free_set]
+    rhs = rng.standard_normal(mesh.num_nodes)
+    captured = _capture_splu(monkeypatch)
+    block = mats.newton_block(alpha)
+    assert isinstance(block, linalg.SchurBlock) and block.alpha == alpha
+    y = solve_block_newton(block, free, rhs)
+    assert captured == []
+    expected = reference_block_newton(mats, free, alpha, rhs)
+    assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n, superlu", [(8, False), (16, False), (24, True), (32, True)])
+def test_block_step_factors_by_superlu_only_above_schur_max_n(n, superlu, rng, monkeypatch):
+    # the kernel of the fine block step is chosen by n alone
+    mats = build_matrices(build_friedrichs_keller(n))
+    sel = _random_selector(mats, rng)
+    rhs = rng.standard_normal(mats.mesh.num_nodes)
+    captured = _capture_splu(monkeypatch)
+    y = solve_block_newton(mats.newton_block(1e-10), sel.free, rhs)
+    assert len(captured) == (1 if superlu else 0)
+    assert isinstance(mats.newton_block(1e-10), linalg.BlockPattern) == superlu
+    assert np.linalg.norm(y - reference_block_newton(mats, sel.free, 1e-10, rhs)) <= (
+        1e-12 * np.linalg.norm(y)
+    )
+
+
+def test_coarse_schur_solve_makes_no_superlu_call(rng, monkeypatch):
+    # the n = 16 level of the n = 32 preconditioner solves through S
+    mats = build_matrices(build_friedrichs_keller(32))
+    link = mats.newton_coarse(1e-5)
+    assert link.level.mesh.n == 16
+    captured = _capture_splu(monkeypatch)
+    apply_b = newton.two_grid_preconditioner(_random_selector(mats, rng), 1e-5, mats, link)
+    assert np.all(np.isfinite(apply_b(rng.standard_normal(mats.mesh.num_nodes))))
+    assert captured == []
+
+
+def test_schur_overflow_is_a_named_failure(rng):
+    # C / alpha overflows to inf at a subnormal alpha
+    _, mats = mesh_and_mats(8)
+    free = _random_selector(mats, rng).free
+    message = rf"^Newton block system with \|free\| = {free.size}: Schur complement is not finite$"
+    with pytest.raises(BlockFactorizationError, match=message):
+        linalg.block_solver(mats.newton_block(1e-320), free)
+
+
+def test_schur_nan_is_a_named_failure():
+    _, mats = mesh_and_mats(8)
+    free = np.arange(mats.interior.size)
+    coupling = mats.schur_parts[1].copy()
+    coupling[3, 5] = np.nan
+    message = r"^Newton block system with \|free\| = 49: Schur complement is not finite$"
+    with pytest.raises(BlockFactorizationError, match=message):
+        linalg.block_solver(mats.newton_block(1e-5)._replace(coupling=coupling), free)
+
+
+def test_schur_indefinite_is_a_named_failure(rng):
+    # with K_int negated, S = -K_ff + C / alpha has a negative first pivot at large alpha
+    _, mats = mesh_and_mats(8)
+    free = _random_selector(mats, rng).free
+    message = (
+        rf"^Newton block system with \|free\| = {free.size}: Schur complement is not "
+        r"positive definite: leading minor of order 1$"
+    )
+    with pytest.raises(BlockFactorizationError, match=message):
+        linalg.block_solver(mats.newton_block(1e12)._replace(kint=-mats.schur_parts[0]), free)
+
+
+@pytest.mark.parametrize("banded", [True, False], ids=["band", "superlu"])
+def test_two_dimensional_solve_is_the_solve_of_each_column(banded, rng):
+    _, mats = mesh_and_mats(8)
+    if banded:
+        fact = Factorization(mats.A)
+    else:
+        ordered = linalg.reorder(mats.A, mats.mesh.nested_dissection)
+        fact = Factorization(ordered.matrix, ordered.order)
+    rhs = rng.standard_normal((mats.mesh.num_nodes, 5))
+    x = fact.solve(rhs)
+    assert x.shape == rhs.shape
+    for k in range(rhs.shape[1]):
+        column = fact.solve(rhs[:, k])
+        assert np.linalg.norm(x[:, k] - column) <= 1e-15 * np.linalg.norm(column)
+    with pytest.raises(ValueError):
+        fact.solve(rhs[:, :, None])
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16])
@@ -239,6 +340,7 @@ def test_every_superlu_call_of_a_paper_solve_is_natural(monkeypatch):
 
     monkeypatch.setattr(linalg.spla, "splu", recording_splu)
     monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)
+    monkeypatch.setattr(assembly, "SCHUR_MAX_N", 0)
     mesh = build_friedrichs_keller(16)
     mats = build_matrices(mesh)
     report = newton.run(
@@ -384,6 +486,7 @@ def test_solver_factorizations_never_read_l_or_u(rng, monkeypatch):
     real_splu = linalg._splu
     monkeypatch.setattr(linalg, "_splu", lambda a: _FactorsNotRead(real_splu(a)))
     monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)
+    monkeypatch.setattr(assembly, "SCHUR_MAX_N", 0)
     mats = build_matrices(build_friedrichs_keller(16))
     m = mats.interior.size
     free = np.flatnonzero(rng.random(m) < 0.6)
@@ -418,6 +521,7 @@ def test_non_dominant_spd_matrix_is_accepted_through_the_pivot_read(monkeypatch)
 
 
 def test_newton_block_is_scaled_once_per_alpha(rng, monkeypatch):
+    monkeypatch.setattr(assembly, "SCHUR_MAX_N", 0)
     mats = build_matrices(build_friedrichs_keller(8))
     built = []
     new = linalg.BlockPattern.__new__
@@ -444,9 +548,10 @@ def test_newton_block_is_scaled_once_per_alpha(rng, monkeypatch):
     assert built == [1e-5, 1e-8, 1e-5]
 
 
-def test_only_the_unit_pattern_is_scaled():
+def test_only_the_unit_pattern_is_scaled(monkeypatch):
     # only the M/alpha coupling (a-rows, b-columns) depends on alpha, and it
     # is M scaled once by 1 / alpha; every other entry is the same at any alpha
+    monkeypatch.setattr(assembly, "SCHUR_MAX_N", 0)
     mesh = build_friedrichs_keller(4)
     blocks = {alpha: build_matrices(mesh).newton_block(alpha) for alpha in (1e-5, 1e-8)}
     low, high = blocks[1e-5], blocks[1e-8]

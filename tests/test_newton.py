@@ -161,12 +161,16 @@ def test_two_grid_preconditioner_is_m_self_adjoint_and_positive(n, alpha, rng):
 
 def test_coarse_block_failure_names_its_level():
     # no CLI input reaches it: an alpha small enough to break the block
-    # factor is far below the cut, where newton_coarse picks no level
+    # factor is far below the cut, where newton_coarse picks no level;
+    # at 1e-320 the C / alpha of the Schur complement overflows
     _, mats = mesh_and_mats(32)
     link = mats.newton_coarse(1e-5)
-    message = r"^coarse level n=16: Newton block system with \|free\| = 225: "
+    message = (
+        r"^coarse level n=16: Newton block system with \|free\| = 225: "
+        r"Schur complement is not finite$"
+    )
     with pytest.raises(BlockFactorizationError, match=message):
-        two_grid_preconditioner(unconstrained(mats), 1e-300, mats, link)
+        two_grid_preconditioner(unconstrained(mats), 1e-320, mats, link)
 
 
 def test_all_constrained_step_is_rhs_without_a_factorization(rng, monkeypatch):
@@ -395,7 +399,8 @@ def test_block_lu_side_of_the_cut_runs_no_pcg(monkeypatch):
 
 
 def test_divergence_is_a_named_stop():
-    # the residual grows by orders of magnitude each step until it overflows
-    mesh, mats = mesh_and_mats(8)
+    # the residual grows by orders of magnitude each step until it overflows;
+    # above assembly.SCHUR_MAX_N, so SuperLU factors every block system
+    mesh, mats = mesh_and_mats(18)
     with pytest.raises(DivergenceError, match=r"^outer iteration \d+: residual inf is not finite; the iterates diverged$"):
         run(NewtonConfig(alpha=2e-25, tol=1e-7), PAPER_Y_D, PAPER_PSI, mesh, mats)

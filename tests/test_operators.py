@@ -232,6 +232,7 @@ def test_banded_helmholtz_factorization_is_built_once(monkeypatch):
 
 
 def test_newton_pattern_is_built_once(monkeypatch):
+    monkeypatch.setattr(assembly, "SCHUR_MAX_N", 0)
     mats = _fresh_mats(8)
     built = []
     new = linalg.BlockPattern.__new__
@@ -278,6 +279,7 @@ def _paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
 
 def test_paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
     monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)  # nested-dissection order
+    monkeypatch.setattr(assembly, "SCHUR_MAX_N", 0)
     _paper_solve_never_refactorizes_the_same_free_set(monkeypatch)
 
 
