@@ -7,7 +7,9 @@ operators.extend_interior zero-extends them.
 
 Each mesh keeps one factor of K + M and one of K_int[free, free], for
 the last free set, the whole interior included; meshes with n up to
-BANDED_MAX_N factor them by band Cholesky, finer ones by SuperLU.  A
+BANDED_MAX_N factor them by band Cholesky, cutting the band of each
+K_int[free, free] from the upper-triangle entries of K_int, finer ones
+by SuperLU.  A
 mesh with n up to SCHUR_MAX_N solves its Newton block systems through
 their dense Schur complement, a finer one by SuperLU.
 
@@ -158,6 +160,12 @@ class FEMatrices:
         return self.K_int.toarray(), basis.T @ (self.M @ basis)
 
     @cached_property
+    def kint_upper(self) -> linalg.UpperEntries:
+        """The entries of K_int with i <= j, explicit zeros kept, from
+        which a banded level cuts the band of each free-set submatrix."""
+        return linalg.upper_entries(self.K_int)
+
+    @cached_property
     def kint_nd(self) -> linalg.OrderedMatrix:
         """K_int with the interior nodes in Mesh.nested_dissection order,
         from which a level that is not banded cuts its free-set submatrices."""
@@ -251,7 +259,8 @@ class FEMatrices:
     def free_factorization(self, free: np.ndarray):
         """Factorization of K_int[free, free] for sorted unique interior
         indices; the only place K_int or a submatrix of it is factorized.
-        On a banded level it is cut from K_int, so in natural order, else
+        On a banded level its band is cut from kint_upper, so in natural
+        order, with no sparse submatrix built, else the submatrix is cut
         from kint_nd, so in Mesh.nested_dissection order.
 
         Keeps the factor of the last free set only, the whole interior
@@ -266,8 +275,8 @@ class FEMatrices:
                 keep = np.zeros(self.interior.size, dtype=bool)
                 if self.banded:
                     keep[free] = True
-                    sub = linalg.principal_submatrix(self.K_int, keep)
-                    self._free_fact = linalg.Factorization(sub)
+                    band = linalg.upper_band(self.kint_upper, keep)
+                    self._free_fact = linalg.Factorization(band)
                 else:
                     nd = self.kint_nd
                     keep[nd.rank[free]] = True

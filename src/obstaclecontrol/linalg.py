@@ -3,7 +3,9 @@
 Factorization factors a symmetric positive definite matrix by one of
 two kernels.  A matrix in natural node order, whose band is narrow on
 the small meshes, goes to LAPACK's band Cholesky (dpbtrf, then dpbtrs
-per solve), which certifies positive definiteness as it factors.  A
+per solve), which certifies positive definiteness as it factors; the
+band of any principal submatrix is cut straight from the upper-triangle
+entries of the matrix (upper_band), with no sparse submatrix built.  A
 matrix in a fill-reducing order, such as Mesh.nested_dissection, goes
 to SuperLU in symmetric mode with diagonal pivoting disabled, which
 makes it behave like a Cholesky factorization: a symmetric matrix with
@@ -68,27 +70,48 @@ def diagonally_dominant(a: sp.csc_matrix) -> bool:
     return bool((diag > 0.0).all() and (total <= 2.0 * diag).all())
 
 
-def _upper_band(a: sp.csc_matrix) -> np.ndarray:
-    """The upper triangle of a square canonical CSC matrix in LAPACK's
-    band storage: entry (i, j), i <= j, at row b + i - j of column j,
-    with b the largest j - i of an entry."""
+class UpperEntries(NamedTuple):
+    """The entries (i, j, value) with i <= j of a square sparse matrix,
+    explicit zeros kept, from which upper_band cuts the band of any
+    principal submatrix."""
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+
+
+def upper_entries(a: sp.csc_matrix) -> UpperEntries:
+    """The upper-triangle entries of a square CSC matrix without duplicate
+    entries."""
     col = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
     upper = a.indices <= col
-    col = col[upper]
-    offset = col - a.indices[upper]
-    b = int(offset.max(initial=0))
-    band = np.zeros((b + 1, a.shape[1]), order="F")
-    band[b - offset, col] = a.data[upper]
-    return band
+    return UpperEntries(a.indices[upper].astype(np.intp), col[upper], a.data[upper])
+
+
+def upper_band(entries: UpperEntries, keep: np.ndarray) -> np.ndarray:
+    """The upper triangle of the principal submatrix on the unknowns where
+    keep is True, in LAPACK's band storage: entry (i, j), i <= j, of the
+    submatrix at row b + i - j of column j, with b the largest j - i of
+    a kept entry, explicit zeros included.  Dropping unknowns keeps the
+    order of the others."""
+    kept = keep[entries.row] & keep[entries.col]
+    index = np.cumsum(keep) - 1
+    row, col = index[entries.row[kept]], index[entries.col[kept]]
+    b = int((col - row).max(initial=0))
+    size = int(np.count_nonzero(keep))
+    band = np.zeros((b + 1) * size)
+    band[(col + 1) * b + row] = entries.data[kept]  # row b + i - j of column j, in Fortran order
+    return band.reshape((b + 1, size), order="F")
 
 
 class Factorization:
     """Reusable direct factorization of a sparse SPD matrix.
 
     With no order, a is in its natural order, in which its band is
-    narrow, and LAPACK's band Cholesky factors its upper triangle: a
-    leading minor that is not positive, or a factor that is not finite,
-    is an error.
+    narrow, or is already the upper band of such a matrix (upper_band),
+    which is factored in place, and LAPACK's band Cholesky factors its
+    upper triangle: a leading minor that is not positive, or a factor
+    that is not finite, is an error.
 
     With an order, a is given in that order and SuperLU factors it:
     order[k] is the unknown at position k of a, through which solve
@@ -98,19 +121,24 @@ class Factorization:
     other input, such as M, has its pivots read from U, which makes
     SuperLU keep a copy of both factors."""
 
-    def __init__(self, a: sp.spmatrix, order: np.ndarray | None = None):
-        a = a.tocsc()
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
-        self.shape = a.shape
+    def __init__(self, a: sp.spmatrix | np.ndarray, order: np.ndarray | None = None):
+        if isinstance(a, np.ndarray):  # already the upper band (upper_band)
+            band, size = a, a.shape[1]
+        else:
+            a = a.tocsc()
+            if a.shape[0] != a.shape[1]:
+                raise ValueError("matrix must be square")
+            band, size = None, a.shape[0]
+        self.shape = (size, size)
         self._order = order
         self._lu = self._band = None
-        size = a.shape[0]
         if size == 0:
             return
         if order is None:
-            a.sum_duplicates()
-            self._band, info = lapack.dpbtrf(_upper_band(a), overwrite_ab=True)
+            if band is None:
+                a.sum_duplicates()
+                band = upper_band(upper_entries(a), np.ones(size, dtype=bool))
+            self._band, info = lapack.dpbtrf(band, overwrite_ab=True)
             if info > 0:
                 raise NotPositiveDefiniteError(
                     f"{size} x {size} matrix: leading minor of order {info} is not positive"

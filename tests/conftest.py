@@ -113,6 +113,36 @@ def assert_same_csc(got, expected):
     assert np.array_equal(got.data, expected.data)
 
 
+def reference_upper_band(a: sp.spmatrix) -> np.ndarray:
+    """The upper triangle of a square sparse matrix in LAPACK's band
+    storage, read off the diagonals of scipy's DIA form of sp.triu(a):
+    the diagonal at offset d fills row b - d, with b the largest offset
+    of a stored entry, explicit zeros included."""
+    upper = sp.triu(a, format="dia")
+    b = int(upper.offsets.max(initial=0))
+    band = np.zeros((b + 1, a.shape[0]), order="F")
+    for d, diagonal in zip(upper.offsets, upper.data):
+        band[b - d, : diagonal.size] = diagonal
+    return band
+
+
+def assert_same_band(got: np.ndarray, expected: np.ndarray):
+    """The two bands have the same shape and the same bytes, in the
+    Fortran order LAPACK reads."""
+    assert got.flags.f_contiguous
+    assert got.shape == expected.shape
+    assert got.tobytes(order="F") == expected.tobytes(order="F")
+
+
+def assert_same_level_cut(handed, cut, order):
+    """What a level handed to Factorization is its cut (reference_level_cut):
+    the upper band of the cut on a banded level, else the CSC matrix."""
+    if order is None:
+        assert_same_band(handed, reference_upper_band(cut))
+    else:
+        assert_same_csc(handed, cut)
+
+
 def reference_nd_cut(a: sp.spmatrix, mesh: Mesh, nodes: np.ndarray):
     """a[nodes, nodes] for full-node indices, with the nodes in
     recursive_nested_dissection order, cut by fancy indexing in CSR form

@@ -17,12 +17,15 @@ from obstaclecontrol.mesh import build_friedrichs_keller
 from obstaclecontrol.operators import DerivativeSelector
 
 from conftest import (
+    assert_same_band,
     assert_same_csc,
     mesh_and_mats,
     reference_block_matrix,
     reference_block_newton,
     reference_free_submatrix,
+    reference_level_cut,
     reference_nd_cut,
+    reference_upper_band,
     solve,
 )
 
@@ -700,3 +703,55 @@ def test_band_kernel_sums_duplicate_entries():
     )
     dense = np.array([[2.0, 1.0], [1.0, 2.0]])
     assert np.allclose(dense @ Factorization(a).solve(np.array([1.0, 2.0])), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 33, 64])
+def test_band_cut_is_the_band_of_the_reference_cut(n, rng, monkeypatch):
+    # every band handed to dpbtrf, byte for byte and with the same b, is that
+    # of the fancy-indexed cut, explicit zeros included
+    mats = build_matrices(build_friedrichs_keller(n))
+    m = mats.interior.size
+    handed = []
+    real_dpbtrf = linalg.lapack.dpbtrf
+
+    def recording(band, **kwargs):
+        handed.append(band.copy(order="F"))  # factored in place
+        return real_dpbtrf(band, **kwargs)
+
+    monkeypatch.setattr(linalg.lapack, "dpbtrf", recording)
+    fragmented = np.flatnonzero(np.arange(m) // 3 % 2 == 0)  # runs of 3 nodes, 3 dropped
+    sets = [np.arange(0), np.arange(m), fragmented]
+    sets += [np.flatnonzero(rng.random(m) < p) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    sets = list({free.tobytes(): free for free in sets}.values())  # each one factors
+    for free in sets:
+        keep = np.zeros(m, dtype=bool)
+        keep[free] = True
+        expected = reference_upper_band(reference_level_cut(mats.K, mats, mats.interior[free])[0])
+        assert_same_band(linalg.upper_band(mats.kint_upper, keep), expected)
+        handed.clear()
+        mats.free_factorization(free)
+        assert len(handed) == (free.size > 0)  # a 0 x 0 matrix is not factored
+        if handed:
+            assert_same_band(handed[0], expected)
+    nodes = np.arange(mats.mesh.num_nodes)
+    expected = reference_upper_band(reference_level_cut(mats.K + mats.M, mats, nodes)[0])
+    entries = linalg.upper_entries(mats.A)
+    assert_same_band(linalg.upper_band(entries, np.ones(nodes.size, dtype=bool)), expected)
+    handed.clear()
+    assert mats.a_factorization._band is not None
+    assert len(handed) == 1
+    assert_same_band(handed[0], expected)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_banded_free_factorization_builds_no_sparse_submatrix(n, rng, monkeypatch):
+    mats = build_matrices(build_friedrichs_keller(n))
+    m = mats.interior.size
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a banded level cut a sparse submatrix")
+
+    monkeypatch.setattr(linalg, "principal_submatrix", refuse)
+    monkeypatch.setattr(linalg, "reorder", refuse)
+    for free in (np.arange(m), np.flatnonzero(rng.random(m) < 0.6)):
+        assert mats.free_factorization(free)._band is not None

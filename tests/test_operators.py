@@ -11,7 +11,7 @@ from obstaclecontrol.assembly import (
     build_matrices,
     interpolate,
 )
-from obstaclecontrol.cli import run_single
+from obstaclecontrol.cli import PAPER_PRESET, run_single
 from obstaclecontrol.mesh import build_friedrichs_keller
 from obstaclecontrol.newton import NewtonConfig, solve_newton_system
 from obstaclecontrol.obstacle import solve_obstacle
@@ -24,8 +24,10 @@ from obstaclecontrol.operators import (
 
 from conftest import (
     assert_same_csc,
+    assert_same_level_cut,
     mesh_and_mats,
     reference_level_cut,
+    reference_upper_band,
 )
 
 
@@ -145,12 +147,13 @@ def _fresh_mats(n):
 
 
 def _record_factorizations(monkeypatch):
-    """Record the matrix and order of every Factorization built."""
+    """Record the matrix and order of every Factorization built; a band
+    is copied, since it is factored in place."""
     built = []
     init = linalg.Factorization.__init__
 
     def recording_init(self, a, order=None):
-        built.append((a, order))
+        built.append((a.copy(order="F") if isinstance(a, np.ndarray) else a, order))
         init(self, a, order)
 
     monkeypatch.setattr(linalg.Factorization, "__init__", recording_init)
@@ -171,7 +174,7 @@ def _alternating_sets_match_fresh_factorizations(rng, monkeypatch):
         got = mats.free_factorization(free).solve(load[free])
         cut, order = reference_level_cut(mats.K, mats, mats.interior[free])
         assert len(built) == 1
-        assert_same_csc(built[0][0], cut)
+        assert_same_level_cut(built[0][0], cut, order)
         fresh = linalg.Factorization(cut, order)
         assert np.array_equal(got, fresh.solve(load[free]))
 
@@ -271,9 +274,9 @@ def _paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
     for prev, cur in zip(factorized, factorized[1:]):
         assert not np.array_equal(prev[1], cur[1])
     # each is the cut of its level, solved as by a fresh factorization of it
-    for mats, free, matrix, solution, b in factorized:
+    for mats, free, handed, solution, b in factorized:
         cut, order = reference_level_cut(mats.K, mats, mats.interior[free])
-        assert_same_csc(matrix, cut)
+        assert_same_level_cut(handed, cut, order)
         assert np.array_equal(solution, linalg.Factorization(cut, order).solve(b))
 
 
@@ -285,3 +288,29 @@ def test_paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
 
 def test_banded_paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
     _paper_solve_never_refactorizes_the_same_free_set(monkeypatch)
+
+
+def _reference_band_factorization(self, free):
+    """FEMatrices.free_factorization on a banded level, from the band of
+    reference_level_cut, with no cached factor."""
+    assert self.banded
+    cut, _ = reference_level_cut(self.K, self, self.interior[free])
+    return linalg.Factorization(reference_upper_band(cut))
+
+
+@pytest.mark.parametrize("n, alpha", [(32, 1e-5), (48, 1e-5), (32, 1e-8)])
+def test_band_cut_keeps_the_iterates_of_the_reference_cut(n, alpha, monkeypatch):
+    # n = 48 has the banded coarse level 24; both runs share one process
+    config = NewtonConfig(alpha=alpha, tol=PAPER_PRESET["tol"])
+    fields = (PAPER_PRESET["y_d"], PAPER_PRESET["psi"])
+    _, _, got = run_single(config, *fields, n)
+    monkeypatch.setattr(FEMatrices, "free_factorization", _reference_band_factorization)
+    _, _, expected = run_single(config, *fields, n)
+    assert got.status == expected.status == "converged"
+    assert len(got.history) == len(expected.history)
+    for a, b in zip(got.history, expected.history):
+        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(a.u, b.u)
+        assert (a.pdas_iterations, a.coarse_pdas_iterations, a.pcg_iterations) == (
+            b.pdas_iterations, b.coarse_pdas_iterations, b.pcg_iterations
+        )
