@@ -1,7 +1,8 @@
 """P1 finite element assembly on Friedrichs-Keller meshes.
 
 Assembles the consistent mass matrix M, the stiffness matrix K and the
-H^1 matrix K + M for the full space W_h (all nodes).  Functions on the
+H^1 matrix K + M for the full space W_h (all nodes), writing their
+arrays straight from the 7-point stencil of the mesh.  Functions on the
 Dirichlet subspace V_h are plain arrays on the interior index set;
 operators.extend_interior zero-extends them.
 
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .mesh import Mesh, build_friedrichs_keller, signed_areas
+from .mesh import Mesh, build_friedrichs_keller
 
 COARSEST_N = 16  # no mesh coarser than this is built as a level of the hierarchy
 # A level with n up to this factors K + M and each K_int[free, free] in
@@ -79,32 +80,80 @@ class NodalFunction:
             raise ValueError("nodal values must be finite")
 
 
-def _accumulate(mesh: Mesh, element: np.ndarray) -> sp.csr_matrix:
-    """Sum the 3x3 matrices of the triangles, element[t] on the nodes
-    mesh.triangles[t], into a global CSR matrix."""
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    return sp.coo_matrix((element.ravel(), (rows, cols)), shape=(mesh.num_nodes,) * 2).tocsr()
+class _Stencil(NamedTuple):
+    """K and M in CSR form on their shared 7-point pattern."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    k: np.ndarray
+    m: np.ndarray
+
+
+def _stencil(mesh: Mesh) -> _Stencil:
+    """The CSR arrays of K and M, written from the Friedrichs-Keller stencil.
+
+    Node (i, j) couples to itself and to the ends of its edges, at the
+    offsets -(n+2), -(n+1), -1, 0, 1, n+1, n+2 (in this column order),
+    the ll->ur diagonals at +-(n+2); an offset is dropped where it leaves
+    the square.  K = T_N (x) W + W (x) T_N, with T_N = tridiag(-1, 2, -1)
+    with 1 in both corners and W = diag(1/2, 1, ..., 1, 1/2), so its
+    entries are exact at every n, and the diagonal edges store K's 0.0.
+    A triangle, of area h^2/2, adds (h^2/2)(2/12) to the M entry of each
+    of its nodes and (h^2/2)(1/12) to that of each of its edges, and each
+    entry of M adds these copies one at a time.  So at every power-of-two
+    n, where h^2/2 is exact, K and M are bit for bit those of an assembly
+    triangle by triangle; at other n, M lies within a few ulps of its
+    exact value."""
+    n = mesh.n
+    side = n + 1
+    w = np.ones(side)
+    w[[0, -1]] = 0.5
+    t = 2.0 * w  # the diagonal of T_N
+    lo, hi = np.arange(side) > 0, np.arange(side) < n
+    # node (i, j) at [j, i] of the grid: a row vector varies with i, a column with j
+    w_i, t_i, lo_i, hi_i = w, t, lo, hi
+    w_j, t_j, lo_j, hi_j = w[:, None], t[:, None], lo[:, None], hi[:, None]
+
+    def per_offset(*values):  # one value per offset, each over the grid, node by node
+        return np.stack(np.broadcast_arrays(*values), axis=-1).reshape(-1, 7)
+
+    present = per_offset(lo_i & lo_j, lo_j, lo_i, True, hi_i, hi_j, hi_i & hi_j)
+    k = per_offset(0.0, -w_i, -w_j, t_i * w_j + w_i * t_j, -w_j, -w_i, 0.0)
+    # copies[0, c - 1] adds c shares of an edge, copies[1, c - 1] of a node;
+    # a diagonal edge (across) lies in 2 triangles, an axis edge in 2w
+    shares = 0.5 / (n * n) * (np.array([[1.0], [2.0]]) / 12.0)
+    copies = np.cumsum(np.repeat(shares, 6, axis=1), axis=1)
+    across, edge_i = copies[0, 1], copies[0, (2 * w).astype(np.intp) - 1]
+    edge_j = edge_i[:, None]
+    at_node = 2 * (hi_i & hi_j) + (lo_i & hi_j) + (hi_i & lo_j) + 2 * (lo_i & lo_j)
+    m = per_offset(across, edge_i, edge_j, copies[1, at_node - 1], edge_j, edge_i, across)
+    offsets = np.array([-side - 1, -side, -1, 0, 1, side, side + 1])
+    indptr = np.zeros(side * side + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    indices = (np.arange(side * side)[:, None] + offsets)[present].astype(np.int32)
+    return _Stencil(indptr, indices, k[present], m[present])
+
+
+def _on_pattern(s: _Stencil, data: np.ndarray, kind=sp.csr_matrix):
+    """data on the stencil's pattern, as CSR, or as CSC for a symmetric
+    matrix, whose CSR arrays are its CSC arrays.  The matrices of one
+    stencil share its index arrays, which nothing changes in place."""
+    a = kind((data, s.indices, s.indptr), shape=(s.indptr.size - 1,) * 2)
+    a.has_canonical_format = True
+    return a
 
 
 def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """K[i, j] = integral of grad(phi_i) . grad(phi_j) over the square.
-
-    K does not change when a 2D mesh is scaled, so it is assembled exactly
-    on the integer grid: there every triangle has area 1/2 and its element
-    matrix is e_i . e_j / 2, with e_k the edge opposite node k."""
-    p = np.rint(mesh.nodes * mesh.n)[mesh.triangles]
-    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    return _accumulate(mesh, np.einsum("tik,tjk->tij", e, e) / 2.0)
-
-
-_MASS_REF = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    """K[i, j] = integral of grad(phi_i) . grad(phi_j) over the square,
+    with an explicit 0.0 on the ll->ur diagonal edges."""
+    s = _stencil(mesh)
+    return _on_pattern(s, s.k)
 
 
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     """Consistent P1 mass matrix; exact for products of P1 functions."""
-    return _accumulate(mesh, signed_areas(mesh)[:, None, None] * _MASS_REF)
+    s = _stencil(mesh)
+    return _on_pattern(s, s.m)
 
 
 def inject(full: np.ndarray, mesh: Mesh, n_c: int) -> np.ndarray:
@@ -293,11 +342,18 @@ class FEMatrices:
 
 
 def build_matrices(mesh: Mesh) -> FEMatrices:
-    K = stiffness_matrix(mesh)
-    M = mass_matrix(mesh)
-    A = (K + M).tocsc()
-    K_int = linalg.principal_submatrix(K.tocsc(), ~mesh.boundary_mask)
-    return FEMatrices(mesh=mesh, K=K, M=M, A=A, interior=mesh.interior, K_int=K_int)
+    """K and M in CSR form, K + M in CSC form and K_int, cut from K read
+    as CSC, all on the arrays of one _stencil."""
+    s = _stencil(mesh)
+    K_int = linalg.principal_submatrix(_on_pattern(s, s.k, sp.csc_matrix), ~mesh.boundary_mask)
+    return FEMatrices(
+        mesh=mesh,
+        K=_on_pattern(s, s.k),
+        M=_on_pattern(s, s.m),
+        A=_on_pattern(s, s.k + s.m, sp.csc_matrix),
+        interior=mesh.interior,
+        K_int=K_int,
+    )
 
 
 def vector_norm(full: np.ndarray, kind: str, K: sp.spmatrix, M: sp.spmatrix) -> float:

@@ -127,11 +127,3 @@ def build_friedrichs_keller(n: int) -> Mesh:
         triangles=triangles,
         boundary_mask=on_boundary,
     )
-
-
-def signed_areas(mesh: Mesh) -> np.ndarray:
-    """Signed area of every triangle (positive for counterclockwise)."""
-    p = mesh.nodes[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])

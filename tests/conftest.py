@@ -11,7 +11,7 @@ from obstaclecontrol.assembly import (
     stiffness_matrix,
     vector_norm,
 )
-from obstaclecontrol.linalg import Factorization
+from obstaclecontrol.linalg import Factorization, principal_submatrix
 from obstaclecontrol.mesh import Mesh, build_friedrichs_keller
 from obstaclecontrol.obstacle import (
     InfeasibleConstraintsError,
@@ -27,6 +27,50 @@ def mesh_and_mats(n):
         mesh = build_friedrichs_keller(n)
         _CACHE[n] = (mesh, build_matrices(mesh))
     return _CACHE[n]
+
+
+def signed_areas(mesh: Mesh) -> np.ndarray:
+    """Signed area of every triangle (positive for counterclockwise)."""
+    p = mesh.nodes[mesh.triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def sum_over_triangles(mesh: Mesh, element: np.ndarray) -> sp.csr_matrix:
+    """Sum the 3x3 matrices of the triangles, element[t] on the nodes
+    mesh.triangles[t], into a global CSR matrix."""
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    return sp.coo_matrix((element.ravel(), (rows, cols)), shape=(mesh.num_nodes,) * 2).tocsr()
+
+
+def reference_stiffness(mesh: Mesh) -> sp.csr_matrix:
+    """K assembled triangle by triangle on the integer grid, where every
+    triangle has area 1/2 and its element matrix is e_i . e_j / 2, with
+    e_k the edge opposite node k (K does not change when a 2D mesh is
+    scaled)."""
+    p = np.rint(mesh.nodes * mesh.n)[mesh.triangles]
+    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+    return sum_over_triangles(mesh, np.einsum("tik,tjk->tij", e, e) / 2.0)
+
+
+_MASS_REF = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+
+
+def reference_mass(mesh: Mesh) -> sp.csr_matrix:
+    """The consistent P1 mass matrix assembled triangle by triangle from
+    the signed area of each."""
+    return sum_over_triangles(mesh, signed_areas(mesh)[:, None, None] * _MASS_REF)
+
+
+def reference_matrices(mesh: Mesh) -> FEMatrices:
+    """build_matrices on reference_stiffness and reference_mass, with
+    K + M and K_int by scipy's sparse sum and format conversions."""
+    K, M = reference_stiffness(mesh), reference_mass(mesh)
+    K_int = principal_submatrix(K.tocsc(), ~mesh.boundary_mask)
+    return FEMatrices(mesh=mesh, K=K, M=M, A=(K + M).tocsc(), interior=mesh.interior, K_int=K_int)
 
 
 def recursive_nested_dissection(n: int) -> np.ndarray:

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse._compressed import _cs_matrix
+from scipy.sparse._coo import _coo_base
 
+from obstaclecontrol import linalg
 from obstaclecontrol.assembly import (
     NodalFunction,
+    build_matrices,
     interpolate,
     mass_matrix,
     stiffness_matrix,
@@ -13,7 +17,7 @@ from obstaclecontrol.assembly import (
 from obstaclecontrol.mesh import build_friedrichs_keller
 from obstaclecontrol.operators import extend_interior
 
-from conftest import mesh_and_mats, norm
+from conftest import mesh_and_mats, norm, reference_matrices, sum_over_triangles
 
 
 def test_stiffness_center_row_n2():
@@ -201,3 +205,91 @@ def test_matrices_exactly_symmetric():
     mesh, mats = mesh_and_mats(5)
     for mat in (stiffness_matrix(mesh), mass_matrix(mesh), mats.A):
         assert abs(mat - mat.T).max() == 0.0
+
+
+def _assert_same_arrays(got, expected):
+    """The two compressed matrices store the same entries in the same
+    order, byte for byte, explicit zeros and index dtypes included."""
+    assert got.format == expected.format
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_stencil_is_the_triangle_assembly_at_powers_of_two(n):
+    # every triangle's area h^2/2 is exact here, and each entry of M sums
+    # equal copies, so the order of the triangle sum does not show
+    mesh = build_friedrichs_keller(n)
+    got, expected = build_matrices(mesh), reference_matrices(mesh)
+    for name in ("K", "M", "A", "K_int"):
+        _assert_same_arrays(getattr(got, name), getattr(expected, name))
+
+
+@pytest.mark.parametrize("n", [3, 17, 24, 33])
+def test_stencil_at_other_sizes(n):
+    # K is exact at every n.  The triangle sum of M runs over signed areas
+    # that carry round-off (each coordinate difference is off by up to
+    # n eps relative to h), so the two M agree only to that; the stencil's
+    # M is the exact value count * k / (24 n^2), with k = 2 on the
+    # diagonal and 1 off it, rounded within 4 ulps
+    mesh = build_friedrichs_keller(n)
+    got, expected = build_matrices(mesh), reference_matrices(mesh)
+    _assert_same_arrays(got.K, expected.K)
+    _assert_same_arrays(got.K_int, expected.K_int)
+    for name in ("M", "A"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    assert np.abs(got.M.data - expected.M.data).max() > 0.0
+    assert np.all(np.abs(got.M.data - expected.M.data) <= 4 * n * np.spacing(expected.M.data))
+    assert got.A.data.tobytes() == (got.K.data + got.M.data).tobytes()
+    # the triangles at each node and edge, on the same pattern
+    count = sum_over_triangles(mesh, np.ones((mesh.num_triangles, 3, 3)))
+    m = got.M.tocoo()
+    exact = count.data * np.where(m.row == m.col, 2.0, 1.0) / (24.0 * n * n)
+    assert np.all(np.abs(m.data - exact) <= 4 * np.spacing(exact))
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_stiffness_pattern_is_the_seven_point_stencil(n):
+    # offsets -(n+2), -(n+1), -1, 0, 1, n+1, n+2 where they stay in the
+    # square, with K's 0.0 stored on the ll->ur diagonal edges, so the
+    # band of K_int reads b = n (the interior offset of the diagonal)
+    mesh = build_friedrichs_keller(n)
+    K = stiffness_matrix(mesh)
+    side = n + 1
+    for node in range(mesh.num_nodes):
+        j, i = divmod(node, side)
+        cols = [
+            (j + dj) * side + i + di
+            for di, dj in ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
+            if 0 <= i + di <= n and 0 <= j + dj <= n
+        ]
+        row = K.indices[K.indptr[node]:K.indptr[node + 1]]
+        assert row.tolist() == cols
+        data = K.data[K.indptr[node]:K.indptr[node + 1]]
+        diagonal = np.abs(row - node) == side + 1
+        assert np.all(data[diagonal] == 0.0) and not np.signbit(data[diagonal]).any()
+        assert np.all(data[~diagonal] != 0.0)
+    mats = build_matrices(mesh)
+    keep = np.ones(mats.interior.size, dtype=bool)
+    assert linalg.upper_band(mats.kint_upper, keep).shape[0] == n + 1
+
+
+def test_build_matrices_sorts_and_sums_nothing(monkeypatch):
+    # no COO matrix is converted, and no index array is sorted or summed
+    mesh = build_friedrichs_keller(64)
+    calls = []
+    for cls, name in ((_coo_base, "tocsr"), (_cs_matrix, "sum_duplicates"), (_cs_matrix, "sort_indices")):
+        method = getattr(cls, name)
+
+        def spy(self, *args, _method=method, _name=name, **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, spy)
+    reference_matrices(mesh)
+    assert {"tocsr", "sum_duplicates"} <= set(calls)  # the spies see the triangle sum
+    calls.clear()
+    build_matrices(mesh)
+    assert calls == []

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from obstaclecontrol.mesh import (
-    build_friedrichs_keller,
-    signed_areas,
-)
+from obstaclecontrol.mesh import build_friedrichs_keller
 
-from conftest import recursive_nested_dissection
+from conftest import recursive_nested_dissection, signed_areas
 
 
 def test_counts_n2():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from obstaclecontrol import linalg, newton
+from obstaclecontrol import assembly, linalg, newton
 from obstaclecontrol.assembly import build_matrices, interpolate, vector_norm
 from obstaclecontrol.mesh import build_friedrichs_keller
 from obstaclecontrol.linalg import (
@@ -20,7 +20,7 @@ from obstaclecontrol.newton import (
 )
 from obstaclecontrol.operators import DerivativeSelector, apply_P
 
-from conftest import mesh_and_mats
+from conftest import mesh_and_mats, reference_matrices
 
 PAPER_Y_D = lambda x1, x2: -x1 - x2
 PAPER_PSI = lambda x1, x2: np.full_like(x1, -5.0)
@@ -404,3 +404,19 @@ def test_divergence_is_a_named_stop():
     mesh, mats = mesh_and_mats(18)
     with pytest.raises(DivergenceError, match=r"^outer iteration \d+: residual inf is not finite; the iterates diverged$"):
         run(NewtonConfig(alpha=2e-25, tol=1e-7), PAPER_Y_D, PAPER_PSI, mesh, mats)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_paper_histories_keep_their_bits_on_the_triangle_assembly(n, monkeypatch):
+    # the stencil's K and M are the triangle sum's bytes at powers of two,
+    # so a run on the triangle sum at every level repeats each iterate
+    mesh = build_friedrichs_keller(n)
+    config = NewtonConfig(alpha=1e-5, tol=1e-7)
+    stencil = run(config, PAPER_Y_D, PAPER_PSI, mesh, build_matrices(mesh))
+    monkeypatch.setattr(assembly, "build_matrices", reference_matrices)  # the coarse levels
+    triangles = run(config, PAPER_Y_D, PAPER_PSI, mesh, reference_matrices(mesh))
+    assert len(stencil.history) == len(triangles.history)
+    for a, b in zip(stencil.history, triangles.history):
+        for field in ("y", "ytilde", "u"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert a.residual == b.residual
