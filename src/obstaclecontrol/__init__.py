@@ -4,13 +4,7 @@ set inner solver."""
 
 __version__ = "0.1.0"
 
-from .assembly import (
-    NodalFunction,
-    build_matrices,
-    interpolate,
-    mass_matrix,
-    stiffness_matrix,
-)
+from .assembly import NodalFunction, build_matrices, interpolate
 from .mesh import Mesh, build_friedrichs_keller
 from .newton import NewtonConfig, NewtonReport, run
 from .obstacle import ObstacleSolution, solve_obstacle
@@ -24,8 +18,6 @@ __all__ = [
     "build_friedrichs_keller",
     "build_matrices",
     "interpolate",
-    "mass_matrix",
     "run",
     "solve_obstacle",
-    "stiffness_matrix",
 ]

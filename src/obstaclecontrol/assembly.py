@@ -52,6 +52,13 @@ BANDED_MAX_N = 64
 # coarse level of every paper run, and every block system above it keeps
 # its iterates bit for bit.
 SCHUR_MAX_N = 16
+# The smallest alpha of a Newton run (NewtonConfig) and of a Newton block
+# system (FEMatrices.newton_block).  Below it the unpivoted SuperLU block
+# LU returns wrong steps: the first is at 1e-28 (n = 24, ||y|| / ||rhs||
+# = 4.4 where the exact value is at most 1), and cold paper runs at
+# n = 17..26 already end by round-off at 5e-23 and below.  At 1e-20 no
+# entry M / alpha of the block system overflows when squared.
+ALPHA_MIN = 1e-20
 # FEMatrices.newton_coarse goes down to a level n_c only while alpha n_c^6
 # is at least the first (two-grid PCG then takes 8 or fewer iterations per
 # Newton step), and picks no level, so that the fine block LU solves it,
@@ -141,19 +148,6 @@ def _on_pattern(s: _Stencil, data: np.ndarray, kind=sp.csr_matrix):
     a = kind((data, s.indices, s.indptr), shape=(s.indptr.size - 1,) * 2)
     a.has_canonical_format = True
     return a
-
-
-def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """K[i, j] = integral of grad(phi_i) . grad(phi_j) over the square,
-    with an explicit 0.0 on the ll->ur diagonal edges."""
-    s = _stencil(mesh)
-    return _on_pattern(s, s.k)
-
-
-def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent P1 mass matrix; exact for products of P1 functions."""
-    s = _stencil(mesh)
-    return _on_pattern(s, s.m)
 
 
 def inject(full: np.ndarray, mesh: Mesh, n_c: int) -> np.ndarray:
@@ -286,7 +280,10 @@ class FEMatrices:
         to SCHUR_MAX_N the SchurBlock from schur_parts, else the system with
         every interior node free, in node-interleaved
         Mesh.nested_dissection order, which is kept for the last alpha,
-        since every step of a Newton run shares it."""
+        since every step of a Newton run shares it.  An alpha below
+        ALPHA_MIN, or NaN, is a ValueError."""
+        if not alpha >= ALPHA_MIN:
+            raise ValueError(f"alpha must be at least ALPHA_MIN = {ALPHA_MIN:g}, got {alpha!r}")
         if self.mesh.n <= SCHUR_MAX_N:
             return linalg.SchurBlock(
                 *self.schur_parts, self.a_factorization, self.M, self.interior, alpha

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import FEMatrices, NodalFunction, inject, interpolate, vector_norm
+from .assembly import ALPHA_MIN, FEMatrices, NodalFunction, inject, interpolate, vector_norm
 from .linalg import (
     BlockFactorizationError, CgNoConvergenceError, NotPositiveDefiniteError, SolverError,
     block_solver, cg_self_adjoint, solve_block_newton,
@@ -60,8 +60,9 @@ class NewtonConfig:
     y0: np.ndarray | None = None  # initial guess on all nodes; None means I_h(y_D)
 
     def __post_init__(self):
-        if not (_is_number(self.alpha, numbers.Real) and 0 < self.alpha < math.inf):
-            raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
+        # also rejects NaN
+        if not (_is_number(self.alpha, numbers.Real) and ALPHA_MIN <= self.alpha < math.inf):
+            raise ValueError(f"alpha must be finite and >= {ALPHA_MIN:g}, got {self.alpha!r}")
         # also rejects NaN; tol = inf stops at iteration 0
         if not (_is_number(self.tol, numbers.Real) and self.tol >= 0):
             raise ValueError(f"tol must be nonnegative, got {self.tol!r}")

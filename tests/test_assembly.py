@@ -10,8 +10,6 @@ from obstaclecontrol.assembly import (
     NodalFunction,
     build_matrices,
     interpolate,
-    mass_matrix,
-    stiffness_matrix,
     vector_norm,
 )
 from obstaclecontrol.mesh import build_friedrichs_keller
@@ -23,7 +21,7 @@ from conftest import mesh_and_mats, norm, reference_matrices, sum_over_triangles
 def test_stiffness_center_row_n2():
     # hand assembly: the two-triangle element matrices sum to the 5-point stencil
     mesh, _ = mesh_and_mats(2)
-    K = stiffness_matrix(mesh).toarray()
+    K = build_matrices(mesh).K.toarray()
     assert K[4, 4] == pytest.approx(4.0)
     for neighbor in (1, 3, 5, 7):  # axis neighbors
         assert K[4, neighbor] == pytest.approx(-1.0)
@@ -33,14 +31,14 @@ def test_stiffness_center_row_n2():
 
 def test_stiffness_constants_in_kernel():
     mesh, _ = mesh_and_mats(8)
-    K = stiffness_matrix(mesh)
+    K = build_matrices(mesh).K
     ones = np.ones(mesh.num_nodes)
     assert np.max(np.abs(K @ ones)) < 1e-13
 
 
 def test_stiffness_nonnegative_energy(rng):
     mesh, _ = mesh_and_mats(4)
-    K = stiffness_matrix(mesh)
+    K = build_matrices(mesh).K
     for _ in range(20):
         x = rng.standard_normal(mesh.num_nodes)
         assert x @ (K @ x) >= -1e-12
@@ -51,14 +49,14 @@ def test_stiffness_entries_are_exact(n):
     # the stencil entries of a Friedrichs-Keller mesh, with no rounding
     # error at mesh sizes that are not powers of two
     mesh = build_friedrichs_keller(n)
-    K = stiffness_matrix(mesh)
+    K = build_matrices(mesh).K
     assert np.all(np.isin(K.data, [-1.0, -0.5, 0.0, 1.0, 2.0, 4.0]))
     assert np.all(K @ np.ones(mesh.num_nodes) == 0.0)
 
 
 def test_stiffness_is_m_matrix():
     mesh, _ = mesh_and_mats(8)
-    K = stiffness_matrix(mesh).tocoo()
+    K = build_matrices(mesh).K.tocoo()
     off = K.row != K.col
     assert np.all(K.data[off] <= 1e-14)
 
@@ -66,25 +64,25 @@ def test_stiffness_is_m_matrix():
 def test_mass_total_is_domain_area():
     for n in (2, 5, 8):
         mesh, _ = mesh_and_mats(n)
-        M = mass_matrix(mesh)
+        M = build_matrices(mesh).M
         assert abs(M.sum() - 1.0) < 1e-12
 
 
 def test_mass_center_entry_n2():
     # six incident triangles of area 1/8, each contributing 2*area/12
     mesh, _ = mesh_and_mats(2)
-    M = mass_matrix(mesh).toarray()
+    M = build_matrices(mesh).M.toarray()
     assert M[4, 4] == pytest.approx(6 * 2 * (1 / 8) / 12)
 
 
 def test_mass_entries_nonnegative():
     mesh, _ = mesh_and_mats(4)
-    assert mass_matrix(mesh).min() >= 0.0
+    assert build_matrices(mesh).M.min() >= 0.0
 
 
 def test_h1_is_sum_and_symmetric():
     mesh, mats = mesh_and_mats(4)
-    K, M = stiffness_matrix(mesh), mass_matrix(mesh)
+    K, M = mats.K, mats.M
     A = mats.A
     assert abs(A - (K + M)).max() == 0.0
     assert abs(A - A.T).max() == 0.0
@@ -95,7 +93,7 @@ def test_h1_is_sum_and_symmetric():
 def test_h1_smallest_eigenvalue_bounded_below_by_mass():
     mesh, mats = mesh_and_mats(4)
     A = mats.A.toarray()
-    M = mass_matrix(mesh).toarray()
+    M = build_matrices(mesh).M.toarray()
     assert np.linalg.eigvalsh(A).min() >= np.linalg.eigvalsh(M).min() > 0.0
 
 
@@ -183,7 +181,7 @@ def test_norm_zero_extends_interior_functions():
 
 def test_galerkin_consistency_for_affine_products():
     mesh, _ = mesh_and_mats(6)
-    M = mass_matrix(mesh)
+    M = build_matrices(mesh).M
     f = interpolate(lambda x1, x2: 1.0 + x1, mesh).values
     g = interpolate(lambda x1, x2: 2.0 - x2, mesh).values
     # exact integral of (1+x1)(2-x2) over the unit square: 3*3/2/... compute:
@@ -202,8 +200,8 @@ def test_nodal_function_validation():
 
 
 def test_matrices_exactly_symmetric():
-    mesh, mats = mesh_and_mats(5)
-    for mat in (stiffness_matrix(mesh), mass_matrix(mesh), mats.A):
+    _, mats = mesh_and_mats(5)
+    for mat in (mats.K, mats.M, mats.A):
         assert abs(mat - mat.T).max() == 0.0
 
 
@@ -256,7 +254,7 @@ def test_stiffness_pattern_is_the_seven_point_stencil(n):
     # square, with K's 0.0 stored on the ll->ur diagonal edges, so the
     # band of K_int reads b = n (the interior offset of the diagonal)
     mesh = build_friedrichs_keller(n)
-    K = stiffness_matrix(mesh)
+    K = build_matrices(mesh).K
     side = n + 1
     for node in range(mesh.num_nodes):
         j, i = divmod(node, side)

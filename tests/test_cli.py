@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from obstaclecontrol import cli, newton, obstacle
+from obstaclecontrol import cli, linalg, newton, obstacle
 from obstaclecontrol.assembly import build_matrices, interpolate
 from obstaclecontrol.cli import (
     PAPER_PRESET,
@@ -21,7 +21,7 @@ from obstaclecontrol.cli import (
 from obstaclecontrol.linalg import CgNoConvergenceError
 from obstaclecontrol.newton import NewtonConfig
 
-from conftest import mesh_and_mats, read_vtk
+from conftest import mesh_and_mats, read_vtk, singular_splu
 
 
 def test_parse_const_field():
@@ -249,6 +249,39 @@ def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("usage error:")
 
 
+# Below assembly.ALPHA_MIN the unpivoted SuperLU block LU returns wrong
+# steps, so no run starts there: one usage-error line, before any mesh.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["solve", "--preset", "paper", "--n", "17", "--alpha", "1e-25"], None),
+        (["solve", "--preset", "paper", "--n", "24", "--alpha", "1e-30"], None),
+        (["solve", "--preset", "paper", "--n", "24", "--alpha", "1e-300"], None),
+        (["export", "--preset", "paper", "--n", "8", "--alpha", "1e-21"], None),
+        (["sweep", "--preset", "paper", "--sizes", "8,16", "--alpha", "1e-21"], None),
+        (["solve", "--preset", "paper", "--n", "8"], '{"alpha": 1e-21}'),
+    ],
+    ids=["alpha_1e-25", "alpha_1e-30", "alpha_1e-300", "export_alpha_1e-21", "sweep_alpha_1e-21",
+         "config_alpha_1e-21"],
+)
+def test_cli_alpha_below_the_floor_is_a_usage_error_before_any_mesh(argv, config, tmp_path,
+                                                                   monkeypatch, capsys):
+    def no_mesh(n):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(cli, "build_friedrichs_keller", no_mesh)
+    if argv[0] == "export":
+        argv = argv + ["--out", str(tmp_path / "never.vtk")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("usage error: alpha must be finite and >= 1e-20, got ")
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -285,8 +318,6 @@ def test_cli_bad_config_file_exit_2(command, text, tmp_path, capsys):
 
 
 # A numeric warning printed to stderr would be a second line: make it fail.
-# The inputs that break the Newton block system use a mesh finer than
-# assembly.SCHUR_MAX_N, whose block system SuperLU factors.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "n, extra, pdas_cap, prefix",
@@ -294,19 +325,13 @@ def test_cli_bad_config_file_exit_2(command, text, tmp_path, capsys):
         # zeta vanishes at the initial guess I_h(y_D), so no node is active and
         # outer step 0 needs one PDAS iteration; the cap bites at step 1
         (8, [], 1, "error: outer iteration 1:"),
-        # the iterates grow until a step outruns its right-hand side or
-        # their norms overflow to inf and NaN
-        (17, ["--alpha", "1e-25"], None, "error: outer iteration "),
-        # the first step is longer than its right-hand side
-        (24, ["--alpha", "1e-30"], None, "error: outer iteration 0:"),
-        # the block system has entries whose square overflows, so SuperLU does not factor it
-        (24, ["--alpha", "1e-300"], None, "error: outer iteration 0:"),
         # a finite y_D so large that P I_h y_D - P y overflows in zeta
         (8, ["--y-d", "const:1.7e308"], None, "error: outer iteration 0: zeta "),
         (8, ["--y-d", "affine:1.7e308,0,0"], None, "error: outer iteration 0: zeta "),
+        # a finite y_D whose first residual overflows in the M-norm
+        (8, ["--y-d", "const:1e160"], None, "error: outer iteration 0: residual inf "),
     ],
-    ids=["pdas_cap", "alpha_1e-25", "alpha_1e-30", "alpha_1e-300", "y_d_const_1e308",
-         "y_d_affine_1e308"],
+    ids=["pdas_cap", "y_d_const_1e308", "y_d_affine_1e308", "y_d_const_1e160"],
 )
 def test_cli_pdas_failure_is_one_error_line_exit_1(n, extra, pdas_cap, prefix, monkeypatch,
                                                     capsys):
@@ -329,13 +354,15 @@ def test_cli_coarse_pdas_failure_is_one_error_line_exit_1(monkeypatch, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_cli_block_failure_below_the_pcg_cut_is_on_the_fine_level(capsys):
-    # alpha n_c^4 is far below NEWTON_PCG_ALPHA_N4, so the fine block LU
-    # solves the step, and its system has entries that overflow when squared
-    assert main(["solve", "--preset", "paper", "--n", "32", "--alpha", "1e-300"]) == 1
+def test_cli_block_failure_below_the_pcg_cut_is_on_the_fine_level(monkeypatch, capsys):
+    # alpha n_c^4 = 6.6e-6 at n_c = 16 is below NEWTON_PCG_ALPHA_N4, so the
+    # fine block LU solves the step; the banded levels never call SuperLU,
+    # so the singular factor is that of the fine block system
+    monkeypatch.setattr(linalg, "_splu", singular_splu)
+    assert main(["solve", "--preset", "paper", "--n", "32", "--alpha", "1e-10"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: outer iteration 0: Newton block system with |free| = 961: ")
+    assert err == ["error: outer iteration 0: Newton block system with |free| = 961: "
+                   "Factor is exactly singular"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -361,20 +388,21 @@ def test_cli_cg_failure_is_one_error_line_exit_1(monkeypatch, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "n, extra, pdas_cap, line",
+    "n, extra, patch, line",
     [
         # step 1 starts from step 0's active set, which is empty
-        (8, [], 1, "error: outer iteration 1: level n=8: active set did not settle within 1 "
-                   "iterations; last iterate |free| = 49, |active| = 0"),
-        # SuperLU factors the block system above assembly.SCHUR_MAX_N
-        (24, ["--alpha", "1e-300"], None, "error: outer iteration 0: Newton block system with "
-                                          "|free| = 529: "),
+        (8, [], (obstacle, "PDAS_MAX_ITER", 1),
+         "error: outer iteration 1: level n=8: active set did not settle within 1 "
+         "iterations; last iterate |free| = 49, |active| = 0"),
+        # no node is active at step 0, and SuperLU factors the fine block
+        # system of n = 32 at alpha = 1e-10 (see the test above)
+        (32, ["--alpha", "1e-10"], (linalg, "_splu", singular_splu),
+         "error: outer iteration 0: Newton block system with |free| = 961: "),
     ],
     ids=["pdas_cap", "zero_pivot"],
 )
-def test_cli_failure_line_names_the_set_sizes(n, extra, pdas_cap, line, monkeypatch, capsys):
-    if pdas_cap is not None:
-        monkeypatch.setattr(obstacle, "PDAS_MAX_ITER", pdas_cap)
+def test_cli_failure_line_names_the_set_sizes(n, extra, patch, line, monkeypatch, capsys):
+    monkeypatch.setattr(*patch)
     assert main(["solve", "--preset", "paper", "--n", str(n), *extra]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(line)

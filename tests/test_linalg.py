@@ -26,6 +26,7 @@ from conftest import (
     reference_level_cut,
     reference_nd_cut,
     reference_upper_band,
+    singular_splu,
     solve,
 )
 
@@ -124,29 +125,31 @@ def test_block_solve_matches_dense_probe(rng):
     assert np.linalg.norm(y - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
-def test_block_solve_zero_pivot_names_the_free_set(rng):
-    # at alpha = 1e-300 the scaled mass block is so large that eliminating
-    # it would overflow to an exactly zero pivot, so it is not factored;
+def test_block_solve_zero_pivot_names_the_free_set(rng, monkeypatch):
+    # SuperLU's error at an exactly zero pivot is named with the free set;
     # n = 24 is above SCHUR_MAX_N, so SuperLU factors its block system
+    monkeypatch.setattr(linalg, "_splu", singular_splu)
     mesh, mats = mesh_and_mats(24)
     sel = _random_selector(mats, rng)
     rhs = rng.standard_normal(mesh.num_nodes)
-    message = rf"^Newton block system with \|free\| = {sel.free.size}: "
+    message = rf"^Newton block system with \|free\| = {sel.free.size}: Factor is exactly singular$"
     with pytest.raises(BlockFactorizationError, match=message):
-        solve_block_newton(mats.newton_block(1e-300), sel.free, rhs)
+        solve_block_newton(mats.newton_block(1e-5), sel.free, rhs)
 
 
-def test_block_entries_whose_square_overflows_never_reach_superlu(monkeypatch):
-    # at n = 32 SuperLU, going on past such a pivot, can crash the process
+@pytest.mark.parametrize("n", [8, 32])
+def test_newton_block_refuses_alpha_below_the_floor(n, monkeypatch):
+    # one floor for the dense Schur (n = 8) and the SuperLU (n = 32) kernel,
+    # checked before a block system is built
     def no_splu(*args, **kwargs):
-        raise AssertionError("SuperLU factored a system that overflows")
+        raise AssertionError("SuperLU factored a block system below the floor")
 
     monkeypatch.setattr(linalg.spla, "splu", no_splu)
-    _, mats = mesh_and_mats(32)
-    free = np.arange(mats.interior.size)
-    message = r"^Newton block system with \|free\| = 961: entry \S+ overflows when squared$"
-    with pytest.raises(BlockFactorizationError, match=message):
-        linalg.block_solver(mats.newton_block(1e-300), free)
+    _, mats = mesh_and_mats(n)
+    for alpha in (assembly.ALPHA_MIN / 2, np.nan):
+        with pytest.raises(ValueError, match=r"^alpha must be at least ALPHA_MIN = 1e-20, got "):
+            mats.newton_block(alpha)
+    assert mats.newton_block(assembly.ALPHA_MIN).alpha == assembly.ALPHA_MIN
 
 
 def test_block_solve_large_alpha_limit(rng):
@@ -244,12 +247,14 @@ def test_coarse_schur_solve_makes_no_superlu_call(rng, monkeypatch):
 
 
 def test_schur_overflow_is_a_named_failure(rng):
-    # C / alpha overflows to inf at a subnormal alpha
+    # C / alpha overflows to inf at a subnormal alpha; newton_block refuses
+    # any alpha below ALPHA_MIN, so only a block built here reaches it
     _, mats = mesh_and_mats(8)
     free = _random_selector(mats, rng).free
+    block = mats.newton_block(1e-5)._replace(alpha=1e-320)
     message = rf"^Newton block system with \|free\| = {free.size}: Schur complement is not finite$"
     with pytest.raises(BlockFactorizationError, match=message):
-        linalg.block_solver(mats.newton_block(1e-320), free)
+        linalg.block_solver(block, free)
 
 
 def test_schur_nan_is_a_named_failure():

@@ -7,7 +7,7 @@ from obstaclecontrol import assembly, linalg, newton
 from obstaclecontrol.assembly import build_matrices, interpolate, vector_norm
 from obstaclecontrol.mesh import build_friedrichs_keller
 from obstaclecontrol.linalg import (
-    BlockFactorizationError, CgNoConvergenceError, NotPositiveDefiniteError,
+    BlockFactorizationError, CgNoConvergenceError, NotPositiveDefiniteError, solve_block_newton,
 )
 from obstaclecontrol.newton import (
     DivergenceError,
@@ -159,18 +159,21 @@ def test_two_grid_preconditioner_is_m_self_adjoint_and_positive(n, alpha, rng):
         assert inner(br, r) > 0.0 and inner(bs, s) > 0.0
 
 
-def test_coarse_block_failure_names_its_level():
-    # no CLI input reaches it: an alpha small enough to break the block
-    # factor is far below the cut, where newton_coarse picks no level;
-    # at 1e-320 the C / alpha of the Schur complement overflows
+def test_coarse_block_failure_names_its_level(monkeypatch):
+    # a kernel test only: an alpha small enough to break the coarse Schur
+    # factor lies below ALPHA_MIN, which NewtonConfig and newton_block
+    # refuse; so the coarse level hands out a block at 1e-320, at which the
+    # C / alpha of the Schur complement overflows
     _, mats = mesh_and_mats(32)
     link = mats.newton_coarse(1e-5)
+    block = link.level.newton_block(1e-5)._replace(alpha=1e-320)
+    monkeypatch.setattr(link.level, "newton_block", lambda alpha: block)
     message = (
         r"^coarse level n=16: Newton block system with \|free\| = 225: "
         r"Schur complement is not finite$"
     )
     with pytest.raises(BlockFactorizationError, match=message):
-        two_grid_preconditioner(unconstrained(mats), 1e-320, mats, link)
+        two_grid_preconditioner(unconstrained(mats), 1e-5, mats, link)
 
 
 def test_all_constrained_step_is_rhs_without_a_factorization(rng, monkeypatch):
@@ -399,11 +402,34 @@ def test_block_lu_side_of_the_cut_runs_no_pcg(monkeypatch):
 
 
 def test_divergence_is_a_named_stop():
-    # the residual grows by orders of magnitude each step until it overflows;
-    # above assembly.SCHUR_MAX_N, so SuperLU factors every block system
-    mesh, mats = mesh_and_mats(18)
-    with pytest.raises(DivergenceError, match=r"^outer iteration \d+: residual inf is not finite; the iterates diverged$"):
-        run(NewtonConfig(alpha=2e-25, tol=1e-7), PAPER_Y_D, PAPER_PSI, mesh, mats)
+    # y_D = 1e160 is finite, but the M-norm of the first residual
+    # y_0 - ytilde_0 = I_h y_D - P u_0 overflows when squared
+    mesh, mats = mesh_and_mats(8)
+    message = r"^outer iteration 0: residual inf is not finite; the iterates diverged$"
+    with pytest.raises(DivergenceError, match=message):
+        run(NewtonConfig(alpha=1e-5, tol=1e-7), lambda x1, x2: 1e160, PAPER_PSI, mesh, mats)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 32, 64])
+def test_block_steps_keep_the_unit_bound_from_the_alpha_floor_up(n, rng):
+    # the inverse Newton operator has unit M-norm bound; below ALPHA_MIN
+    # the unpivoted SuperLU block LU returns steps that break it.  From the
+    # floor up to 1e-6 every step keeps it on either kernel, on the
+    # converged paper selector with the first paper step's right-hand side
+    # and on two random selectors
+    mesh, mats = mesh_and_mats(n)
+    report = run(NewtonConfig(alpha=1e-5, tol=1e-7), PAPER_Y_D, PAPER_PSI, mesh, mats)
+    assert report.status == "converged"
+    first = report.history[0]
+    rhs = first.ytilde - first.y
+    selectors = [DerivativeSelector.from_solution(report.final_solution, mats, False)]
+    selectors += [_random_selector(mats, rng) for _ in range(2)]
+    rhs_norm = vector_norm(rhs, "L2", mats.K, mats.M)
+    for alpha in assembly.ALPHA_MIN * 10.0 ** np.arange(15):
+        block = mats.newton_block(alpha)
+        for selector in selectors:
+            y = solve_block_newton(block, selector.free, rhs)
+            assert vector_norm(y, "L2", mats.K, mats.M) <= (1.0 + 1e-9) * rhs_norm
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
