@@ -87,22 +87,32 @@ class NodalFunction:
             raise ValueError("nodal values must be finite")
 
 
-class _Stencil(NamedTuple):
-    """K and M in CSR form on their shared 7-point pattern."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    k: np.ndarray
-    m: np.ndarray
+def _per_offset(*values):  # one value per offset, each over a grid, node by node
+    return np.stack(np.broadcast_arrays(*values), axis=-1).reshape(-1, 7)
 
 
-def _stencil(mesh: Mesh) -> _Stencil:
-    """The CSR arrays of K and M, written from the Friedrichs-Keller stencil.
+def _pattern(side: int):
+    """The 7-point pattern on a side x side grid, node (i, j) at j side + i:
+    whether each offset -(side+1), -side, -1, 0, 1, side, side+1 (in this
+    column order) stays on the grid, node by node, and the CSR indptr and
+    indices."""
+    lo_i, hi_i = np.arange(side) > 0, np.arange(side) < side - 1
+    lo_j, hi_j = lo_i[:, None], hi_i[:, None]  # a row vector varies with i, a column with j
+    present = _per_offset(lo_i & lo_j, lo_j, lo_i, True, hi_i, hi_j, hi_i & hi_j)
+    offsets = np.array([-side - 1, -side, -1, 0, 1, side, side + 1])
+    indptr = np.zeros(side * side + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    indices = (np.arange(side * side)[:, None] + offsets)[present].astype(np.int32)
+    return present, indptr, indices
+
+
+def _stencil(mesh: Mesh):
+    """The CSR indptr and indices of K and M, and the data of each, written
+    from the Friedrichs-Keller stencil.
 
     Node (i, j) couples to itself and to the ends of its edges, at the
-    offsets -(n+2), -(n+1), -1, 0, 1, n+1, n+2 (in this column order),
-    the ll->ur diagonals at +-(n+2); an offset is dropped where it leaves
-    the square.  K = T_N (x) W + W (x) T_N, with T_N = tridiag(-1, 2, -1)
+    offsets of the _pattern of the (n+1) x (n+1) grid, the ll->ur
+    diagonals at +-(n+2).  K = T_N (x) W + W (x) T_N, with T_N = tridiag(-1, 2, -1)
     with 1 in both corners and W = diag(1/2, 1, ..., 1, 1/2), so its
     entries are exact at every n, and the diagonal edges store K's 0.0.
     A triangle, of area h^2/2, adds (h^2/2)(2/12) to the M entry of each
@@ -120,12 +130,8 @@ def _stencil(mesh: Mesh) -> _Stencil:
     # node (i, j) at [j, i] of the grid: a row vector varies with i, a column with j
     w_i, t_i, lo_i, hi_i = w, t, lo, hi
     w_j, t_j, lo_j, hi_j = w[:, None], t[:, None], lo[:, None], hi[:, None]
-
-    def per_offset(*values):  # one value per offset, each over the grid, node by node
-        return np.stack(np.broadcast_arrays(*values), axis=-1).reshape(-1, 7)
-
-    present = per_offset(lo_i & lo_j, lo_j, lo_i, True, hi_i, hi_j, hi_i & hi_j)
-    k = per_offset(0.0, -w_i, -w_j, t_i * w_j + w_i * t_j, -w_j, -w_i, 0.0)
+    present, indptr, indices = _pattern(side)
+    k = _per_offset(0.0, -w_i, -w_j, t_i * w_j + w_i * t_j, -w_j, -w_i, 0.0)
     # copies[0, c - 1] adds c shares of an edge, copies[1, c - 1] of a node;
     # a diagonal edge (across) lies in 2 triangles, an axis edge in 2w
     shares = 0.5 / (n * n) * (np.array([[1.0], [2.0]]) / 12.0)
@@ -133,19 +139,24 @@ def _stencil(mesh: Mesh) -> _Stencil:
     across, edge_i = copies[0, 1], copies[0, (2 * w).astype(np.intp) - 1]
     edge_j = edge_i[:, None]
     at_node = 2 * (hi_i & hi_j) + (lo_i & hi_j) + (hi_i & lo_j) + 2 * (lo_i & lo_j)
-    m = per_offset(across, edge_i, edge_j, copies[1, at_node - 1], edge_j, edge_i, across)
-    offsets = np.array([-side - 1, -side, -1, 0, 1, side, side + 1])
-    indptr = np.zeros(side * side + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
-    indices = (np.arange(side * side)[:, None] + offsets)[present].astype(np.int32)
-    return _Stencil(indptr, indices, k[present], m[present])
+    m = _per_offset(across, edge_i, edge_j, copies[1, at_node - 1], edge_j, edge_i, across)
+    return indptr, indices, k[present], m[present]
 
 
-def _on_pattern(s: _Stencil, data: np.ndarray, kind=sp.csr_matrix):
-    """data on the stencil's pattern, as CSR, or as CSC for a symmetric
-    matrix, whose CSR arrays are its CSC arrays.  The matrices of one
-    stencil share its index arrays, which nothing changes in place."""
-    a = kind((data, s.indices, s.indptr), shape=(s.indptr.size - 1,) * 2)
+def _interior_stiffness(n: int) -> sp.csc_matrix:
+    """K_int on the _pattern of the (n-1) x (n-1) grid of interior nodes,
+    where K is 4 at a node, -1 on its axis edges and 0.0 on its diagonal
+    ones (W = 1 and T_N has 2 on its diagonal there)."""
+    present, indptr, indices = _pattern(n - 1)
+    k = np.broadcast_to([0.0, -1.0, -1.0, 4.0, -1.0, -1.0, 0.0], present.shape)[present]
+    return _on_pattern(indptr, indices, k, sp.csc_matrix)
+
+
+def _on_pattern(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, kind=sp.csr_matrix):
+    """data on a CSR pattern, as CSR, or as CSC for a symmetric matrix,
+    whose CSR arrays are its CSC arrays.  The matrices of one stencil
+    share its index arrays, which nothing changes in place."""
+    a = kind((data, indices, indptr), shape=(indptr.size - 1,) * 2)
     a.has_canonical_format = True
     return a
 
@@ -339,17 +350,16 @@ class FEMatrices:
 
 
 def build_matrices(mesh: Mesh) -> FEMatrices:
-    """K and M in CSR form, K + M in CSC form and K_int, cut from K read
-    as CSC, all on the arrays of one _stencil."""
-    s = _stencil(mesh)
-    K_int = linalg.principal_submatrix(_on_pattern(s, s.k, sp.csc_matrix), ~mesh.boundary_mask)
+    """K and M in CSR form and K + M in CSC form, all on the arrays of one
+    _stencil, and K_int in CSC form (_interior_stiffness)."""
+    indptr, indices, k, m = _stencil(mesh)
     return FEMatrices(
         mesh=mesh,
-        K=_on_pattern(s, s.k),
-        M=_on_pattern(s, s.m),
-        A=_on_pattern(s, s.k + s.m, sp.csc_matrix),
+        K=_on_pattern(indptr, indices, k),
+        M=_on_pattern(indptr, indices, m),
+        A=_on_pattern(indptr, indices, k + m, sp.csc_matrix),
         interior=mesh.interior,
-        K_int=K_int,
+        K_int=_interior_stiffness(mesh.n),
     )
 
 

@@ -264,15 +264,16 @@ def principal_submatrix(a: sp.csc_matrix, keep: np.ndarray):
 
 def _schur_solver(block: SchurBlock, free: np.ndarray):
     """Factor the Schur complement of block on the free set (SchurBlock)
-    by dense Cholesky and return the solve g -> b.
+    by dense Cholesky and return the solve g -> b, which applies the
+    factor once, B_f and B_f^T by solves of K + M: enough for a
+    preconditioner, which need not be accurate to round-off.
 
-    B_f and B_f^T are applied by solves of K + M, so that a, w and b
-    satisfy the first and last rows of the block system to round-off.
     C is a Gram matrix, so at small alpha S is far worse conditioned
     than the block system, and a plain solve of S loses up to 4e-11 of
-    relative accuracy in y at alpha = 1e-10.  So each solve takes one
-    step of refinement against the w-rows, K_ff w - (M a)_f (Björck,
-    BIT 7, 1967, for the augmented system of least squares)."""
+    relative accuracy in y at alpha = 1e-10.  So solve.refined, the solve
+    of a fine step, takes one step of refinement against the w-rows,
+    K_ff w - (M a)_f (Björck, BIT 7, 1967, for the augmented system of
+    least squares)."""
     cut = np.ix_(free, free)
     k_ff = block.kint[cut]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -297,11 +298,15 @@ def _schur_solver(block: SchurBlock, free: np.ndarray):
         return blas.dtrsv(factor, blas.dtrsv(factor, r, trans=1))
 
     def solve(g: np.ndarray) -> np.ndarray:
+        return apply_b(apply_s_inverse((mass @ helmholtz.solve(g))[nodes]))
+
+    def refined(g: np.ndarray) -> np.ndarray:
         w = apply_s_inverse((mass @ helmholtz.solve(g))[nodes])
         a = helmholtz.solve(g - mass @ apply_b(w) / alpha)
         w += apply_s_inverse((mass @ a)[nodes] - k_ff @ w)
         return apply_b(w)
 
+    solve.refined = refined
     return solve
 
 
@@ -312,11 +317,12 @@ def block_solver(block: BlockPattern | SchurBlock, free: np.ndarray):
     Newton block system is factored.  With no free node there is no
     w-unknown, so b = 0.
 
-    A SchurBlock is factored through its dense Schur complement.  A
-    BlockPattern is cut for the free set and factored by SuperLU: the
-    system keeps the block's node order, every 3x3 node block is
-    nonsingular, and the system is factored without pivoting in that
-    order, so the factors keep the sparsity of the ordering.
+    A SchurBlock is factored through its dense Schur complement, and its
+    solve applies the factor once.  A BlockPattern is cut for the free
+    set and factored by SuperLU: the system keeps the block's node
+    order, every 3x3 node block is nonsingular, and the system is
+    factored without pivoting in that order, so the factors keep the
+    sparsity of the ordering.
     """
     if free.size == 0:
         return lambda g: np.zeros(block.mass.shape[0])
@@ -357,18 +363,21 @@ def solve_block_newton(
         K_ff w  - (M a)|_free   = 0
         (K+M) b - M E w         = 0
 
-    after eliminating y = rhs - b/alpha.  Returns y.
+    after eliminating y = rhs - b/alpha.  Returns y.  A Schur solve takes
+    its refinement step here.
     """
-    b = block_solver(block, free)(block.mass @ rhs)
+    solve = block_solver(block, free)
+    b = getattr(solve, "refined", solve)(block.mass @ rhs)
     return rhs - b / block.alpha
 
 
-def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float, max_iter: int,
+def cg_self_adjoint(apply_op, rhs: np.ndarray, mass: sp.spmatrix, tol: float, max_iter: int,
                     precondition) -> tuple[np.ndarray, int]:
     """Conjugate gradients for an operator self-adjoint and positive
-    definite in the given inner product, preconditioned by precondition
-    (r -> an approximate inverse applied to r, self-adjoint and positive
-    definite in that inner product), from x = 0.
+    definite in the inner product (x, z)_M = x^T mass z, preconditioned
+    by precondition ((r, mass r) -> an approximate inverse applied to r,
+    self-adjoint and positive definite in that inner product), from
+    x = 0.  Each iteration forms mass r once.
 
     Stops when the residual norm is at most tol times that of rhs, and
     returns x and the iterations taken.  Raises CgNoConvergenceError
@@ -376,11 +385,12 @@ def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float, max_iter: int,
     on a direction of nonpositive curvature."""
     x = np.zeros_like(rhs)
     r = rhs.copy()  # the residual of x = 0, without applying the operator
-    z = precondition(r)
+    mr = mass @ r
+    z = precondition(r, mr)
     p = z.copy()
-    rr = inner(r, r)
-    rz = inner(r, z)
-    stop = tol * tol * max(inner(rhs, rhs), 1e-300)
+    rr = float(r @ mr)
+    rz = float(z @ mr)
+    stop = tol * tol * max(rr, 1e-300)  # (rhs, rhs)_M
     it = 0
     while not rr <= stop:  # a NaN residual goes on to fail below
         if it == max_iter:
@@ -389,7 +399,7 @@ def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float, max_iter: int,
                 f"after {max_iter} iterations"
             )
         ap = apply_op(p)
-        curvature = inner(p, ap)
+        curvature = float(p @ (mass @ ap))
         if not curvature > 0.0:  # also NaN
             raise NotPositiveDefiniteError(
                 f"CG iteration {it}: nonpositive curvature {curvature:.3e}"
@@ -397,9 +407,10 @@ def cg_self_adjoint(apply_op, rhs: np.ndarray, inner, tol: float, max_iter: int,
         a_step = rz / curvature
         x += a_step * p
         r -= a_step * ap
-        z = precondition(r)
-        rr = inner(r, r)
-        rz_new = inner(r, z)
+        mr = mass @ r
+        z = precondition(r, mr)
+        rr = float(r @ mr)
+        rz_new = float(z @ mr)
         p = z + (rz_new / rz) * p
         rz = rz_new
         it += 1

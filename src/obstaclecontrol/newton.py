@@ -115,14 +115,15 @@ def newton_step_matrix_apply(
 
 
 def two_grid_preconditioner(selector: DerivativeSelector, alpha: float, mats: FEMatrices, link):
-    """r -> B^{-1} r = r - (1/alpha) Pr b_c(Pr^T M r), the two-grid
+    """(r, M r) -> B^{-1} r = r - (1/alpha) Pr b_c(Pr^T M r), the two-grid
     preconditioner of the Newton operator on a mesh with a coarse level.
 
     It is (I - Pr Q) + Pr T_c^{-1} Q with Q = M_c^{-1} Pr^T M, where T_c
     is the Newton operator of the level of link, the CoarseLink that
     FEMatrices.newton_coarse picks at alpha, Pr the prolongation from it,
-    and b_c the block solve of T_c (factored here), whose constrained
-    nodes are the fine ones injected to it: T_c^{-1} q = q - b_c(M_c q)/alpha,
+    and b_c the block solve of T_c (factored here, without refinement),
+    whose constrained nodes are the fine ones injected to it:
+    T_c^{-1} q = q - b_c(M_c q)/alpha,
     and M_c cancels since Pr^T M Pr = M_c.  B^{-1} is self-adjoint and
     positive definite in the M inner product."""
     coarse = link.level
@@ -133,8 +134,8 @@ def two_grid_preconditioner(selector: DerivativeSelector, alpha: float, mats: FE
         solve_b = block_solver(coarse.newton_block(alpha), coarse_free)
     except BlockFactorizationError as exc:
         raise BlockFactorizationError(f"coarse level n={coarse.mesh.n}: {exc}") from exc
-    pr, restrict, m = link.prolongation, link.restriction, mats.M
-    return lambda r: r - pr @ solve_b(restrict @ (m @ r)) / alpha
+    pr, restrict = link.prolongation, link.restriction
+    return lambda r, mr: r - pr @ solve_b(restrict @ mr) / alpha
 
 
 def solve_newton_system(
@@ -163,17 +164,16 @@ def solve_newton_system_cg(
     mats: FEMatrices,
     tol: float = 1e-12,
     max_iter: int = 20000,
-    precondition=lambda r: r,
+    precondition=lambda r, mr: r,
 ) -> tuple[np.ndarray, int]:
     """CG on the Newton operator in the M inner product, in which it is
     self-adjoint and positive definite; returns the solution and the
     iterations, and its errors name the set sizes.  Without a
     preconditioner, the matrix-free cross-check of the block solve."""
-    m = mats.M
     try:
         return cg_self_adjoint(
             lambda v: newton_step_matrix_apply(v, selector, alpha, mats), rhs,
-            lambda x, z: float(x @ (m @ z)), tol, max_iter, precondition,
+            mats.M, tol, max_iter, precondition,
         )
     except (CgNoConvergenceError, NotPositiveDefiniteError) as exc:
         raise type(exc)(

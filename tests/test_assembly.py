@@ -214,7 +214,7 @@ def _assert_same_arrays(got, expected):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
 def test_stencil_is_the_triangle_assembly_at_powers_of_two(n):
     # every triangle's area h^2/2 is exact here, and each entry of M sums
     # equal copies, so the order of the triangle sum does not show
@@ -222,6 +222,7 @@ def test_stencil_is_the_triangle_assembly_at_powers_of_two(n):
     got, expected = build_matrices(mesh), reference_matrices(mesh)
     for name in ("K", "M", "A", "K_int"):
         _assert_same_arrays(getattr(got, name), getattr(expected, name))
+    assert got.K_int.has_canonical_format
 
 
 @pytest.mark.parametrize("n", [3, 17, 24, 33])
@@ -235,6 +236,7 @@ def test_stencil_at_other_sizes(n):
     got, expected = build_matrices(mesh), reference_matrices(mesh)
     _assert_same_arrays(got.K, expected.K)
     _assert_same_arrays(got.K_int, expected.K_int)
+    assert got.K_int.has_canonical_format
     for name in ("M", "A"):
         a, b = getattr(got, name), getattr(expected, name)
         assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
@@ -246,6 +248,14 @@ def test_stencil_at_other_sizes(n):
     m = got.M.tocoo()
     exact = count.data * np.where(m.row == m.col, 2.0, 1.0) / (24.0 * n * n)
     assert np.all(np.abs(m.data - exact) <= 4 * np.spacing(exact))
+
+
+def test_build_matrices_cuts_no_submatrix(monkeypatch):
+    # K_int is written from the stencil of the interior grid, not cut from K
+    calls = []
+    monkeypatch.setattr(linalg, "principal_submatrix", lambda *args: calls.append(args))
+    build_matrices(build_friedrichs_keller(16))
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])

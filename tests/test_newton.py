@@ -141,8 +141,10 @@ def _random_selector(mats, rng):
     return DerivativeSelector.from_node_set(np.flatnonzero(rng.random(m) < rng.uniform(0.1, 0.9)), mats)
 
 
-# n = 64 at alpha = 1e-5 preconditions from n = 16, two levels down
-@pytest.mark.parametrize("n, alpha", [(32, 1e-5), (32, 1e-8), (64, 1e-5)])
+# n = 64 at alpha = 1e-5 preconditions from n = 16, two levels down; at
+# 1.3e-9, the smallest alpha with alpha 16^4 >= NEWTON_PCG_ALPHA_N4, the
+# coarse Schur complement is at its worst conditioned
+@pytest.mark.parametrize("n, alpha", [(32, 1e-5), (32, 1e-8), (64, 1e-5), (32, 1.3e-9)])
 def test_two_grid_preconditioner_is_m_self_adjoint_and_positive(n, alpha, rng):
     mesh, mats = mesh_and_mats(n)
 
@@ -154,9 +156,42 @@ def test_two_grid_preconditioner_is_m_self_adjoint_and_positive(n, alpha, rng):
             _random_selector(mats, rng), alpha, mats, mats.newton_coarse(alpha)
         )
         r, s = rng.standard_normal((2, mesh.num_nodes))
-        br, bs = apply_b(r), apply_b(s)
+        br, bs = apply_b(r, mats.M @ r), apply_b(s, mats.M @ s)
         assert abs(inner(br, s) - inner(r, bs)) <= 1e-12 * abs(inner(br, s))
         assert inner(br, r) > 0.0 and inner(bs, s) > 0.0
+
+
+def test_pcg_work_per_iteration_and_per_coarse_correction(rng, monkeypatch):
+    # a PCG iteration applies the Newton operator once: two solves of the
+    # fine K + M (P twice) and one of the fine K_ff (G).  A coarse
+    # correction, one per iteration and one at the start, applies the
+    # coarse Schur factor once: two solves of the coarse K + M and two
+    # triangular solves.  The fine step's Schur solve adds its refinement:
+    # four of each
+    mesh, mats = mesh_and_mats(32)
+    coarse = mats.newton_coarse(1e-5).level
+    coarse.schur_parts  # built once per level, by one solve of K + M
+    sel = _random_selector(mats, rng)
+    fine_free = mats.free_factorization(sel.free)
+    calls, triangular = [], []
+    solve, dtrsv = linalg.Factorization.solve, linalg.blas.dtrsv
+    monkeypatch.setattr(linalg.Factorization, "solve",
+                        lambda self, b: calls.append(self) or solve(self, b))
+    monkeypatch.setattr(linalg.blas, "dtrsv",
+                        lambda *args, **kwargs: triangular.append(1) or dtrsv(*args, **kwargs))
+    _, iterations, n_c = solve_newton_system(rng.standard_normal(mesh.num_nodes), sel, 1e-5, mats)
+    assert n_c == 16 and iterations >= 1
+    assert calls.count(mats.a_factorization) == 2 * iterations
+    assert calls.count(fine_free) == iterations
+    assert calls.count(coarse.a_factorization) == 2 * (iterations + 1)
+    assert len(calls) == 5 * iterations + 2
+    assert len(triangular) == 2 * (iterations + 1)
+
+    calls.clear()
+    triangular.clear()
+    rhs = rng.standard_normal(coarse.mesh.num_nodes)
+    solve_block_newton(coarse.newton_block(1e-5), _random_selector(coarse, rng).free, rhs)
+    assert calls == [coarse.a_factorization] * 4 and len(triangular) == 4
 
 
 def test_coarse_block_failure_names_its_level(monkeypatch):
@@ -446,3 +481,23 @@ def test_paper_histories_keep_their_bits_on_the_triangle_assembly(n, monkeypatch
         for field in ("y", "ytilde", "u"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert a.residual == b.residual
+
+
+# the PCG iterations of each step, the last record taking none; n = 32
+# preconditions from n_c = 16 (at 2e-9, alpha 16^4 = 1.3e-4 lies near the
+# cut NEWTON_PCG_ALPHA_N4 = 8e-5), paper n = 48 from n_c = 24 and n = 64
+# at 1e-7 from n_c = 32
+@pytest.mark.parametrize("n, alpha, history, n_c", [
+    (32, 1e-6, [7, 7, 7, 7, 7, 7, 6, 7, 0], 16),
+    (32, 1e-7, [9, 9, 9, 10, 9, 9, 9, 9, 9, 8, 8, 9, 0], 16),
+    (32, 1e-8, [13, 12, 15, 14, 13, 14, 14, 13, 13, 14, 14, 12, 13, 13, 13, 13, 14, 14, 0], 16),
+    (32, 2e-9, [18, 20, 20, 18, 19, 19, 18, 19, 19, 20, 18, 19, 18, 17, 17, 17, 17, 18, 17,
+                16, 17, 16, 0], 16),
+    (48, 1e-5, [5] * 6 + [0], 24),
+    (64, 1e-7, [6] + [7] * 11 + [0], 32),
+])
+def test_pcg_iterations_of_each_step(n, alpha, history, n_c):
+    report = _paper_run(n, alpha)
+    assert report.status == "converged"
+    assert [rec.pcg_iterations for rec in report.history] == history
+    assert [rec.coarse_n for rec in report.history] == [n_c] * (len(history) - 1) + [None]
