@@ -8,11 +8,11 @@ operators.extend_interior zero-extends them.
 
 Each mesh keeps one factor of K + M and one of K_int[free, free], for
 the last free set, the whole interior included; meshes with n up to
-BANDED_MAX_N factor them by band Cholesky, cutting the band of each
-K_int[free, free] from the upper-triangle entries of K_int, finer ones
-by SuperLU.  A
-mesh with n up to SCHUR_MAX_N solves its Newton block systems through
-their dense Schur complement, a finer one by SuperLU.
+BANDED_MAX_N factor them by band Cholesky, cutting the band of K + M
+and of each K_int[free, free] from the upper-triangle entries of the
+matrix, finer ones by SuperLU.  A mesh with n up to SCHUR_MAX_N solves
+its Newton block systems through their dense Schur complement, a finer
+one by SuperLU.
 
 The meshes n, n/2, n/4, ... are nested: each coarse triangle is the
 union of four fine ones.  FEMatrices.coarse and FEMatrices.prolongation
@@ -228,10 +228,12 @@ class FEMatrices:
 
     @cached_property
     def a_factorization(self) -> linalg.Factorization:
-        """Factorization of K + M (Neumann Helmholtz operator): in natural
-        order on a banded level, else in Mesh.nested_dissection order."""
+        """Factorization of K + M (Neumann Helmholtz operator): its upper
+        band in natural order on a banded level, else the matrix in
+        Mesh.nested_dissection order."""
         if self.banded:
-            return linalg.Factorization(self.A)
+            every = np.ones(self.mesh.num_nodes, dtype=bool)
+            return linalg.Factorization(linalg.upper_band(linalg.upper_entries(self.A), every))
         a = linalg.reorder(self.A, self.mesh.nested_dissection)
         return linalg.Factorization(a.matrix, a.order)
 

@@ -26,6 +26,7 @@ NEWTON_DIFF_SCALES = tuple(10.0 ** (-k) for k in range(1, 7))  # Taylor-remainde
 # s * 100000 + u (s < 40, u < 50), no remainder at any scale exceeded
 # 0.64 of eps * (||S(b+z)|| + ||S(b)||).
 NEWTON_DIFF_ROUNDOFF = 8.0
+LIPSCHITZ_SIZES = (8, 16, 32)  # the meshes of check_lipschitz_scaling, coarsest first
 
 
 @dataclass
@@ -176,14 +177,12 @@ def check_contraction(
     )
 
 
-def check_lipschitz_scaling(
-    mesh_sizes=(8, 16, 32), trials: int = 20, seed: int = 7
-) -> CheckReport:
+def check_lipschitz_scaling(trials: int = 20, seed: int = 7) -> CheckReport:
     """Stability of the perturbation ratio ||S(u+z)-S(u)|| / ||z|| across
-    meshes.  Evidence for a mesh-independent Lipschitz constant, not a
-    proof; only the L2 -> L2 ratio is sampled."""
+    the meshes LIPSCHITZ_SIZES.  Evidence for a mesh-independent
+    Lipschitz constant, not a proof; only the L2 -> L2 ratio is sampled."""
     maxima = {}
-    for n in mesh_sizes:
+    for n in LIPSCHITZ_SIZES:
         rng = np.random.default_rng(seed)
         mesh = build_friedrichs_keller(n)
         mats = build_matrices(mesh)
@@ -201,7 +200,7 @@ def check_lipschitz_scaling(
                 diff = extend_interior(suz - su, mats)
                 worst = max(worst, vector_norm(diff, "L2", mats.K, mats.M) / t)
         maxima[n] = worst
-    coarsest = maxima[mesh_sizes[0]]
+    coarsest = maxima[LIPSCHITZ_SIZES[0]]
     overall = max(maxima.values())
     return CheckReport(
         name="lipschitz",
@@ -209,6 +208,6 @@ def check_lipschitz_scaling(
         max_violation=overall,
         tolerance=2.0 * coarsest,
         seed=seed,
-        details={"per_mesh_maxima": {str(n): maxima[n] for n in mesh_sizes}},
+        details={"per_mesh_maxima": {str(n): maxima[n] for n in LIPSCHITZ_SIZES}},
     )
 

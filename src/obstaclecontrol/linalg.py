@@ -1,22 +1,22 @@
 """Sparse direct solves for the systems of the solver pipeline.
 
 Factorization factors a symmetric positive definite matrix by one of
-two kernels.  A matrix in natural node order, whose band is narrow on
-the small meshes, goes to LAPACK's band Cholesky (dpbtrf, then dpbtrs
-per solve), which certifies positive definiteness as it factors; the
-band of any principal submatrix is cut straight from the upper-triangle
+two kernels, each with one input form and one certificate.  The upper
+band of a matrix in natural node order, whose band is narrow on the
+small meshes, goes to LAPACK's band Cholesky (dpbtrf, then dpbtrs per
+solve), which certifies positive definiteness as it factors; the band
+of any principal submatrix is cut straight from the upper-triangle
 entries of the matrix (upper_band), with no sparse submatrix built.  A
-matrix in a fill-reducing order, such as Mesh.nested_dissection, goes
-to SuperLU in symmetric mode with diagonal pivoting disabled, which
-makes it behave like a Cholesky factorization: a symmetric matrix with
-a positive diagonal that dominates every column (K + M, K_int and every
-K_int[free, free], at every mesh size, since K is exact) is certified
-positive definite from its entries; any other matrix is checked through
-the pivots of its factor.  SuperLU factors in the order it is given
-(NATURAL): the caller puts the unknowns in that order once per matrix,
-so no ordering pass runs on each factorization.  The Newton block
-system, which is not symmetric, is factored by SuperLU, or, on the
-small levels, reduced to a dense symmetric positive definite Schur
+CSC matrix in a fill-reducing order, such as Mesh.nested_dissection,
+goes to SuperLU in symmetric mode with diagonal pivoting disabled,
+which makes it behave like a Cholesky factorization, and is certified
+positive definite from its entries: its positive diagonal must dominate
+every column, as it does in K + M, K_int and every K_int[free, free],
+at every mesh size, since K is exact.  SuperLU factors in the order it
+is given (NATURAL): the caller puts the unknowns in that order once per
+matrix, so no ordering pass runs on each factorization.  The Newton
+block system, which is not symmetric, is factored by SuperLU, or, on
+the small levels, reduced to a dense symmetric positive definite Schur
 complement on its w-unknowns, which LAPACK's dense Cholesky (dpotrf)
 factors.
 """
@@ -35,8 +35,9 @@ class SolverError(Exception):
 
 
 class NotPositiveDefiniteError(SolverError):
-    """The matrix handed to Factorization produced a nonpositive pivot, or
-    the operator handed to cg_self_adjoint a nonpositive curvature."""
+    """The matrix handed to Factorization is not certified positive
+    definite, or the operator handed to cg_self_adjoint has a nonpositive
+    curvature."""
 
 
 class BlockFactorizationError(SolverError):
@@ -62,12 +63,12 @@ def diagonally_dominant(a: sp.csc_matrix) -> bool:
 
     Gaussian elimination without pivoting keeps such a matrix so, hence
     none of its pivots is negative."""
-    starts = a.indptr[:-1]
-    if a.nnz == 0 or (a.indptr[1:] == starts).any():  # reduceat needs every column
-        return False
     diag = a.diagonal()
-    total = np.add.reduceat(np.abs(a.data), starts.astype(np.intp))
-    return bool((diag > 0.0).all() and (total <= 2.0 * diag).all())
+    # a positive diagonal leaves no column empty, as reduceat needs
+    return bool(
+        (diag > 0.0).all()
+        and (np.add.reduceat(np.abs(a.data), a.indptr[:-1].astype(np.intp)) <= 2.0 * diag).all()
+    )
 
 
 class UpperEntries(NamedTuple):
@@ -107,38 +108,30 @@ def upper_band(entries: UpperEntries, keep: np.ndarray) -> np.ndarray:
 class Factorization:
     """Reusable direct factorization of a sparse SPD matrix.
 
-    With no order, a is in its natural order, in which its band is
-    narrow, or is already the upper band of such a matrix (upper_band),
-    which is factored in place, and LAPACK's band Cholesky factors its
-    upper triangle: a leading minor that is not positive, or a factor
-    that is not finite, is an error.
+    With no order, a is the upper band of a matrix in natural order, in
+    which its band is narrow (upper_band), and LAPACK's band Cholesky
+    factors it in place: a leading minor that is not positive, or a
+    factor that is not finite, is an error.
 
-    With an order, a is given in that order and SuperLU factors it:
-    order[k] is the unknown at position k of a, through which solve
+    With an order, a is a CSC matrix in that order, and SuperLU factors
+    it: order[k] is the unknown at position k of a, through which solve
     maps right-hand sides and solutions.  A zero pivot is an error
-    (SuperLU reports it, or exchanges rows at it).  Every other pivot is
-    positive if a is diagonally dominant, as every solver matrix is;
-    other input, such as M, has its pivots read from U, which makes
-    SuperLU keep a copy of both factors."""
+    (SuperLU reports it, or exchanges rows at it), and so is a matrix
+    that is not diagonally dominant, since its pivots are not certified
+    positive."""
 
-    def __init__(self, a: sp.spmatrix | np.ndarray, order: np.ndarray | None = None):
-        if isinstance(a, np.ndarray):  # already the upper band (upper_band)
-            band, size = a, a.shape[1]
-        else:
-            a = a.tocsc()
-            if a.shape[0] != a.shape[1]:
-                raise ValueError("matrix must be square")
-            band, size = None, a.shape[0]
+    def __init__(self, a: np.ndarray | sp.csc_matrix, order: np.ndarray | None = None):
+        if not (isinstance(a, np.ndarray) if order is None else sp.issparse(a) and a.format == "csc"):
+            raise TypeError("Factorization takes an upper band without an order, "
+                            "or a CSC matrix with its order")
+        size = a.shape[1]  # SuperLU refuses a matrix that is not square
         self.shape = (size, size)
         self._order = order
         self._lu = self._band = None
         if size == 0:
             return
         if order is None:
-            if band is None:
-                a.sum_duplicates()
-                band = upper_band(upper_entries(a), np.ones(size, dtype=bool))
-            self._band, info = lapack.dpbtrf(band, overwrite_ab=True)
+            self._band, info = lapack.dpbtrf(a, overwrite_ab=True)
             if info > 0:
                 raise NotPositiveDefiniteError(
                     f"{size} x {size} matrix: leading minor of order {info} is not positive"
@@ -156,13 +149,10 @@ class Factorization:
                 f"{size} x {size} matrix: row exchange at an exactly zero pivot"
             )
         if not diagonally_dominant(a):
-            pivots = self._lu.U.diagonal()
-            bad = np.count_nonzero(~(pivots > 0.0))
-            if bad:
-                raise NotPositiveDefiniteError(
-                    f"{size} x {size} matrix: {bad} nonpositive pivot(s), "
-                    f"smallest {pivots.min():.3e}"
-                )
+            raise NotPositiveDefiniteError(
+                f"{size} x {size} matrix: not diagonally dominant, so not certified "
+                "positive definite"
+            )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The solution for a right-hand side of shape (N,), or for each

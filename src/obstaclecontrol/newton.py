@@ -184,7 +184,10 @@ def solve_newton_system_cg(
 
 def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> NewtonReport:
     """Run the semismooth Newton method; records one entry per residual check.
-    The fields y_D and psi are callables f(x1, x2) evaluated at the nodes."""
+    The fields y_D and psi are callables f(x1, x2) evaluated at the nodes.
+    A mesh of another n than mats is a ValueError."""
+    if mesh.n != mats.mesh.n:
+        raise ValueError(f"mesh has n={mesh.n}, but mats are of a level with n={mats.mesh.n}")
     y_d = interpolate(y_d_field, mesh)
     psi = interpolate(psi_field, mesh)
     y0 = y_d if config.y0 is None else NodalFunction(config.y0, mesh)

@@ -15,7 +15,7 @@ from .assembly import FEMatrices, NodalFunction, inject
 from .linalg import SolverError
 from .mesh import Mesh
 
-TOL_STRICT = 1e-10  # multiplier threshold separating strictly active from biactive
+TOL_STRICT = 1e-10  # of max|lambda|: the multiplier threshold of strictly active nodes
 PDAS_MAX_ITER = 200
 
 
@@ -52,9 +52,12 @@ def _check_feasible(psi_full: np.ndarray, mesh: Mesh):
 
 def classify_nodes(w_int: np.ndarray, lam: np.ndarray, psi_int: np.ndarray):
     """Partition interior nodes into inactive / strictly active / biactive.
-    A node is active when w lies within 1e-12 (1 + |psi|) of the obstacle."""
-    inactive_mask = w_int > psi_int + 1e-12 * (1.0 + np.abs(psi_int))
-    strict_mask = ~inactive_mask & (lam > TOL_STRICT)
+    A node is active when w lies within 1e-12 max|psi| of the obstacle,
+    and strictly active when, in addition, lambda > TOL_STRICT max|lambda|,
+    both maxima over the interior.  So scaling w, lambda and psi by the
+    same s > 0 keeps the partition, as it keeps the obstacle problem."""
+    inactive_mask = w_int > psi_int + 1e-12 * np.abs(psi_int).max(initial=0.0)
+    strict_mask = ~inactive_mask & (lam > TOL_STRICT * np.abs(lam).max(initial=0.0))
     biactive_mask = ~inactive_mask & ~strict_mask
     return (
         np.flatnonzero(inactive_mask),
@@ -131,7 +134,13 @@ def solve_obstacle(
     from its active masks and a solve on every coarser level (_pdas).
     The final iterate is the solve on the final active set, whichever
     start led to it; PDAS_MAX_ITER caps the PDAS loop of every level.
+    A z or psi on a mesh of another n than mats is a ValueError.
     """
+    if not z.mesh.n == psi.mesh.n == mats.mesh.n:
+        raise ValueError(
+            f"z is on a mesh with n={z.mesh.n} and psi on n={psi.mesh.n}, "
+            f"the level has n={mats.mesh.n}"
+        )
     _check_feasible(psi.values, mats.mesh)
     previous = None if warm_start is None else warm_start.active_masks
     w, lam, masks, its = _pdas(mats, z.values, psi.values, previous)

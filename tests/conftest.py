@@ -184,9 +184,9 @@ def assert_same_band(got: np.ndarray, expected: np.ndarray):
 
 def assert_same_level_cut(handed, cut, order):
     """What a level handed to Factorization is its cut (reference_level_cut):
-    the upper band of the cut on a banded level, else the CSC matrix."""
+    the upper band on a banded level, else the CSC matrix."""
     if order is None:
-        assert_same_band(handed, reference_upper_band(cut))
+        assert_same_band(handed, cut)
     else:
         assert_same_csc(handed, cut)
 
@@ -213,10 +213,10 @@ def reference_free_submatrix(mats: FEMatrices, free: np.ndarray):
 def reference_level_cut(a: sp.spmatrix, mats: FEMatrices, nodes: np.ndarray):
     """a[nodes, nodes] for sorted full-node indices and the order, as the
     level of mats hands them to Factorization: on a banded level the
-    nodes in ascending order, cut by fancy indexing in CSR form and
-    converted to CSC, and no order; on any other level reference_nd_cut."""
+    reference_upper_band of the nodes in ascending order, cut by fancy
+    indexing in CSR form, and no order; on any other level reference_nd_cut."""
     if mats.banded:
-        return a.tocsr()[np.ix_(nodes, nodes)].tocsc(), None
+        return reference_upper_band(a.tocsr()[np.ix_(nodes, nodes)]), None
     return reference_nd_cut(a, mats.mesh, nodes)
 
 

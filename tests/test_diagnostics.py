@@ -40,11 +40,12 @@ def test_convexity_rejects_zero_trials():
     [
         lambda: check_derivative_monotonicity(*mesh_and_mats(8), trials=0),
         lambda: check_contraction(*mesh_and_mats(8), alpha=1e-5, trials=0),
-        lambda: check_lipschitz_scaling(mesh_sizes=(4, 8), trials=0),
+        lambda: check_lipschitz_scaling(trials=0),
     ],
     ids=["monotonicity", "contraction", "lipschitz"],
 )
-def test_trial_checks_reject_zero_trials(check):
+def test_trial_checks_reject_zero_trials(check, monkeypatch):
+    monkeypatch.setattr(diagnostics, "LIPSCHITZ_SIZES", (4, 8))
     with pytest.raises(ValueError, match="trials must be at least 1"):
         check()
 
@@ -127,8 +128,9 @@ def test_newton_diff_fails_with_a_wrong_derivative(monkeypatch):
     assert report.passed is False
 
 
-def test_lipschitz_report_structure():
-    report = check_lipschitz_scaling(mesh_sizes=(4, 8), trials=3, seed=7)
+def test_lipschitz_report_structure(monkeypatch):
+    monkeypatch.setattr(diagnostics, "LIPSCHITZ_SIZES", (4, 8))
+    report = check_lipschitz_scaling(trials=3, seed=7)
     assert set(report.details["per_mesh_maxima"]) == {"4", "8"}
     assert report.max_violation > 0.0
 

@@ -284,7 +284,7 @@ def test_schur_indefinite_is_a_named_failure(rng):
 def test_two_dimensional_solve_is_the_solve_of_each_column(banded, rng):
     _, mats = mesh_and_mats(8)
     if banded:
-        fact = Factorization(mats.A)
+        fact = Factorization(reference_upper_band(mats.A))
     else:
         ordered = linalg.reorder(mats.A, mats.mesh.nested_dissection)
         fact = Factorization(ordered.matrix, ordered.order)
@@ -369,7 +369,9 @@ def test_indefinite_nd_ordered_cut_is_rejected(rng):
     smallest = np.linalg.eigvalsh(cut.toarray()).min()
     shifted = (cut - 2 * smallest * sp.identity(free.size, format="csc")).tocsc()
     size = free.size
-    message = rf"^{size} x {size} matrix: [1-9]\d* nonpositive pivot\(s\), smallest -\d"
+    message = (
+        rf"^{size} x {size} matrix: not diagonally dominant, so not certified positive definite$"
+    )
     with pytest.raises(NotPositiveDefiniteError, match=message):
         Factorization(shifted, order)
     Factorization(cut, order)
@@ -449,13 +451,14 @@ def _random_cuts(mats, rng, count=3):
             yield linalg.principal_submatrix(nd.matrix, keep)
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 10, 12, 16, 24, 32])
+@pytest.mark.parametrize("n", [2, 3, 8, 10, 12, 16, 24, 32, 64, 65, 96, 100, 128, 129, 256])
 def test_solver_matrices_are_certified_and_their_pivots_agree(n, rng):
     # K + M, K_int and every K_int[free, free] are diagonally dominant at
-    # every n, powers of two or not, so Factorization never reads U; the
-    # pivots it would read are positive
+    # every n, powers of two or not, so Factorization certifies each from
+    # its entries; the pivots of their SuperLU factors are positive
     mats = build_matrices(build_friedrichs_keller(n))
-    matrices = [mats.A, mats.kint_nd.matrix, *_random_cuts(mats, rng)]
+    a_nd = linalg.reorder(mats.A, mats.mesh.nested_dissection).matrix
+    matrices = [a_nd, mats.kint_nd.matrix, *_random_cuts(mats, rng)]
     for a in matrices:
         assert linalg.diagonally_dominant(a)
         assert np.all(linalg._splu(a).U.diagonal() > 0.0)
@@ -513,16 +516,29 @@ def test_solver_factorizations_never_read_l_or_u(rng, monkeypatch):
         assert report.status == "converged"
 
 
-def test_non_dominant_spd_matrix_is_accepted_through_the_pivot_read(monkeypatch):
+def test_non_dominant_spd_matrix_is_refused_without_reading_the_factors(monkeypatch):
+    # positive definite, but not certified by its entries
     dense = np.full((3, 3), 0.9) + 0.1 * np.eye(3)  # eigenvalues 2.8, 0.1, 0.1
     a = sp.csc_matrix(dense)
     assert not linalg.diagonally_dominant(a)
-    b = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(dense @ Factorization(a, np.arange(a.shape[0])).solve(b), b)
     real_splu = linalg._splu
     monkeypatch.setattr(linalg, "_splu", lambda a: _FactorsNotRead(real_splu(a)))
-    with pytest.raises(AssertionError, match="U was read"):
+    message = r"^3 x 3 matrix: not diagonally dominant, so not certified positive definite$"
+    with pytest.raises(NotPositiveDefiniteError, match=message):
         Factorization(a, np.arange(a.shape[0]))
+
+
+@pytest.mark.parametrize("case", ["sparse_without_order", "band_with_order", "csr_with_order"])
+def test_factorization_takes_a_band_or_a_csc_matrix_with_its_order(case):
+    a = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    args = {
+        "sparse_without_order": (a,),
+        "band_with_order": (reference_upper_band(a), np.arange(2)),
+        "csr_with_order": (a.tocsr(), np.arange(2)),
+    }[case]
+    message = r"^Factorization takes an upper band without an order, or a CSC matrix with its order$"
+    with pytest.raises(TypeError, match=message):
+        Factorization(*args)
 
 
 def test_newton_block_is_scaled_once_per_alpha(rng, monkeypatch):
@@ -610,7 +626,7 @@ def test_free_factorization_error_on_a_superlu_level(rng, monkeypatch):
     size = free.size
     message = (
         rf"^level n=8, K_int\[free, free\] with \|free\| = {size}: "
-        rf"{size} x {size} matrix: {size} nonpositive pivot\(s\)"
+        rf"{size} x {size} matrix: not diagonally dominant, so not certified positive definite$"
     )
     with pytest.raises(NotPositiveDefiniteError, match=message):
         mats.free_factorization(free)
@@ -618,8 +634,8 @@ def test_free_factorization_error_on_a_superlu_level(rng, monkeypatch):
 
 def _spy_kernels(monkeypatch):
     """Count the band Cholesky and SuperLU factorizations, and record the
-    order of every Factorization."""
-    calls = {"band": 0, "superlu": 0, "orders": []}
+    order of every Factorization and whether it was handed an ndarray."""
+    calls = {"band": 0, "superlu": 0, "orders": [], "ndarrays": []}
     real_dpbtrf, real_splu, init = linalg.lapack.dpbtrf, linalg._splu, Factorization.__init__
 
     def band(*args, **kwargs):
@@ -632,6 +648,7 @@ def _spy_kernels(monkeypatch):
 
     def recording_init(self, a, order=None):
         calls["orders"].append(order)
+        calls["ndarrays"].append(isinstance(a, np.ndarray))
         init(self, a, order)
 
     monkeypatch.setattr(linalg.lapack, "dpbtrf", band)
@@ -656,11 +673,28 @@ def test_levels_up_to_banded_max_n_factor_by_band_cholesky(n, rng, monkeypatch):
     banded = n <= assembly.BANDED_MAX_N
     assert (calls["band"], calls["superlu"]) == ((3, 0) if banded else (0, 3))
     assert all((fact._lu is None) == banded for fact in facts)
+    assert calls["ndarrays"] == [banded] * 3
     if banded:
         assert calls["orders"] == [None] * 3
     else:
         assert np.array_equal(calls["orders"][0], mats.mesh.nested_dissection)
         assert all(order is not None for order in calls["orders"])
+
+
+@pytest.mark.parametrize("banded_max_n", [64, 16])
+def test_paper_solve_hands_a_band_exactly_without_an_order(banded_max_n, monkeypatch):
+    # at BANDED_MAX_N = 16 the level 32 factors by SuperLU and its coarse
+    # level 16 by band Cholesky; every factor of the run is one or the other
+    monkeypatch.setattr(assembly, "BANDED_MAX_N", banded_max_n)
+    calls = _spy_kernels(monkeypatch)
+    mesh = build_friedrichs_keller(32)
+    report = newton.run(
+        NewtonConfig(alpha=1e-5, tol=1e-7), lambda x1, x2: -x1 - x2,
+        lambda x1, x2: np.full_like(x1, -5.0), mesh, build_matrices(mesh),
+    )
+    assert report.status == "converged"
+    assert calls["band"] > 0 and (calls["superlu"] > 0) == (banded_max_n < 32)
+    assert calls["ndarrays"] == [order is None for order in calls["orders"]]
 
 
 @pytest.mark.parametrize("n", [8, 16, 33, 64])
@@ -688,23 +722,13 @@ def test_band_kernel_rejects_indefinite():
     a = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
     message = r"^2 x 2 matrix: leading minor of order 2 is not positive$"
     with pytest.raises(NotPositiveDefiniteError, match=message):
-        Factorization(a)
+        Factorization(reference_upper_band(a))
 
 
 def test_band_kernel_rejects_a_nan_entry():
     a = sp.csc_matrix(np.array([[2.0, np.nan], [np.nan, 2.0]]))
     with pytest.raises(NotPositiveDefiniteError, match=r"^2 x 2 matrix: factor is not finite$"):
-        Factorization(a)
-
-
-def test_band_kernel_sums_duplicate_entries():
-    # column 1 stores its diagonal as 1 + 1, as SuperLU would sum it
-    a = sp.csc_matrix(
-        (np.array([2.0, 1.0, 1.0, 1.0, 1.0]), np.array([0, 1, 0, 1, 1]), np.array([0, 2, 5])),
-        shape=(2, 2),
-    )
-    dense = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(dense @ Factorization(a).solve(np.array([1.0, 2.0])), [1.0, 2.0])
+        Factorization(reference_upper_band(a))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 33, 64])
@@ -728,7 +752,7 @@ def test_band_cut_is_the_band_of_the_reference_cut(n, rng, monkeypatch):
     for free in sets:
         keep = np.zeros(m, dtype=bool)
         keep[free] = True
-        expected = reference_upper_band(reference_level_cut(mats.K, mats, mats.interior[free])[0])
+        expected = reference_level_cut(mats.K, mats, mats.interior[free])[0]
         assert_same_band(linalg.upper_band(mats.kint_upper, keep), expected)
         handed.clear()
         mats.free_factorization(free)
@@ -736,7 +760,7 @@ def test_band_cut_is_the_band_of_the_reference_cut(n, rng, monkeypatch):
         if handed:
             assert_same_band(handed[0], expected)
     nodes = np.arange(mats.mesh.num_nodes)
-    expected = reference_upper_band(reference_level_cut(mats.K + mats.M, mats, nodes)[0])
+    expected = reference_level_cut(mats.K + mats.M, mats, nodes)[0]
     entries = linalg.upper_entries(mats.A)
     assert_same_band(linalg.upper_band(entries, np.ones(nodes.size, dtype=bool)), expected)
     handed.clear()

@@ -306,6 +306,32 @@ def test_initial_guess_must_match_the_mesh():
         run(config, PAPER_Y_D, PAPER_PSI, mesh, mats)
 
 
+def test_mesh_of_another_level_is_refused():
+    mesh, _ = mesh_and_mats(8)
+    _, mats = mesh_and_mats(16)
+    with pytest.raises(ValueError, match=r"^mesh has n=8, but mats are of a level with n=16$"):
+        run(NewtonConfig(alpha=1e-5), PAPER_Y_D, PAPER_PSI, mesh, mats)
+
+
+@pytest.mark.parametrize("n, constrained", [
+    (16, [0, 24, 57, 73, 81, 83, 83]),
+    (32, [0, 75, 182, 258, 282, 284, 284]),
+])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e100])
+def test_scaled_paper_problem_takes_the_same_steps(n, constrained, scale):
+    # y_D and psi scaled by s scale y, u and lambda by s, and the active-set
+    # thresholds of classify_nodes are relative, so each step constrains the
+    # same nodes; at s = 1e-150 an absolute multiplier threshold constrains none
+    mesh, mats = mesh_and_mats(n)
+    config = NewtonConfig(alpha=1e-5, tol=1e-7 * scale)
+    report = run(
+        config, lambda x1, x2: scale * PAPER_Y_D(x1, x2), lambda x1, x2: scale * PAPER_PSI(x1, x2),
+        mesh, mats,
+    )
+    assert (report.status, report.iterations) == ("converged", 6)
+    assert [rec.n_constrained for rec in report.history] == constrained
+
+
 def test_report_zeta_is_the_adjoint_field_of_the_last_iterate():
     mesh, mats = mesh_and_mats(8)
     report = run(NewtonConfig(alpha=1e-5, tol=1e-7), PAPER_Y_D, PAPER_PSI, mesh, mats)

@@ -189,13 +189,26 @@ def test_classification_partitions_interior(rng):
 
 
 def test_classify_threshold_semantics():
-    w = np.array([0.5, 0.0, 0.0])
-    psi = np.zeros(3)
-    lam = np.array([0.0, 5e-11, 2e-10])
-    inactive, strict, biactive = classify_nodes(w, lam, psi)
-    assert list(inactive) == [0]
-    assert list(strict) == [2]
-    assert list(biactive) == [1]  # multiplier below 1e-10 is biactive
+    # active within 1e-12 max|psi| = 2e-12 of psi; strictly active above
+    # TOL_STRICT max|lambda| = 1e-10; both thresholds scale with the data
+    psi = np.array([-1.0, -1.0, -1.0, -2.0])
+    w = psi + np.array([1e-11, 1e-12, 0.0, 0.0])
+    lam = np.array([0.0, 1.0, 5e-11, 2e-10])
+    for scale in (1e-150, 1.0, 1e100):
+        inactive, strict, biactive = classify_nodes(scale * w, scale * lam, scale * psi)
+        assert list(inactive) == [0]
+        assert list(strict) == [1, 3]
+        assert list(biactive) == [2]  # multiplier below 1e-10 max|lambda| is biactive
+
+
+def test_load_or_obstacle_of_another_level_is_refused():
+    mesh8, _ = mesh_and_mats(8)
+    mesh16, mats16 = mesh_and_mats(16)
+    on_8, on_16 = const_field(mesh8, -1.0), const_field(mesh16, -1.0)
+    for (z, psi), (n_z, n_psi) in [((on_8, on_16), (8, 16)), ((on_16, on_8), (16, 8))]:
+        message = rf"^z is on a mesh with n={n_z} and psi on n={n_psi}, the level has n=16$"
+        with pytest.raises(ValueError, match=message):
+            solve_obstacle(z, psi, mats16)
 
 
 @settings(max_examples=20, deadline=None)
