@@ -1,7 +1,7 @@
-"""Experiment driver: single solves, the mesh-independence sweep with
-EOC columns, the diagnostics suite and field export.
+"""Experiment driver: single solves with optional VTK field export, the
+mesh-independence sweep with EOC columns and the diagnostics suite.
 
-Subcommands: solve, sweep, check, export.  Exit codes: 0 success,
+Subcommands: solve, sweep, check.  Exit codes: 0 success,
 1 convergence/check failure, 2 usage error.
 """
 
@@ -26,7 +26,7 @@ from .diagnostics import (
 )
 from .linalg import SolverError
 from .mesh import Mesh, build_friedrichs_keller
-from .newton import SELECTOR_POLICIES, NewtonConfig, NewtonReport, run
+from .newton import NewtonConfig, NewtonReport, run
 from .obstacle import InfeasibleConstraintsError
 from .operators import extend_interior
 
@@ -37,7 +37,6 @@ PAPER_PRESET = {
     "tol": 1e-7,
     "y_d": "affine:0,-1,-1",  # y_D(x1, x2) = -x1 - x2
     "psi": "const:-5",
-    "selector_policy": "strict_only",
     "sizes": [16, 32, 64, 128, 256],
     "large_size": 512,  # appended by sweep --large
     "max_iter": 50,
@@ -45,7 +44,7 @@ PAPER_PRESET = {
 
 
 # The settings flags' dests; a command's config file may set those of its own flags.
-CONFIG_KEYS = ("alpha", "tol", "max_iter", "selector_policy", "y_d", "psi", "n", "sizes")
+CONFIG_KEYS = ("alpha", "tol", "max_iter", "y_d", "psi", "n", "sizes")
 
 
 class UsageError(Exception):
@@ -153,16 +152,13 @@ def run_sweep(
     psi_spec: str,
     sizes,
     max_iter: int = 50,
-    selector_policy: str = "strict_only",
     out_csv: str | None = None,
 ) -> SweepResult:
     if not sizes:
         raise UsageError("sweep needs at least one mesh size")
     if len(set(sizes)) < len(sizes):
         raise UsageError(f"sweep mesh sizes must be distinct, got {sorted(sizes)}")
-    config = NewtonConfig(
-        alpha=alpha, tol=tol, max_iter=max_iter, selector_policy=selector_policy
-    )
+    config = NewtonConfig(alpha=alpha, tol=tol, max_iter=max_iter)
     runs = [_sweep_run(config, y_d_spec, psi_spec, n) for n in sorted(sizes)]
     # EOCs are evaluated at the largest iteration index reached in every
     # run of the sweep, so the difference quotients compare like with like
@@ -339,7 +335,7 @@ def paper_converged_zeta(n: int):
 
 
 def _load_config(args) -> dict:
-    """The settings of solve, export and sweep: each given flag, whose
+    """The settings of solve and sweep: each given flag, whose
     dest is its key in CONFIG_KEYS, over the config file over the preset.
     A config file may set only the keys of the command's own flags."""
     keys = [key for key in CONFIG_KEYS if key in vars(args)]
@@ -369,10 +365,9 @@ def _require(cfg: dict, key: str):
 
 
 def _newton_config(cfg: dict) -> NewtonConfig:
-    # a key cfg does not hold keeps NewtonConfig's default
-    optional = {k: cfg[k] for k in ("max_iter", "selector_policy") if k in cfg}
     try:
-        return NewtonConfig(alpha=_require(cfg, "alpha"), tol=_require(cfg, "tol"), **optional)
+        return NewtonConfig(alpha=_require(cfg, "alpha"), tol=_require(cfg, "tol"),
+                            max_iter=cfg.get("max_iter", NewtonConfig.max_iter))
     except ValueError as exc:  # NewtonConfig validates its fields
         raise UsageError(str(exc)) from exc
 
@@ -392,10 +387,10 @@ def _check_mesh_sizes(sizes):
 
 
 def _cmd_solve(args) -> int:
-    """The solve and export commands: config -> NewtonConfig ->
-    run_single -> VTK export when --out is given."""
+    """config -> NewtonConfig -> run_single at n (default 16) -> VTK
+    export of the fields when --out is given."""
     cfg = _load_config(args)
-    n = cfg.get("n", args.default_n)
+    n = cfg.get("n", 16)
     _check_mesh_sizes([n])
     config = _newton_config(cfg)
     mesh, mats, report = run_single(config, _require(cfg, "y_d"), _require(cfg, "psi"), n)
@@ -421,7 +416,6 @@ def _cmd_sweep(args) -> int:
         psi_spec=_require(cfg, "psi"),
         sizes=sizes,
         max_iter=config.max_iter,
-        selector_policy=config.selector_policy,
         out_csv=args.out,
     )
     print(",".join(_SWEEP_COLUMNS))
@@ -452,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float)
         p.add_argument("--tol", type=float)
         p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--selector", dest="selector_policy", choices=SELECTOR_POLICIES)
         p.add_argument("--y-d", dest="y_d", help="field spec, e.g. affine:0,-1,-1")
         p.add_argument("--psi", help="field spec, e.g. const:-5")
 
@@ -460,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_solve)
     p_solve.add_argument("--n", type=int, help="subdivisions per side")
     p_solve.add_argument("--out", help="optional VTK output path")
-    p_solve.set_defaults(func=_cmd_solve, default_n=16)
+    p_solve.set_defaults(func=_cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="mesh-independence study with EOC columns")
     common(p_sweep)
@@ -475,12 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--trials", type=int)
     p_check.add_argument("--out", help="JSON report path")
     p_check.set_defaults(func=_cmd_check)
-
-    p_export = sub.add_parser("export", help="solve and export fields to VTK")
-    common(p_export)
-    p_export.add_argument("--n", type=int, help="subdivisions per side")
-    p_export.add_argument("--out", required=True, help="VTK output path")
-    p_export.set_defaults(func=_cmd_solve, default_n=64)
     return parser
 
 

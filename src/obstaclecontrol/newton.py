@@ -27,7 +27,6 @@ from .obstacle import ObstacleSolution, solve_obstacle
 from .operators import DerivativeSelector, apply_G, apply_P, extend_interior
 
 
-SELECTOR_POLICIES = ("strict_only", "strict_plus_biactive")
 # The Newton step's PCG stops at a fixed relative M-norm residual: a
 # tolerance tied to the outer residual changes the outer step counts.
 PCG_TOL = 1e-10
@@ -56,7 +55,6 @@ class NewtonConfig:
     alpha: float
     tol: float = 1e-7
     max_iter: int = 50
-    selector_policy: str = "strict_only"  # one of SELECTOR_POLICIES
     y0: np.ndarray | None = None  # initial guess on all nodes; None means I_h(y_D)
 
     def __post_init__(self):
@@ -68,8 +66,6 @@ class NewtonConfig:
             raise ValueError(f"tol must be nonnegative, got {self.tol!r}")
         if not (_is_number(self.max_iter, numbers.Integral) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
-        if self.selector_policy not in SELECTOR_POLICIES:
-            raise ValueError(f"unknown selector policy {self.selector_policy!r}")
 
 
 @dataclass
@@ -194,7 +190,6 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
     y = y0.values.copy()
 
     p_yd = apply_P(y_d.values, mats)
-    include_biactive = config.selector_policy == "strict_plus_biactive"
 
     history: list[IterationRecord] = []
     sol = None
@@ -215,7 +210,7 @@ def run(config: NewtonConfig, y_d_field, psi_field, mesh, mats: FEMatrices) -> N
                     f"residual {residual} is not finite; the iterates diverged"
                 )
 
-            selector = DerivativeSelector.from_solution(sol, mats, include_biactive)
+            selector = DerivativeSelector.from_solution(sol, mats)
             record = IterationRecord(
                 index=i,
                 residual=residual,

@@ -33,13 +33,9 @@ class DerivativeSelector:
         return cls(constrained=constrained, free=np.flatnonzero(~mask))
 
     @classmethod
-    def from_solution(
-        cls, sol: ObstacleSolution, mats: FEMatrices, include_biactive: bool = False
-    ) -> "DerivativeSelector":
-        n = sol.strictly_active
-        if include_biactive:
-            n = np.union1d(n, sol.biactive)
-        return cls.from_node_set(n, mats)
+    def from_solution(cls, sol: ObstacleSolution, mats: FEMatrices) -> "DerivativeSelector":
+        """N = the strictly active nodes of sol, as in the paper's Newton method."""
+        return cls.from_node_set(sol.strictly_active, mats)
 
 
 def apply_P(u: np.ndarray, mats: FEMatrices) -> np.ndarray:

@@ -216,6 +216,15 @@ def test_cli_check_zero_trials(capsys):
     assert code == 2
 
 
+# A command and a flag that no longer exist: solve --out writes the fields,
+# and N is always the strictly active set.  The --out directory is missing,
+# so not even a program that accepted export could write there.
+_REMOVED_FROM_THE_COMMAND_LINE = [
+    ["export", "--preset", "paper", "--n", "8", "--out", "missing/f.vtk"],
+    ["solve", "--preset", "paper", "--n", "8", "--selector", "strict_only"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -224,7 +233,6 @@ def test_cli_check_zero_trials(capsys):
         ["solve", "--preset", "paper", "--max-iter", "0"],
         ["solve", "--preset", "paper", "--n", "8", "--psi", "const:1"],
         ["sweep", "--preset", "paper", "--sizes", "1"],
-        ["export", "--preset", "paper", "--n", "1"],
         ["check", "--names", "newton_diff", "--trials", "3"],
         ["solve", "--preset", "paper", "--n", "8", "--alpha", "nan"],
         ["solve", "--preset", "paper", "--n", "8", "--tol", "nan"],
@@ -238,12 +246,21 @@ def test_cli_check_zero_trials(capsys):
         # finite coefficients whose field overflows on the unit square
         ["solve", "--preset", "paper", "--n", "8", "--y-d", "affine:1e308,1e308,1e308"],
         ["solve", "--preset", "paper", "--n", "8", "--psi", "affine:-1e308,-1e308,-1e308"],
+        *_REMOVED_FROM_THE_COMMAND_LINE,
     ],
 )
 @pytest.mark.filterwarnings("error")
-def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
-    if argv[0] == "export":
-        argv = argv + ["--out", str(tmp_path / "never.vtk")]
+def test_cli_usage_errors_exit_2(argv, capsys):
+    if argv in _REMOVED_FROM_THE_COMMAND_LINE:
+        # argparse refuses them: its usage line, then one error line
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        refusal = ("invalid choice: 'export'" if argv[0] == "export"
+                   else "unrecognized arguments: --selector strict_only")
+        assert refusal in err[-1]
+        return
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
@@ -258,12 +275,10 @@ def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
         (["solve", "--preset", "paper", "--n", "17", "--alpha", "1e-25"], None),
         (["solve", "--preset", "paper", "--n", "24", "--alpha", "1e-30"], None),
         (["solve", "--preset", "paper", "--n", "24", "--alpha", "1e-300"], None),
-        (["export", "--preset", "paper", "--n", "8", "--alpha", "1e-21"], None),
         (["sweep", "--preset", "paper", "--sizes", "8,16", "--alpha", "1e-21"], None),
         (["solve", "--preset", "paper", "--n", "8"], '{"alpha": 1e-21}'),
     ],
-    ids=["alpha_1e-25", "alpha_1e-30", "alpha_1e-300", "export_alpha_1e-21", "sweep_alpha_1e-21",
-         "config_alpha_1e-21"],
+    ids=["alpha_1e-25", "alpha_1e-30", "alpha_1e-300", "sweep_alpha_1e-21", "config_alpha_1e-21"],
 )
 def test_cli_alpha_below_the_floor_is_a_usage_error_before_any_mesh(argv, config, tmp_path,
                                                                    monkeypatch, capsys):
@@ -271,8 +286,6 @@ def test_cli_alpha_below_the_floor_is_a_usage_error_before_any_mesh(argv, config
         raise AssertionError("a mesh was built")
 
     monkeypatch.setattr(cli, "build_friedrichs_keller", no_mesh)
-    if argv[0] == "export":
-        argv = argv + ["--out", str(tmp_path / "never.vtk")]
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
@@ -300,11 +313,12 @@ def test_cli_alpha_below_the_floor_is_a_usage_error_before_any_mesh(argv, config
         ("solve", '{"n": 8, "y_d": "affine:1e308,1e308,1e308"}'),
         ("sweep", '{"sizes": [8], "n": 64}'),  # a key of another command's flag
         ("solve", '{"n": 8, "sizes": [8]}'),
+        ("solve", '{"n": 8, "selector_policy": "strict_only"}'),  # a removed key
     ],
     ids=[
         "missing", "malformed", "max_iter", "n", "alpha", "sizes", "y_d",
         "max_iter_bool", "alpha_bool", "tol_bool", "unknown_key", "large_size",
-        "y_d_overflow", "sweep_n", "solve_sizes",
+        "y_d_overflow", "sweep_n", "solve_sizes", "selector_policy",
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -438,11 +452,10 @@ def test_cli_sweep_large_appends_the_512_mesh(monkeypatch):
     "argv",
     [
         ["solve", "--preset", "paper", "--n", "8"],
-        ["export", "--preset", "paper", "--n", "8"],
         ["sweep", "--preset", "paper", "--sizes", "8"],
         ["check", "--names", "contraction", "--trials", "2"],
     ],
-    ids=["solve", "export", "sweep", "check"],
+    ids=["solve", "sweep", "check"],
 )
 def test_cli_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     path = tmp_path / "missing" / "f"
@@ -477,14 +490,13 @@ def test_cli_unwritable_out_is_reported_before_the_compute(argv, compute, out, t
     "argv, compute, prefix",
     [
         (["solve", "--preset", "paper", "--n", "8", "--out="], "run_single", "cannot write ''"),
-        (["export", "--preset", "paper", "--n", "8", "--out="], "run_single", "cannot write ''"),
         (["sweep", "--preset", "paper", "--sizes", "8", "--out="], "run_sweep", "cannot write ''"),
         (["check", "--names", "monotonicity", "--trials", "1", "--out="], "run_checks",
          "cannot write ''"),
         (["solve", "--preset", "paper", "--n", "8", "--config="], "run_single",
          "cannot read config ''"),
     ],
-    ids=["solve", "export", "sweep", "check", "config"],
+    ids=["solve", "sweep", "check", "config"],
 )
 def test_cli_empty_path_is_a_usage_error_before_the_compute(argv, compute, prefix, monkeypatch,
                                                             capsys):
@@ -501,15 +513,14 @@ def test_cli_empty_path_is_a_usage_error_before_the_compute(argv, compute, prefi
 # each key: the flag's, a config file's and the paper preset's.
 _FLAGS = {
     "alpha": "--alpha", "tol": "--tol", "max_iter": "--max-iter",
-    "selector_policy": "--selector", "y_d": "--y-d", "psi": "--psi",
-    "n": "--n", "sizes": "--sizes",
+    "y_d": "--y-d", "psi": "--psi", "n": "--n", "sizes": "--sizes",
 }
 _FLAG_VALUES = {
-    "alpha": 2e-5, "tol": 1e-6, "max_iter": 7, "selector_policy": "strict_plus_biactive",
+    "alpha": 2e-5, "tol": 1e-6, "max_iter": 7,
     "y_d": "const:1", "psi": "const:-4", "n": 12, "sizes": [8, 12],
 }
 _FILE_VALUES = {
-    "alpha": 3e-5, "tol": 1e-8, "max_iter": 9, "selector_policy": "strict_only",
+    "alpha": 3e-5, "tol": 1e-8, "max_iter": 9,
     "y_d": "const:2", "psi": "const:-3", "n": 10, "sizes": [10],
 }
 
@@ -518,7 +529,7 @@ class _Solved(Exception):
     pass
 
 
-@pytest.mark.parametrize("command, default_n", [("solve", 16), ("export", 64), ("sweep", None)])
+@pytest.mark.parametrize("command, default_n", [("solve", 16), ("sweep", None)])
 @pytest.mark.parametrize("layers", ["preset", "preset+file", "preset+flags", "preset+file+flags"])
 def test_cli_each_settings_flag_reaches_its_setting(command, default_n, layers, tmp_path,
                                                     monkeypatch):
@@ -541,13 +552,12 @@ def test_cli_each_settings_flag_reaches_its_setting(command, default_n, layers, 
 
     def solve(config, y_d, psi, n):
         seen.append({"alpha": config.alpha, "tol": config.tol, "max_iter": config.max_iter,
-                     "selector_policy": config.selector_policy, "y_d": y_d, "psi": psi, "n": n})
+                     "y_d": y_d, "psi": psi, "n": n})
         raise _Solved
 
     def sweep(**kw):
         seen.append({"alpha": kw["alpha"], "tol": kw["tol"], "max_iter": kw["max_iter"],
-                     "selector_policy": kw["selector_policy"], "y_d": kw["y_d_spec"],
-                     "psi": kw["psi_spec"], "sizes": kw["sizes"]})
+                     "y_d": kw["y_d_spec"], "psi": kw["psi_spec"], "sizes": kw["sizes"]})
         return cli.SweepResult(rows=[])
 
     monkeypatch.setattr(cli, "run_single", solve)
@@ -635,13 +645,6 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     code = main(["sweep", "--preset", "paper", "--sizes", "8", "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("h,iterations,final_residue")
-
-
-def test_cli_export(tmp_path):
-    out = tmp_path / "e.vtk"
-    code = main(["export", "--preset", "paper", "--n", "8", "--out", str(out)])
-    assert code == 0
-    assert out.exists()
 
 
 def test_config_file_with_overrides(tmp_path, capsys):

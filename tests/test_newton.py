@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from obstaclecontrol import assembly, linalg, newton
+from obstaclecontrol import assembly, linalg, newton, obstacle
 from obstaclecontrol.assembly import build_matrices, interpolate, vector_norm
 from obstaclecontrol.mesh import build_friedrichs_keller
 from obstaclecontrol.linalg import (
@@ -18,6 +18,7 @@ from obstaclecontrol.newton import (
     solve_newton_system_cg,
     two_grid_preconditioner,
 )
+from obstaclecontrol.obstacle import classify_nodes
 from obstaclecontrol.operators import DerivativeSelector, apply_P
 
 from conftest import mesh_and_mats, reference_matrices
@@ -356,18 +357,35 @@ def test_config_validation():
         NewtonConfig(alpha=1.0, tol=-1.0)
     with pytest.raises(ValueError):
         NewtonConfig(alpha=1.0, max_iter=0)
-    with pytest.raises(ValueError):
-        NewtonConfig(alpha=1.0, selector_policy="bogus")
 
 
-def test_selector_policies_reach_same_solution():
-    mesh, mats = mesh_and_mats(16)
-    base = NewtonConfig(alpha=1e-5, tol=1e-7)
-    alt = NewtonConfig(alpha=1e-5, tol=1e-7, selector_policy="strict_plus_biactive")
-    r1 = run(base, PAPER_Y_D, PAPER_PSI, mesh, mats)
-    r2 = run(alt, PAPER_Y_D, PAPER_PSI, mesh, mats)
-    diff = vector_norm(r1.y - r2.y, "L2", mats.K, mats.M)
-    assert diff <= 1e-6
+def test_newton_runs_reach_no_biactive_node(monkeypatch):
+    # N is the strictly active set.  The derivative of the obstacle map is
+    # set-valued only on the biactive set, so a biactive node in an obstacle
+    # solve of a Newton run would make the choice of N ambiguous: none occurs
+    # over these targets, obstacles down to -1e-3 and alpha down to 1e-7
+    biactive = []
+
+    def spy(w_int, lam, psi_int):
+        parts = classify_nodes(w_int, lam, psi_int)
+        biactive.append(parts[2].size)
+        return parts
+
+    monkeypatch.setattr(obstacle, "classify_nodes", spy)
+    targets = [PAPER_Y_D, lambda x1, x2: 10 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2)]
+    steps = 0
+    for n in (16, 32):
+        mesh, mats = mesh_and_mats(n)
+        for y_d in targets:
+            for c in (-5.0, -0.5, -1e-3):
+                for alpha in (1e-3, 1e-5, 1e-7):
+                    report = run(NewtonConfig(alpha=alpha, tol=1e-7), y_d,
+                                 lambda x1, x2: np.full_like(x1, c), mesh, mats)
+                    assert report.status == "converged", (n, c, alpha)
+                    steps += len(report.history)
+    # one obstacle solve per residual check, each classified once
+    assert len(biactive) == steps
+    assert sum(biactive) == 0
 
 
 @pytest.mark.parametrize("max_iter", [2.5, "50", None, True])
@@ -483,7 +501,7 @@ def test_block_steps_keep_the_unit_bound_from_the_alpha_floor_up(n, rng):
     assert report.status == "converged"
     first = report.history[0]
     rhs = first.ytilde - first.y
-    selectors = [DerivativeSelector.from_solution(report.final_solution, mats, False)]
+    selectors = [DerivativeSelector.from_solution(report.final_solution, mats)]
     selectors += [_random_selector(mats, rng) for _ in range(2)]
     rhs_norm = vector_norm(rhs, "L2", mats.K, mats.M)
     for alpha in assembly.ALPHA_MIN * 10.0 ** np.arange(15):

@@ -126,8 +126,8 @@ def test_selector_from_solution_respects_admissibility(rng):
     sel = DerivativeSelector.from_solution(sol, mats)
     assert np.all(np.isin(sol.strictly_active, sel.constrained))
     assert not np.any(np.isin(sol.inactive, sel.constrained))
-    sel_b = DerivativeSelector.from_solution(sol, mats, include_biactive=True)
-    assert sel_b.constrained.size >= sel.constrained.size
+    # N is exactly the strictly active set: no biactive node joins it
+    assert np.array_equal(sel.constrained, np.sort(sol.strictly_active))
 
 
 def test_selector_rejects_out_of_range(mesh4):
