@@ -1,8 +1,9 @@
 """Experiment driver: single solves with optional VTK field export, the
 mesh-independence sweep with EOC columns and the diagnostics suite.
 
-Subcommands: solve, sweep, check.  Exit codes: 0 success,
-1 convergence/check failure, 2 usage error.
+Subcommands: solve, sweep, check.  The settings of solve and sweep
+come from their flags, over the paper preset when --preset paper is
+given.  Exit codes: 0 success, 1 convergence/check failure, 2 usage error.
 """
 
 import argparse
@@ -38,12 +39,11 @@ PAPER_PRESET = {
     "y_d": "affine:0,-1,-1",  # y_D(x1, x2) = -x1 - x2
     "psi": "const:-5",
     "sizes": [16, 32, 64, 128, 256],
-    "large_size": 512,  # appended by sweep --large
     "max_iter": 50,
 }
 
 
-# The settings flags' dests; a command's config file may set those of its own flags.
+# The settings flags' dests.
 CONFIG_KEYS = ("alpha", "tol", "max_iter", "y_d", "psi", "n", "sizes")
 
 
@@ -151,7 +151,7 @@ def run_sweep(
     y_d_spec: str,
     psi_spec: str,
     sizes,
-    max_iter: int = 50,
+    max_iter: int = NewtonConfig.max_iter,
     out_csv: str | None = None,
 ) -> SweepResult:
     if not sizes:
@@ -335,27 +335,11 @@ def paper_converged_zeta(n: int):
 
 
 def _load_config(args) -> dict:
-    """The settings of solve and sweep: each given flag, whose
-    dest is its key in CONFIG_KEYS, over the config file over the preset.
-    A config file may set only the keys of the command's own flags."""
-    keys = [key for key in CONFIG_KEYS if key in vars(args)]
-    cfg = {}
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise UsageError(f"config {args.config!r} must hold a JSON object")
-        unknown = sorted(set(cfg) - set(keys))
-        if unknown:
-            raise UsageError(
-                f"unknown key(s) {unknown} in config {args.config!r}; allowed: {keys}"
-            )
+    """The settings of solve and sweep: each given flag, whose dest is
+    its key in CONFIG_KEYS, over the preset."""
     preset = PAPER_PRESET if args.preset == "paper" else {}
-    flags = {key: getattr(args, key) for key in keys}
-    return {**preset, **cfg, **{key: val for key, val in flags.items() if val is not None}}
+    given = {key: getattr(args, key, None) for key in CONFIG_KEYS}
+    return {**preset, **{key: val for key, val in given.items() if val is not None}}
 
 
 def _require(cfg: dict, key: str):
@@ -382,8 +366,8 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _check_mesh_sizes(sizes):
-    if not (isinstance(sizes, list) and all(isinstance(n, int) and n >= 2 for n in sizes)):
-        raise UsageError(f"mesh sizes must be integers of at least 2, got {sizes!r}")
+    if not all(n >= 2 for n in sizes):
+        raise UsageError(f"mesh sizes must be at least 2, got {sizes!r}")
 
 
 def _cmd_solve(args) -> int:
@@ -406,8 +390,6 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     sizes = _require(cfg, "sizes")
     _check_mesh_sizes(sizes)
-    if args.large:
-        sizes = sizes + [PAPER_PRESET["large_size"]]
     config = _newton_config(cfg)
     result = run_sweep(
         alpha=config.alpha,
@@ -441,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--preset", choices=["paper"], help="named configuration preset")
         p.add_argument("--alpha", type=float)
         p.add_argument("--tol", type=float)
@@ -458,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="mesh-independence study with EOC columns")
     common(p_sweep)
     p_sweep.add_argument("--sizes", type=_parse_sizes, help="comma-separated mesh sizes")
-    p_sweep.add_argument("--large", action="store_true", help="append the 512 mesh")
     p_sweep.add_argument("--out", help="CSV output path")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -45,8 +45,8 @@ class DivergenceError(SolverError):
 
 
 def _is_number(value, kind) -> bool:
-    """isinstance(value, kind) for a non-bool: True is an Integral, but a
-    boolean alpha, tol or max_iter is a mistake in the config file."""
+    """isinstance(value, kind) for a non-bool: True is an Integral, but an
+    API caller's boolean alpha, tol or max_iter is a mistake."""
     return isinstance(value, kind) and not isinstance(value, bool)
 
 

@@ -216,12 +216,15 @@ def test_cli_check_zero_trials(capsys):
     assert code == 2
 
 
-# A command and a flag that no longer exist: solve --out writes the fields,
-# and N is always the strictly active set.  The --out directory is missing,
-# so not even a program that accepted export could write there.
+# A command and flags that no longer exist: solve --out writes the fields,
+# N is always the strictly active set, the flags set every setting and
+# --sizes lists every mesh.  The --out directory is missing, so not even a
+# program that accepted export could write there.
 _REMOVED_FROM_THE_COMMAND_LINE = [
     ["export", "--preset", "paper", "--n", "8", "--out", "missing/f.vtk"],
     ["solve", "--preset", "paper", "--n", "8", "--selector", "strict_only"],
+    ["solve", "--preset", "paper", "--n", "8", "--config", "x.json"],
+    ["sweep", "--preset", "paper", "--sizes", "8", "--large"],
 ]
 
 
@@ -258,7 +261,7 @@ def test_cli_usage_errors_exit_2(argv, capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
         refusal = ("invalid choice: 'export'" if argv[0] == "export"
-                   else "unrecognized arguments: --selector strict_only")
+                   else "unrecognized arguments: " + " ".join(argv[5:]))
         assert refusal in err[-1]
         return
     assert main(argv) == 2
@@ -270,65 +273,24 @@ def test_cli_usage_errors_exit_2(argv, capsys):
 # steps, so no run starts there: one usage-error line, before any mesh.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv",
     [
-        (["solve", "--preset", "paper", "--n", "17", "--alpha", "1e-25"], None),
-        (["solve", "--preset", "paper", "--n", "24", "--alpha", "1e-30"], None),
-        (["solve", "--preset", "paper", "--n", "24", "--alpha", "1e-300"], None),
-        (["sweep", "--preset", "paper", "--sizes", "8,16", "--alpha", "1e-21"], None),
-        (["solve", "--preset", "paper", "--n", "8"], '{"alpha": 1e-21}'),
+        ["solve", "--preset", "paper", "--n", "17", "--alpha", "1e-25"],
+        ["solve", "--preset", "paper", "--n", "24", "--alpha", "1e-30"],
+        ["solve", "--preset", "paper", "--n", "24", "--alpha", "1e-300"],
+        ["sweep", "--preset", "paper", "--sizes", "8,16", "--alpha", "1e-21"],
     ],
-    ids=["alpha_1e-25", "alpha_1e-30", "alpha_1e-300", "sweep_alpha_1e-21", "config_alpha_1e-21"],
+    ids=["alpha_1e-25", "alpha_1e-30", "alpha_1e-300", "sweep_alpha_1e-21"],
 )
-def test_cli_alpha_below_the_floor_is_a_usage_error_before_any_mesh(argv, config, tmp_path,
-                                                                   monkeypatch, capsys):
+def test_cli_alpha_below_the_floor_is_a_usage_error_before_any_mesh(argv, monkeypatch, capsys):
     def no_mesh(n):
         raise AssertionError("a mesh was built")
 
     monkeypatch.setattr(cli, "build_friedrichs_keller", no_mesh)
-    if config is not None:
-        (tmp_path / "cfg.json").write_text(config)
-        argv = argv + ["--config", str(tmp_path / "cfg.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("usage error: alpha must be finite and >= 1e-20, got ")
-
-
-@pytest.mark.parametrize(
-    "command, text",
-    [
-        ("solve", None),  # the config file does not exist
-        ("solve", '{"alpha": 1e-5,'),
-        ("solve", '{"max_iter": 2.5}'),
-        ("solve", '{"n": 8.5}'),
-        ("solve", '{"alpha": "1e-5"}'),
-        ("sweep", '{"sizes": [16, "a"]}'),
-        ("solve", '{"y_d": 5}'),
-        ("solve", '{"max_iter": true}'),
-        ("solve", '{"alpha": true}'),
-        ("solve", '{"tol": false}'),
-        ("solve", '{"alpah": 1e-6, "n": 8}'),  # a misspelt key is not ignored
-        ("sweep", '{"sizes": [8], "large_size": 8}'),  # nor is one no command reads
-        ("solve", '{"n": 8, "y_d": "affine:1e308,1e308,1e308"}'),
-        ("sweep", '{"sizes": [8], "n": 64}'),  # a key of another command's flag
-        ("solve", '{"n": 8, "sizes": [8]}'),
-        ("solve", '{"n": 8, "selector_policy": "strict_only"}'),  # a removed key
-    ],
-    ids=[
-        "missing", "malformed", "max_iter", "n", "alpha", "sizes", "y_d",
-        "max_iter_bool", "alpha_bool", "tol_bool", "unknown_key", "large_size",
-        "y_d_overflow", "sweep_n", "solve_sizes", "selector_policy",
-    ],
-)
-@pytest.mark.filterwarnings("error")
-def test_cli_bad_config_file_exit_2(command, text, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    if text is not None:
-        cfg.write_text(text)
-    assert main([command, "--preset", "paper", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("usage error:")
 
 
 # A numeric warning printed to stderr would be a second line: make it fail.
@@ -436,18 +398,6 @@ def test_cli_indefinite_stiffness_is_one_error_line_exit_1(monkeypatch, capsys):
     assert err[0].startswith("error: outer iteration 0: level n=8, K_int[free, free]")
 
 
-def test_cli_sweep_large_appends_the_512_mesh(monkeypatch):
-    calls = []
-
-    def record(**kwargs):
-        calls.append(kwargs)
-        return cli.SweepResult(rows=[])
-
-    monkeypatch.setattr(cli, "run_sweep", record)
-    assert main(["sweep", "--preset", "paper", "--sizes", "8,16", "--large"]) == 0
-    assert len(calls) == 1 and calls[0]["sizes"] == [8, 16, 512]
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -493,10 +443,8 @@ def test_cli_unwritable_out_is_reported_before_the_compute(argv, compute, out, t
         (["sweep", "--preset", "paper", "--sizes", "8", "--out="], "run_sweep", "cannot write ''"),
         (["check", "--names", "monotonicity", "--trials", "1", "--out="], "run_checks",
          "cannot write ''"),
-        (["solve", "--preset", "paper", "--n", "8", "--config="], "run_single",
-         "cannot read config ''"),
     ],
-    ids=["solve", "sweep", "check", "config"],
+    ids=["solve", "sweep", "check"],
 )
 def test_cli_empty_path_is_a_usage_error_before_the_compute(argv, compute, prefix, monkeypatch,
                                                             capsys):
@@ -509,8 +457,8 @@ def test_cli_empty_path_is_a_usage_error_before_the_compute(argv, compute, prefi
     assert len(err) == 1 and err[0].startswith(f"usage error: {prefix}")
 
 
-# Each settings flag with its config key, and three layers of values for
-# each key: the flag's, a config file's and the paper preset's.
+# Each settings flag with its setting, and two layers of values for each
+# setting: the flag's and the paper preset's.
 _FLAGS = {
     "alpha": "--alpha", "tol": "--tol", "max_iter": "--max-iter",
     "y_d": "--y-d", "psi": "--psi", "n": "--n", "sizes": "--sizes",
@@ -519,10 +467,6 @@ _FLAG_VALUES = {
     "alpha": 2e-5, "tol": 1e-6, "max_iter": 7,
     "y_d": "const:1", "psi": "const:-4", "n": 12, "sizes": [8, 12],
 }
-_FILE_VALUES = {
-    "alpha": 3e-5, "tol": 1e-8, "max_iter": 9,
-    "y_d": "const:2", "psi": "const:-3", "n": 10, "sizes": [10],
-}
 
 
 class _Solved(Exception):
@@ -530,7 +474,7 @@ class _Solved(Exception):
 
 
 @pytest.mark.parametrize("command, default_n", [("solve", 16), ("sweep", None)])
-@pytest.mark.parametrize("layers", ["preset", "preset+file", "preset+flags", "preset+file+flags"])
+@pytest.mark.parametrize("layers", ["preset", "preset+flags"])
 def test_cli_each_settings_flag_reaches_its_setting(command, default_n, layers, tmp_path,
                                                     monkeypatch):
     keys = [k for k in _FLAGS if k != ("n" if command == "sweep" else "sizes")]
@@ -538,11 +482,6 @@ def test_cli_each_settings_flag_reaches_its_setting(command, default_n, layers, 
     expected = {k: PAPER_PRESET[k] for k in keys if k != "n"}
     if command != "sweep":
         expected["n"] = default_n
-    if "file" in layers:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({k: _FILE_VALUES[k] for k in keys}))
-        argv += ["--config", str(cfg)]
-        expected = {k: _FILE_VALUES[k] for k in keys}
     if "flags" in layers:
         for k in keys:
             v = _FLAG_VALUES[k]
@@ -584,24 +523,18 @@ def test_cli_sweep_takes_no_n(capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "argv, config, code, line",
+    "argv, code, line",
     [
-        (["solve", "--preset", "paper"], "[1, 2]", 2,
-         "usage error: config {cfg!r} must hold a JSON object"),
-        (["solve", "--n", "8"], None, 2,
+        (["solve", "--n", "8"], 2,
          "usage error: missing configuration value 'alpha' (use --preset paper or flags)"),
-        (["sweep", "--preset", "paper", "--sizes", "8", "--max-iter", "1"], None, 1,
+        (["sweep", "--preset", "paper", "--sizes", "8", "--max-iter", "1"], 1,
          "warning: some runs hit the iteration cap"),
     ],
-    ids=["config_list", "no_preset", "iteration_cap"],
+    ids=["no_preset", "iteration_cap"],
 )
-def test_cli_one_stderr_line(argv, config, code, line, tmp_path, capsys):
-    cfg = str(tmp_path / "cfg.json")
-    if config is not None:
-        (tmp_path / "cfg.json").write_text(config)
-        argv = argv + ["--config", cfg]
+def test_cli_one_stderr_line(argv, code, line, capsys):
     assert main(argv) == code
-    assert capsys.readouterr().err == line.format(cfg=cfg) + "\n"
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_cli_solve_vtk_matches_separately_interpolated_y_d(tmp_path):
@@ -647,11 +580,8 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     assert out.read_text().startswith("h,iterations,final_residue")
 
 
-def test_config_file_with_overrides(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "alpha": 1e-5, "tol": 1e-7, "y_d": "affine:0,-1,-1", "psi": "const:-5",
-    }))
-    code = main(["solve", "--config", str(cfg), "--n", "8", "--tol", "1e-5"])
+def test_solve_without_a_preset_takes_every_setting_by_flag(capsys):
+    code = main(["solve", "--alpha", "1e-5", "--tol", "1e-5", "--y-d", "affine:0,-1,-1",
+                 "--psi", "const:-5", "--n", "8"])
     assert code == 0
     assert "converged" in capsys.readouterr().out
