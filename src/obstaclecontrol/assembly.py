@@ -10,9 +10,11 @@ Each mesh keeps one factor of K + M and one of K_int[free, free], for
 the last free set, the whole interior included; meshes with n up to
 BANDED_MAX_N factor them by band Cholesky, cutting the band of K + M
 and of each K_int[free, free] from the upper-triangle entries of the
-matrix, finer ones by SuperLU.  A mesh with n up to SCHUR_MAX_N solves
-its Newton block systems through their dense Schur complement, a finer
-one by SuperLU.
+matrix, finer ones by SuperLU.  From RED_BLACK_MIN_N on, a banded mesh
+factors K_int[free, free] through its red-black reduced system instead,
+whose band is written from the free mask.  A mesh with n up to
+SCHUR_MAX_N solves its Newton block systems through their dense Schur
+complement, a finer one by SuperLU.
 
 The meshes n, n/2, n/4, ... are nested: each coarse triangle is the
 union of four fine ones.  FEMatrices.coarse and FEMatrices.prolongation
@@ -40,6 +42,18 @@ COARSEST_N = 16  # no mesh coarser than this is built as a level of the hierarch
 # gain is measured end to end only up to it; n = 96 is left on SuperLU,
 # which keeps the iterates of every run finer than 64 as they were.
 BANDED_MAX_N = 64
+# A banded level with n at least this factors each K_int[free, free]
+# through its red-black reduced system on the free nodes with i + j odd
+# (linalg.RedBlackFactorization): about half the unknowns, half-bandwidth
+# at most n - 1.  Plain band cut -> reduced system, cut included, on the
+# free sets of paper runs, one BLAS thread (the README has the table):
+#   n = 32:  factor 246 -> 192 us, solve 31 -> 29 us
+#   n = 48:  factor 909 -> 613 us, solve 74 -> 68 us
+#   n = 64:  factor 2358 -> 1537 us, solve 161 -> 160 us
+# At n = 32 the gain is small (the solve is up to 12 us slower in most
+# runs, with several solves per factor).  Each coarser level keeps the
+# plain band cut, and its iterates bit for bit.
+RED_BLACK_MIN_N = 48
 # A level with n up to this solves its Newton block system through the
 # dense Schur complement on the free w-unknowns (linalg.SchurBlock), from
 # K_int and C = B^T M B built once per level; a finer level factors the
@@ -220,6 +234,18 @@ class FEMatrices:
         return linalg.upper_entries(self.K_int)
 
     @cached_property
+    def red_black(self) -> tuple[np.ndarray, np.ndarray]:
+        """The graph of K_int as linalg.RedBlackFactorization takes it:
+        whether each interior node is black (i + j odd), and its
+        neighbours across the axis edges of the _pattern of the interior
+        grid, interior.size where an edge leaves the interior."""
+        side = self.mesh.n - 1
+        present = _pattern(side)[0][:, [1, 2, 4, 5]]  # the offsets -side, -1, 1, side
+        node = np.arange(side * side)
+        neighbours = np.where(present, node[:, None] + [-side, -1, 1, side], node.size)
+        return (node // side + node % side) % 2 == 1, neighbours
+
+    @cached_property
     def kint_nd(self) -> linalg.OrderedMatrix:
         """K_int with the interior nodes in Mesh.nested_dissection order,
         from which a level that is not banded cuts its free-set submatrices."""
@@ -318,9 +344,14 @@ class FEMatrices:
     def free_factorization(self, free: np.ndarray):
         """Factorization of K_int[free, free] for sorted unique interior
         indices; the only place K_int or a submatrix of it is factorized.
-        On a banded level its band is cut from kint_upper, so in natural
-        order, with no sparse submatrix built, else the submatrix is cut
-        from kint_nd, so in Mesh.nested_dissection order.
+        On a banded level with n >= RED_BLACK_MIN_N it is a
+        linalg.RedBlackFactorization on the graph red_black, which
+        factors the reduced system on the free nodes with i + j odd, in
+        natural order; on a coarser banded level the band of
+        K_int[free, free] is cut from kint_upper, so in natural order;
+        neither builds a sparse submatrix.  On any other level the
+        submatrix is cut from kint_nd, so in Mesh.nested_dissection order.
+        Each factor's solve takes the right-hand side in free-set order.
 
         Keeps the factor of the last free set only, the whole interior
         included, so the final PDAS iterate and G_N on the same set share
@@ -332,7 +363,14 @@ class FEMatrices:
                 # release the old factor first: holding two at once raises peak memory
                 self._free_key = self._free_fact = None
                 keep = np.zeros(self.interior.size, dtype=bool)
-                if self.banded:
+                if self.banded and self.mesh.n >= RED_BLACK_MIN_N:
+                    black, neighbours = self.red_black
+                    slot = np.full(self.interior.size + 1, free.size)  # index into free
+                    slot[free] = np.arange(free.size)
+                    self._free_fact = linalg.RedBlackFactorization(
+                        black[free], slot[neighbours[free]]
+                    )
+                elif self.banded:
                     keep[free] = True
                     band = linalg.upper_band(self.kint_upper, keep)
                     self._free_fact = linalg.Factorization(band)

@@ -6,7 +6,9 @@ band of a matrix in natural node order, whose band is narrow on the
 small meshes, goes to LAPACK's band Cholesky (dpbtrf, then dpbtrs per
 solve), which certifies positive definiteness as it factors; the band
 of any principal submatrix is cut straight from the upper-triangle
-entries of the matrix (upper_band), with no sparse submatrix built.  A
+entries of the matrix (upper_band), with no sparse submatrix built, and
+RedBlackFactorization hands it the band of the red-black reduced system
+of a matrix such as K_int[free, free], written straight from its graph.  A
 CSC matrix in a fill-reducing order, such as Mesh.nested_dissection,
 goes to SuperLU in symmetric mode with diagonal pivoting disabled,
 which makes it behave like a Cholesky factorization, and is certified
@@ -157,10 +159,7 @@ class Factorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """The solution for a right-hand side of shape (N,), or for each
         column of one of shape (N, k)."""
-        b = np.asarray(b, dtype=float)
-        if b.ndim not in (1, 2) or b.shape[0] != self.shape[0]:
-            size = self.shape[0]
-            raise ValueError(f"rhs has shape {b.shape}, expected ({size},) or ({size}, k)")
+        b = _rhs(b, self.shape[0])
         if self._band is not None:
             return lapack.dpbtrs(self._band, b)[0]
         if self._lu is None:
@@ -168,6 +167,80 @@ class Factorization:
         x = np.empty_like(b)
         x[self._order] = self._lu.solve(b[self._order])
         return x
+
+
+def _rhs(b: np.ndarray, size: int) -> np.ndarray:
+    """b as a float right-hand side of shape (size,) or (size, k)."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != size:
+        raise ValueError(f"rhs has shape {b.shape}, expected ({size},) or ({size}, k)")
+    return b
+
+
+# the 6 pairs of the 4 neighbour slots of an unknown
+_PAIRS = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
+
+
+class RedBlackFactorization:
+    """Factorization of a matrix 4I - A, with A the 0/1 adjacency of a
+    graph whose every edge joins a red and a black unknown, through one
+    step of cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer.
+    Anal. 7, 1970).  K_int[free, free] of a Friedrichs-Keller mesh is
+    such a matrix, coloured by the parity of i + j, since K_int is 4 at a
+    node, -1 on its axis edges and 0.0 on its diagonal ones, which join
+    nodes of one colour.
+
+    In red-black order the matrix is [[4I, -E], [-E^T, 4I]], so the
+    red unknowns are eliminated and the reduced matrix on the black ones,
+    S = 4I - E^T E / 4, is factored as Factorization(band): its entries
+    are multiples of 1/4, so exact, and S is positive definite exactly
+    when the matrix is.  Two black unknowns couple in S when they share a
+    red neighbour.
+
+    black marks the black unknowns; neighbours holds the (up to 4)
+    neighbours of each unknown, one row each, and the number of unknowns
+    in the slots of a row that have none.  The black unknowns keep their
+    order in S.  reduced is the Factorization of S."""
+
+    def __init__(self, black: np.ndarray, neighbours: np.ndarray):
+        size = black.size
+        self.shape = (size, size)
+        self._black, self._red = np.flatnonzero(black), np.flatnonzero(~black)
+        nb = self._black.size
+        # one contiguous row per slot, so that summing over the slots adds
+        # whole rows: 2 to 4 times faster than summing each row of neighbours
+        self._black_neighbours = np.ascontiguousarray(neighbours[self._black].T)
+        self._red_neighbours = np.ascontiguousarray(neighbours[self._red].T)
+        rank = np.full(size + 1, nb)  # the position in S of each black unknown, nb for none
+        rank[self._black] = np.arange(nb)
+        around = rank[self._red_neighbours]  # the black neighbours of each red unknown, in S
+        # 4 on the diagonal of S, and each red unknown adds -1/4 at each of its
+        # black neighbours and at each pair of them
+        one, other = around[_PAIRS[0]], around[_PAIRS[1]]
+        low, high = np.minimum(one, other), np.maximum(one, other)
+        paired = high < nb  # and so low < nb
+        diagonal = np.concatenate([np.arange(nb), around[around < nb]])
+        rows = np.concatenate([diagonal, low[paired]])
+        cols = np.concatenate([diagonal, high[paired]])
+        weights = np.full(rows.size, -0.25)
+        weights[:nb] = 4.0
+        b = int((cols - rows).max(initial=0))
+        # entry (i, j), i <= j, at row b + i - j of column j, in Fortran order
+        band = np.bincount((cols + 1) * b + rows, weights=weights, minlength=(b + 1) * nb)
+        self.reduced = Factorization(band.reshape((b + 1, nb), order="F"))
+
+    def solve(self, g: np.ndarray) -> np.ndarray:
+        """The solution for a right-hand side of shape (N,), or for each
+        column of one of shape (N, k): x_B = S^{-1} (g_B + E^T g_R / 4),
+        then x_R = (g_R + E x_B) / 4."""
+        g = _rhs(g, self.shape[0])
+        size = g.shape[0]
+        x = np.zeros((size + 1, *g.shape[1:]))  # a missing neighbour reads the 0 of row size
+        x[:size] = g
+        black_sum = x[self._black_neighbours].sum(axis=0)  # E^T g_R
+        x[self._black] = self.reduced.solve(g[self._black] + 0.25 * black_sum)
+        x[self._red] = 0.25 * (g[self._red] + x[self._red_neighbours].sum(axis=0))
+        return x[:size]
 
 
 class OrderedMatrix(NamedTuple):

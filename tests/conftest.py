@@ -174,6 +174,25 @@ def reference_upper_band(a: sp.spmatrix) -> np.ndarray:
     return band
 
 
+def reference_red_black_band(mats: FEMatrices, free: np.ndarray) -> np.ndarray:
+    """The reference_upper_band of the red-black reduced system of
+    K_int[free, free], S = 4I - E^T E / 4 on the free black nodes (i + j
+    odd) in ascending order, with E = -K_int[red, black] cut by fancy
+    indexing at the free red and black nodes, and S formed by scipy's
+    sparse product and sum."""
+    nodes = mats.interior[free]
+    side = mats.mesh.n + 1
+    black = (nodes % side + nodes // side) % 2 == 1
+    e = -mats.K_int.tocsr()[np.ix_(free[~black], free[black])]
+    return reference_upper_band(4.0 * sp.identity(e.shape[1]) - (e.T @ e) / 4.0)
+
+
+def factor_kernel(fact):
+    """The Factorization that factored a free set: the reduced one of a
+    linalg.RedBlackFactorization, else fact itself."""
+    return getattr(fact, "reduced", fact)
+
+
 def assert_same_band(got: np.ndarray, expected: np.ndarray):
     """The two bands have the same shape and the same bytes, in the
     Fortran order LAPACK reads."""

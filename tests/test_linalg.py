@@ -19,12 +19,14 @@ from obstaclecontrol.operators import DerivativeSelector
 from conftest import (
     assert_same_band,
     assert_same_csc,
+    factor_kernel,
     mesh_and_mats,
     reference_block_matrix,
     reference_block_newton,
     reference_free_submatrix,
     reference_level_cut,
     reference_nd_cut,
+    reference_red_black_band,
     reference_upper_band,
     singular_splu,
     solve,
@@ -661,7 +663,8 @@ def _spy_kernels(monkeypatch):
 def test_levels_up_to_banded_max_n_factor_by_band_cholesky(n, rng, monkeypatch):
     # K + M, K_int and a free-set cut of one level all go to one kernel,
     # chosen by n alone: band Cholesky in natural order, or SuperLU in
-    # nested-dissection order
+    # nested-dissection order; from RED_BLACK_MIN_N on, a band level
+    # factors each free set through its red-black reduced system
     mats = build_matrices(build_friedrichs_keller(n))
     m = mats.interior.size
     calls = _spy_kernels(monkeypatch)
@@ -671,8 +674,12 @@ def test_levels_up_to_banded_max_n_factor_by_band_cholesky(n, rng, monkeypatch):
         mats.free_factorization(np.flatnonzero(rng.random(m) < 0.6)),
     ]
     banded = n <= assembly.BANDED_MAX_N
+    reduced = banded and n >= assembly.RED_BLACK_MIN_N
+    assert [isinstance(fact, linalg.RedBlackFactorization) for fact in facts] == [
+        False, reduced, reduced
+    ]
     assert (calls["band"], calls["superlu"]) == ((3, 0) if banded else (0, 3))
-    assert all((fact._lu is None) == banded for fact in facts)
+    assert all((factor_kernel(fact)._lu is None) == banded for fact in facts)
     assert calls["ndarrays"] == [banded] * 3
     if banded:
         assert calls["orders"] == [None] * 3
@@ -711,7 +718,7 @@ def test_band_and_superlu_solves_agree(n, rng):
     nodes = np.arange(mats.mesh.num_nodes)
     cases.append((mats.a_factorization, *reference_nd_cut(mats.K + mats.M, mats.mesh, nodes)))
     for band, cut, order in cases:
-        assert band._lu is None
+        assert factor_kernel(band)._lu is None
         b = rng.standard_normal(cut.shape[0])
         expected = Factorization(cut, order).solve(b)
         got = band.solve(b)
@@ -731,10 +738,22 @@ def test_band_kernel_rejects_a_nan_entry():
         Factorization(reference_upper_band(a))
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 16, 33, 64])
+def _free_sets(m: int, rng) -> list[np.ndarray]:
+    """Distinct free sets of m interior nodes: empty, one node of each
+    colour where the grid has both, every node, runs of 3 nodes with 3
+    dropped, and random sets with 0.1 to 0.9 of the nodes."""
+    fragmented = np.flatnonzero(np.arange(m) // 3 % 2 == 0)
+    sets = [np.arange(0), *(np.array([k]) for k in range(min(m, 2))), np.arange(m), fragmented]
+    sets += [np.flatnonzero(rng.random(m) < p) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    return list({free.tobytes(): free for free in sets}.values())  # each one factors
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 33, 48, 49, 64])
 def test_band_cut_is_the_band_of_the_reference_cut(n, rng, monkeypatch):
     # every band handed to dpbtrf, byte for byte and with the same b, is that
-    # of the fancy-indexed cut, explicit zeros included
+    # of the fancy-indexed cut, explicit zeros included; from RED_BLACK_MIN_N
+    # on (n = 48 and 49: both parities of the interior grid), that of the
+    # red-black reduced system formed from the fancy-indexed cut
     mats = build_matrices(build_friedrichs_keller(n))
     m = mats.interior.size
     handed = []
@@ -745,18 +764,17 @@ def test_band_cut_is_the_band_of_the_reference_cut(n, rng, monkeypatch):
         return real_dpbtrf(band, **kwargs)
 
     monkeypatch.setattr(linalg.lapack, "dpbtrf", recording)
-    fragmented = np.flatnonzero(np.arange(m) // 3 % 2 == 0)  # runs of 3 nodes, 3 dropped
-    sets = [np.arange(0), np.arange(m), fragmented]
-    sets += [np.flatnonzero(rng.random(m) < p) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    sets = list({free.tobytes(): free for free in sets}.values())  # each one factors
-    for free in sets:
+    reduced = n >= assembly.RED_BLACK_MIN_N
+    for free in _free_sets(m, rng):
         keep = np.zeros(m, dtype=bool)
         keep[free] = True
         expected = reference_level_cut(mats.K, mats, mats.interior[free])[0]
         assert_same_band(linalg.upper_band(mats.kint_upper, keep), expected)
+        if reduced:
+            expected = reference_red_black_band(mats, free)
         handed.clear()
         mats.free_factorization(free)
-        assert len(handed) == (free.size > 0)  # a 0 x 0 matrix is not factored
+        assert len(handed) == (expected.shape[1] > 0)  # a 0 x 0 matrix is not factored
         if handed:
             assert_same_band(handed[0], expected)
     nodes = np.arange(mats.mesh.num_nodes)
@@ -767,6 +785,63 @@ def test_band_cut_is_the_band_of_the_reference_cut(n, rng, monkeypatch):
     assert mats.a_factorization._band is not None
     assert len(handed) == 1
     assert_same_band(handed[0], expected)
+
+
+@pytest.mark.parametrize("n", [48, 49, 64])
+def test_red_black_solve_agrees_with_the_band_factor(n, rng):
+    mats = build_matrices(build_friedrichs_keller(n))
+    m = mats.interior.size
+    for free in _free_sets(m, rng):
+        fact = mats.free_factorization(free)
+        assert isinstance(fact, linalg.RedBlackFactorization)
+        keep = np.zeros(m, dtype=bool)
+        keep[free] = True
+        band = Factorization(linalg.upper_band(mats.kint_upper, keep))
+        for shape in [(free.size,), (free.size, 3)]:
+            b = rng.standard_normal(shape)
+            expected = band.solve(b)
+            got = fact.solve(b)
+            assert got.shape == shape
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    with pytest.raises(ValueError):
+        fact.solve(np.ones(free.size + 1))
+
+
+@pytest.mark.parametrize("n", [17, 48, 64, 256])
+def test_kint_couples_one_colour_only_through_exact_zeros(n):
+    # the premise of the red-black reduction: K_int is 4 on its diagonal and
+    # -1 between the nodes of an axis edge, which FEMatrices.red_black lists
+    # as neighbours, and every other entry, between nodes of one colour
+    # (i + j of one parity), is a stored +0.0
+    mats = build_matrices(build_friedrichs_keller(n))
+    grid = np.rint(mats.mesh.nodes[mats.interior] * n).astype(int)
+    black = grid.sum(axis=1) % 2 == 1
+    k = mats.K_int.tocoo()
+    one_colour = black[k.row] == black[k.col]
+    off = k.row != k.col
+    assert np.all(k.data[~off] == 4.0)
+    assert np.all(k.data[~one_colour] == -1.0)
+    assert np.all(k.data[one_colour & off] == 0.0)
+    assert not np.signbit(k.data[one_colour & off]).any()
+    colour, neighbours = mats.red_black
+    assert np.array_equal(colour, black)
+    present = neighbours < mats.interior.size
+    rows = np.repeat(np.arange(mats.interior.size), present.sum(axis=1))
+    edges = sp.coo_matrix((np.ones(rows.size), (rows, neighbours[present])), shape=k.shape)
+    assert (edges != (mats.K_int == -1.0)).nnz == 0
+
+
+def test_red_black_factorization_error_names_the_level_and_the_free_set(rng, monkeypatch):
+    mats = build_matrices(build_friedrichs_keller(assembly.RED_BLACK_MIN_N))
+    free = np.flatnonzero(rng.random(mats.interior.size) < 0.6)
+    monkeypatch.setattr(linalg.lapack, "dpbtrf", lambda band, **kwargs: (band, 3))
+    size = int(np.count_nonzero(mats.red_black[0][free]))  # the black free nodes
+    message = (
+        rf"^level n={assembly.RED_BLACK_MIN_N}, K_int\[free, free\] with \|free\| = {free.size}: "
+        rf"{size} x {size} matrix: leading minor of order 3 is not positive$"
+    )
+    with pytest.raises(NotPositiveDefiniteError, match=message):
+        mats.free_factorization(free)
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -780,4 +855,4 @@ def test_banded_free_factorization_builds_no_sparse_submatrix(n, rng, monkeypatc
     monkeypatch.setattr(linalg, "principal_submatrix", refuse)
     monkeypatch.setattr(linalg, "reorder", refuse)
     for free in (np.arange(m), np.flatnonzero(rng.random(m) < 0.6)):
-        assert mats.free_factorization(free)._band is not None
+        assert factor_kernel(mats.free_factorization(free))._band is not None

@@ -291,19 +291,47 @@ def _reference_band_factorization(self, free):
     return linalg.Factorization(reference_level_cut(self.K, self, self.interior[free])[0])
 
 
+def _assert_same_counts(got, expected):
+    """The two Newton reports converge with the same history of Newton,
+    PDAS and PCG counts."""
+    assert got.status == expected.status == "converged"
+    assert len(got.history) == len(expected.history)
+    for a, b in zip(got.history, expected.history):
+        assert (a.n_constrained, a.pdas_iterations, a.coarse_pdas_iterations) == (
+            b.n_constrained, b.pdas_iterations, b.coarse_pdas_iterations
+        )
+        assert (a.pcg_iterations, a.coarse_n) == (b.pcg_iterations, b.coarse_n)
+
+
 @pytest.mark.parametrize("n, alpha", [(32, 1e-5), (48, 1e-5), (32, 1e-8)])
 def test_band_cut_keeps_the_iterates_of_the_reference_cut(n, alpha, monkeypatch):
-    # n = 48 has the banded coarse level 24; both runs share one process
+    # n = 48 has the banded coarse level 24; both runs share one process.
+    # Below RED_BLACK_MIN_N the iterates are those of the reference cut bit
+    # for bit; from it on, the fine level solves through the red-black
+    # reduced system, which agrees with the band solve to a few ulps, and u
+    # solves the obstacle problem at the load (P I_h y_D - P y) / alpha,
+    # which scales the round-off of y by 1 / alpha: y and u of each step
+    # then lie within 1e-13 and 1e-11 of their max norms (2.7e-15 and
+    # 1.8e-13 measured at n = 48)
     config = NewtonConfig(alpha=alpha, tol=PAPER_PRESET["tol"])
     fields = (PAPER_PRESET["y_d"], PAPER_PRESET["psi"])
     _, _, got = run_single(config, *fields, n)
     monkeypatch.setattr(FEMatrices, "free_factorization", _reference_band_factorization)
     _, _, expected = run_single(config, *fields, n)
-    assert got.status == expected.status == "converged"
-    assert len(got.history) == len(expected.history)
+    _assert_same_counts(got, expected)
+    exact = n < assembly.RED_BLACK_MIN_N
     for a, b in zip(got.history, expected.history):
-        assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.u, b.u)
-        assert (a.pdas_iterations, a.coarse_pdas_iterations, a.pcg_iterations) == (
-            b.pdas_iterations, b.coarse_pdas_iterations, b.pcg_iterations
-        )
+        assert np.abs(a.y - b.y).max() <= (0.0 if exact else 1e-13 * np.abs(b.y).max())
+        assert np.abs(a.u - b.u).max() <= (0.0 if exact else 1e-11 * np.abs(b.u).max())
+
+
+def test_red_black_reduction_keeps_every_count_of_a_paper_run(monkeypatch):
+    # the n = 64 paper run, whose fine level solves through the red-black
+    # reduced system, against the same run with the plain band cut
+    config = NewtonConfig(alpha=PAPER_PRESET["alpha"], tol=PAPER_PRESET["tol"])
+    fields = (PAPER_PRESET["y_d"], PAPER_PRESET["psi"])
+    _, _, got = run_single(config, *fields, 64)
+    monkeypatch.setattr(assembly, "RED_BLACK_MIN_N", 65)
+    _, _, expected = run_single(config, *fields, 64)
+    assert len(got.history) == 7  # 6 Newton steps
+    _assert_same_counts(got, expected)
