@@ -22,6 +22,8 @@ link a mesh to the next coarser one, down to COARSEST_N, and
 FEMatrices.newton_coarse picks the level of the Newton preconditioner.
 """
 
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -238,7 +240,15 @@ class FEMatrices:
         """The graph of K_int as linalg.RedBlackFactorization takes it:
         whether each interior node is black (i + j odd), and its
         neighbours across the axis edges of the _pattern of the interior
-        grid, interior.size where an edge leaves the interior."""
+        grid, interior.size where an edge leaves the interior.
+
+        The reduction factors 4 at a node, -1 on its axis edges and 0
+        elsewhere, not K_int itself, so a K_int that differs from that
+        matrix is refused here, once per level."""
+        if (self.K_int != _interior_stiffness(self.mesh.n)).nnz:
+            raise linalg.NotPositiveDefiniteError(
+                "K_int is not the 5-point matrix whose red-black reduced system is factored"
+            )
         side = self.mesh.n - 1
         present = _pattern(side)[0][:, [1, 2, 4, 5]]  # the offsets -side, -1, 1, side
         node = np.arange(side * side)
@@ -403,16 +413,31 @@ def build_matrices(mesh: Mesh) -> FEMatrices:
     )
 
 
-def vector_norm(full: np.ndarray, kind: str, K: sp.spmatrix, M: sp.spmatrix) -> float:
-    """Discrete L2, H1 or H1-seminorm of a full-node coefficient vector.
-    Too large a vector gives inf or NaN, without a warning; callers test it."""
+def _quadratic_form(full: np.ndarray, kind: str, K: sp.spmatrix, M: sp.spmatrix) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "L2":
-            q = full @ (M @ full)
-        elif kind == "H1":
-            q = full @ (M @ full) + full @ (K @ full)
-        elif kind == "H1_semi":
-            q = full @ (K @ full)
-        else:
-            raise ValueError(f"unknown norm kind {kind!r}")
+            return full @ (M @ full)
+        if kind == "H1":
+            return full @ (M @ full) + full @ (K @ full)
+        if kind == "H1_semi":
+            return full @ (K @ full)
+    raise ValueError(f"unknown norm kind {kind!r}")
+
+
+def vector_norm(full: np.ndarray, kind: str, K: sp.spmatrix, M: sp.spmatrix) -> float:
+    """Discrete L2, H1 or H1-seminorm of a full-node coefficient vector.
+
+    A quadratic form below the normal range (a norm below about 1e-154)
+    is taken once more, of the vector scaled by a power of two to a
+    largest entry in [1/2, 1).  That scaling is exact, so a small vector
+    does not read 0 by underflow, and every norm whose form is normal
+    keeps its bits.  Too large a vector gives inf or NaN, without a
+    warning; callers test it."""
+    q = _quadratic_form(full, kind, K, M)
+    if q < sys.float_info.min:  # the smallest normal float
+        peak = float(np.max(np.abs(full), initial=0.0))
+        if 0.0 < peak < np.inf:
+            exponent = math.frexp(peak)[1]
+            q = _quadratic_form(np.ldexp(full, -exponent), kind, K, M)
+            return math.ldexp(math.sqrt(max(q, 0.0)), exponent)
     return float(np.sqrt(max(q, 0.0)))

@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -259,42 +258,28 @@ def write_vtk(mesh: Mesh, fields: dict, path: str):
         fh.write("\n".join(lines) + "\n")
 
 
-class RegisteredCheck(NamedTuple):
-    run: Callable  # run(seed, **kwargs) -> CheckReport
-    takes_trials: bool = True
-
-
 def _mesh_and_mats(n: int):
     mesh = build_friedrichs_keller(n)
     return mesh, build_matrices(mesh)
 
 
 def registered_checks() -> dict:
-    """The diagnostics suite: check name -> runner with its mesh size
-    and arguments.  newton_diff runs a fixed ladder of scales around the
-    converged paper solution, so it takes no trial count."""
+    """The diagnostics suite: check name -> run(seed), with the mesh
+    size and arguments of the check; each runs its fixed number of
+    trials, and the seed selects the samples."""
     alpha = PAPER_PRESET["alpha"]
     return {
-        "convexity": RegisteredCheck(
-            lambda seed, **kw: check_pointwise_convexity(*_mesh_and_mats(16), seed=seed, **kw)
+        "convexity": lambda seed: check_pointwise_convexity(*_mesh_and_mats(16), seed=seed),
+        "monotonicity": lambda seed: check_derivative_monotonicity(*_mesh_and_mats(8), seed=seed),
+        "newton_diff": lambda seed: check_newton_differentiability(
+            *paper_converged_zeta(16), seed=seed
         ),
-        "monotonicity": RegisteredCheck(
-            lambda seed, **kw: check_derivative_monotonicity(*_mesh_and_mats(8), seed=seed, **kw)
-        ),
-        "newton_diff": RegisteredCheck(
-            lambda seed: check_newton_differentiability(*paper_converged_zeta(16), seed=seed),
-            takes_trials=False,
-        ),
-        "contraction": RegisteredCheck(
-            lambda seed, **kw: check_contraction(*_mesh_and_mats(8), seed=seed, alpha=alpha, **kw)
-        ),
-        "lipschitz": RegisteredCheck(
-            lambda seed, **kw: check_lipschitz_scaling(seed=seed, **kw)
-        ),
+        "contraction": lambda seed: check_contraction(*_mesh_and_mats(8), alpha=alpha, seed=seed),
+        "lipschitz": lambda seed: check_lipschitz_scaling(seed=seed),
     }
 
 
-def run_checks(names, seed: int, out_path: str | None, trials: int | None = None) -> int:
+def run_checks(names, seed: int, out_path: str | None) -> int:
     registry = registered_checks()
     unknown = [n for n in names if n not in registry]
     if unknown:
@@ -305,15 +290,7 @@ def run_checks(names, seed: int, out_path: str | None, trials: int | None = None
         raise UsageError(f"check names must be distinct, got {list(names)}")
     if seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
-    kwargs = {}
-    if trials is not None:
-        if trials < 1:
-            raise UsageError("trials must be at least 1")
-        fixed = [n for n in names if not registry[n].takes_trials]
-        if fixed:
-            raise UsageError(f"check(s) {fixed} take no --trials")
-        kwargs["trials"] = trials
-    reports = [registry[name].run(seed, **kwargs) for name in names]
+    reports = [registry[name](seed) for name in names]
     payload = {"seed": seed, "checks": [r.as_dict() for r in reports]}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out_path is not None:
@@ -412,7 +389,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     # an empty --names= lists one empty name, which run_checks rejects
     names = args.names.split(",") if args.names is not None else sorted(registered_checks())
-    return run_checks(names, seed=args.seed, out_path=args.out, trials=args.trials)
+    return run_checks(names, seed=args.seed, out_path=args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run diagnostics checks")
     p_check.add_argument("--names", help="comma-separated check names (default: all)")
-    p_check.add_argument("--seed", type=int, default=42)
-    p_check.add_argument("--trials", type=int)
+    p_check.add_argument("--seed", type=int, default=42,
+                         help="selects the samples; each check runs a fixed number")
     p_check.add_argument("--out", help="JSON report path")
     p_check.set_defaults(func=_cmd_check)
     return parser

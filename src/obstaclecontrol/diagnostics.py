@@ -1,9 +1,10 @@
 """Randomized structural checks on the discrete operators.
 
 Each check draws its inputs from a seeded 64-bit generator, records the
-worst violation over all trials and compares it against a fixed
-tolerance.  The slack of 1e-9 on the solver-mediated checks is the
-direct-solve residual bound (1e-10) times a safety factor of ten.
+worst violation over its fixed number of trials and compares it against
+a fixed tolerance; the seed selects the samples.  The slack of 1e-9 on
+the solver-mediated checks is the direct-solve residual bound (1e-10)
+times a safety factor of ten.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -27,6 +28,8 @@ NEWTON_DIFF_SCALES = tuple(10.0 ** (-k) for k in range(1, 7))  # Taylor-remainde
 # 0.64 of eps * (||S(b+z)|| + ||S(b)||).
 NEWTON_DIFF_ROUNDOFF = 8.0
 LIPSCHITZ_SIZES = (8, 16, 32)  # the meshes of check_lipschitz_scaling, coarsest first
+TRIALS = 100  # the samples of the convexity, monotonicity and contraction checks
+LIPSCHITZ_TRIALS = 20  # the samples of check_lipschitz_scaling on each mesh
 
 
 @dataclass
@@ -37,10 +40,6 @@ class CheckReport:
     tolerance: float
     seed: int
     details: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
 
     @property
     def passed(self) -> bool:
@@ -64,15 +63,13 @@ def _random_selector(rng, mats: FEMatrices) -> DerivativeSelector:
     return DerivativeSelector.from_node_set(constrained, mats)
 
 
-def check_pointwise_convexity(
-    mesh: Mesh, mats: FEMatrices, trials: int = 100, seed: int = 42
-) -> CheckReport:
+def check_pointwise_convexity(mesh: Mesh, mats: FEMatrices, seed: int) -> CheckReport:
     """Nodal convexity of the obstacle solution map in its load."""
     rng = np.random.default_rng(seed)
     psi = _const_psi(mesh)
     worst = 0.0
     lambdas = (0.0, 0.25, 0.5, 0.75, 1.0)
-    for _ in range(trials):
+    for _ in range(TRIALS):
         z1 = _random_field(rng, mesh)
         z2 = _random_field(rng, mesh)
         s1 = solve_obstacle(z1, psi, mats).w
@@ -84,20 +81,18 @@ def check_pointwise_convexity(
         worst = max(worst, violation)
     return CheckReport(
         name="convexity",
-        trials=trials,
+        trials=TRIALS,
         max_violation=worst,
         tolerance=CONVEXITY_SLACK,
         seed=seed,
     )
 
 
-def check_derivative_monotonicity(
-    mesh: Mesh, mats: FEMatrices, trials: int = 100, seed: int = 0
-) -> CheckReport:
+def check_derivative_monotonicity(mesh: Mesh, mats: FEMatrices, seed: int) -> CheckReport:
     """Nonnegativity of the pairing (M a, extension of G a)."""
     rng = np.random.default_rng(seed)
     worst = 0.0  # most negative scaled pairing, flipped in sign
-    for _ in range(trials):
+    for _ in range(TRIALS):
         a = rng.uniform(-10.0, 10.0, mesh.num_nodes)
         w = apply_G(_random_selector(rng, mats), a, mats)
         pairing = float((mats.M @ a) @ extend_interior(w, mats))
@@ -105,7 +100,7 @@ def check_derivative_monotonicity(
         worst = max(worst, -pairing / scale)
     return CheckReport(
         name="monotonicity",
-        trials=trials,
+        trials=TRIALS,
         max_violation=worst,
         tolerance=MONOTONICITY_SLACK,
         seed=seed,
@@ -117,7 +112,7 @@ def check_newton_differentiability(
     mats: FEMatrices,
     base: NodalFunction,
     psi: NodalFunction,
-    seed: int = 0,
+    seed: int,
 ) -> CheckReport:
     """Taylor-remainder decay of the obstacle map along a fixed random
     direction, with the derivative chosen at the perturbed point.
@@ -155,13 +150,11 @@ def check_newton_differentiability(
     )
 
 
-def check_contraction(
-    mesh: Mesh, mats: FEMatrices, alpha: float, trials: int = 100, seed: int = 0
-) -> CheckReport:
+def check_contraction(mesh: Mesh, mats: FEMatrices, alpha: float, seed: int) -> CheckReport:
     """Unit bound of the inverse Newton operator in the L2 norm."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         rhs = rng.uniform(-10.0, 10.0, mesh.num_nodes)
         y, *_ = solve_newton_system(rhs, _random_selector(rng, mats), alpha, mats)
         ratio = vector_norm(y, "L2", mats.K, mats.M) / vector_norm(
@@ -170,14 +163,14 @@ def check_contraction(
         worst = max(worst, ratio - 1.0)
     return CheckReport(
         name="contraction",
-        trials=trials,
+        trials=TRIALS,
         max_violation=worst,
         tolerance=CONTRACTION_SLACK,
         seed=seed,
     )
 
 
-def check_lipschitz_scaling(trials: int = 20, seed: int = 7) -> CheckReport:
+def check_lipschitz_scaling(seed: int) -> CheckReport:
     """Stability of the perturbation ratio ||S(u+z)-S(u)|| / ||z|| across
     the meshes LIPSCHITZ_SIZES.  Evidence for a mesh-independent
     Lipschitz constant, not a proof; only the L2 -> L2 ratio is sampled."""
@@ -188,7 +181,7 @@ def check_lipschitz_scaling(trials: int = 20, seed: int = 7) -> CheckReport:
         mats = build_matrices(mesh)
         psi = _const_psi(mesh)
         worst = 0.0
-        for _ in range(trials):
+        for _ in range(LIPSCHITZ_TRIALS):
             u = _random_field(rng, mesh)
             d = rng.uniform(-1.0, 1.0, mesh.num_nodes)
             d /= vector_norm(d, "L2", mats.K, mats.M)
@@ -204,7 +197,7 @@ def check_lipschitz_scaling(trials: int = 20, seed: int = 7) -> CheckReport:
     overall = max(maxima.values())
     return CheckReport(
         name="lipschitz",
-        trials=trials,
+        trials=LIPSCHITZ_TRIALS,
         max_violation=overall,
         tolerance=2.0 * coarsest,
         seed=seed,

@@ -121,7 +121,7 @@ def test_oracle_equivalence():
 
 def test_convexity_suite():
     mesh = build_friedrichs_keller(16)
-    report = check_pointwise_convexity(mesh, build_matrices(mesh), trials=100, seed=42)
+    report = check_pointwise_convexity(mesh, build_matrices(mesh), seed=42)
     _report("convexity-suite", report.passed, f"max violation={report.max_violation:.2e}")
     assert report.passed
     assert report.max_violation <= 1e-9
@@ -129,7 +129,7 @@ def test_convexity_suite():
 
 def test_monotonicity_suite():
     mesh = build_friedrichs_keller(8)
-    report = check_derivative_monotonicity(mesh, build_matrices(mesh), trials=100, seed=0)
+    report = check_derivative_monotonicity(mesh, build_matrices(mesh), seed=0)
     _report(
         "monotonicity-suite", report.passed, f"worst scaled pairing=-{report.max_violation:.2e}"
     )
@@ -139,9 +139,7 @@ def test_monotonicity_suite():
 
 def test_contraction_suite():
     mesh = build_friedrichs_keller(8)
-    report = check_contraction(
-        mesh, build_matrices(mesh), trials=100, seed=0, alpha=1e-5
-    )
+    report = check_contraction(mesh, build_matrices(mesh), alpha=1e-5, seed=0)
     _report(
         "contraction-suite", report.passed, f"max ratio excess={report.max_violation:.2e}"
     )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,23 @@ def test_norm_constants():
     one = NodalFunction(np.ones(mesh.num_nodes), mesh)
     assert norm(one, "L2") == pytest.approx(1.0, abs=1e-12)
     assert norm(one, "H1_semi") == pytest.approx(0.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("kind", ["L2", "H1", "H1_semi"])
+def test_norm_below_the_square_range_scales_exactly(kind):
+    # the quadratic form of a vector below about 1e-154 is subnormal or 0;
+    # the norm is then taken of the vector scaled by a power of two, which
+    # is exact, so it is the norm of the unscaled vector times that power
+    mesh, mats = mesh_and_mats(8)
+    v = interpolate(lambda x1, x2: 1 + x1 * x2, mesh).values
+    for k in (520, 540, 1000):
+        got = vector_norm(np.ldexp(v, -k), kind, mats.K, mats.M)
+        assert type(got) is float
+        assert got == math.ldexp(vector_norm(v, kind, mats.K, mats.M), -k)
+    # the seminorm of a constant is 0 up to round-off at every scale
+    assert vector_norm(np.full(mesh.num_nodes, 1e-200), "H1_semi", mats.K, mats.M) <= 1e-207
+    # a large vector is not scaled: its form overflows to inf or NaN
+    assert not math.isfinite(vector_norm(np.ldexp(v, 540), kind, mats.K, mats.M))
 
 
 def test_norm_of_x1():

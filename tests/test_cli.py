@@ -202,30 +202,33 @@ def test_cli_check_unknown_name(capsys):
 
 def test_cli_check_empty_names_is_a_usage_error_before_any_check(monkeypatch, capsys):
     # --names= lists no check; it does not fall back to the whole suite
-    def fail(seed, **kwargs):
+    def fail(seed):
         raise AssertionError("a check ran")
 
-    monkeypatch.setattr(cli, "registered_checks", lambda: {"contraction": cli.RegisteredCheck(fail)})
+    monkeypatch.setattr(cli, "registered_checks", lambda: {"contraction": fail})
     assert main(["check", "--names="]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error: unknown check(s) ['']")
 
 
-def test_cli_check_zero_trials(capsys):
-    code = main(["check", "--names", "convexity", "--trials", "0"])
-    assert code == 2
-
-
-# A command and flags that no longer exist: solve --out writes the fields,
-# N is always the strictly active set, the flags set every setting and
-# --sizes lists every mesh.  The --out directory is missing, so not even a
-# program that accepted export could write there.
-_REMOVED_FROM_THE_COMMAND_LINE = [
-    ["export", "--preset", "paper", "--n", "8", "--out", "missing/f.vtk"],
-    ["solve", "--preset", "paper", "--n", "8", "--selector", "strict_only"],
-    ["solve", "--preset", "paper", "--n", "8", "--config", "x.json"],
-    ["sweep", "--preset", "paper", "--sizes", "8", "--large"],
-]
+# A command and flags that no longer exist, each with the end of the line
+# argparse refuses it with: solve --out writes the fields, N is always the
+# strictly active set, the flags set every setting, --sizes lists every
+# mesh and each check runs its fixed number of trials.  The --out
+# directory is missing, so not even a program that accepted export could
+# write there.
+_REFUSALS = {
+    ("export", "--preset", "paper", "--n", "8", "--out", "missing/f.vtk"):
+        "invalid choice: 'export'",
+    ("solve", "--preset", "paper", "--n", "8", "--selector", "strict_only"):
+        "unrecognized arguments: --selector strict_only",
+    ("solve", "--preset", "paper", "--n", "8", "--config", "x.json"):
+        "unrecognized arguments: --config x.json",
+    ("sweep", "--preset", "paper", "--sizes", "8", "--large"):
+        "unrecognized arguments: --large",
+    ("check", "--names", "monotonicity", "--trials", "5"):
+        "unrecognized arguments: --trials 5",
+}
 
 
 @pytest.mark.parametrize(
@@ -236,7 +239,6 @@ _REMOVED_FROM_THE_COMMAND_LINE = [
         ["solve", "--preset", "paper", "--max-iter", "0"],
         ["solve", "--preset", "paper", "--n", "8", "--psi", "const:1"],
         ["sweep", "--preset", "paper", "--sizes", "1"],
-        ["check", "--names", "newton_diff", "--trials", "3"],
         ["solve", "--preset", "paper", "--n", "8", "--alpha", "nan"],
         ["solve", "--preset", "paper", "--n", "8", "--tol", "nan"],
         ["solve", "--preset", "paper", "--n", "8", "--alpha", "inf"],
@@ -245,24 +247,22 @@ _REMOVED_FROM_THE_COMMAND_LINE = [
         ["solve", "--preset", "paper", "--n", "8", "--y-d", "const:inf"],
         ["check", "--names", "monotonicity", "--seed", "-1"],
         ["sweep", "--preset", "paper", "--sizes", "8,8"],
-        ["check", "--names", "contraction,contraction", "--trials", "2"],
+        ["check", "--names", "contraction,contraction"],
         # finite coefficients whose field overflows on the unit square
         ["solve", "--preset", "paper", "--n", "8", "--y-d", "affine:1e308,1e308,1e308"],
         ["solve", "--preset", "paper", "--n", "8", "--psi", "affine:-1e308,-1e308,-1e308"],
-        *_REMOVED_FROM_THE_COMMAND_LINE,
+        *map(list, _REFUSALS),
     ],
 )
 @pytest.mark.filterwarnings("error")
 def test_cli_usage_errors_exit_2(argv, capsys):
-    if argv in _REMOVED_FROM_THE_COMMAND_LINE:
+    if tuple(argv) in _REFUSALS:
         # argparse refuses them: its usage line, then one error line
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        refusal = ("invalid choice: 'export'" if argv[0] == "export"
-                   else "unrecognized arguments: " + " ".join(argv[5:]))
-        assert refusal in err[-1]
+        assert len(err) == 2 and _REFUSALS[tuple(argv)] in err[-1]
         return
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -392,10 +392,14 @@ def test_cli_indefinite_stiffness_is_one_error_line_exit_1(monkeypatch, capsys):
         return mats
 
     monkeypatch.setattr(cli, "build_matrices", negated_k_int)
-    assert main(["solve", "--preset", "paper", "--n", "8"]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: outer iteration 0: level n=8, K_int[free, free]")
+    # n = 8 factors the band of K_int[free, free], which dpbtrf refuses;
+    # n = 48 factors the red-black reduced system, written from the graph
+    # of K_int alone, so the level compares K_int with that matrix first
+    for n in (8, 48):
+        assert main(["solve", "--preset", "paper", "--n", str(n)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: outer iteration 0: level n={n}, K_int[free, free]")
 
 
 @pytest.mark.parametrize(
@@ -403,7 +407,7 @@ def test_cli_indefinite_stiffness_is_one_error_line_exit_1(monkeypatch, capsys):
     [
         ["solve", "--preset", "paper", "--n", "8"],
         ["sweep", "--preset", "paper", "--sizes", "8"],
-        ["check", "--names", "contraction", "--trials", "2"],
+        ["check", "--names", "contraction"],
     ],
     ids=["solve", "sweep", "check"],
 )
@@ -441,7 +445,7 @@ def test_cli_unwritable_out_is_reported_before_the_compute(argv, compute, out, t
     [
         (["solve", "--preset", "paper", "--n", "8", "--out="], "run_single", "cannot write ''"),
         (["sweep", "--preset", "paper", "--sizes", "8", "--out="], "run_sweep", "cannot write ''"),
-        (["check", "--names", "monotonicity", "--trials", "1", "--out="], "run_checks",
+        (["check", "--names", "monotonicity", "--out="], "run_checks",
          "cannot write ''"),
     ],
     ids=["solve", "sweep", "check"],
@@ -554,8 +558,7 @@ def test_cli_solve_vtk_matches_separately_interpolated_y_d(tmp_path):
 def test_cli_check_runs_and_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main([
-        "check", "--names", "monotonicity,contraction", "--seed", "5",
-        "--trials", "10", "--out", str(out),
+        "check", "--names", "monotonicity,contraction", "--seed", "5", "--out", str(out),
     ])
     assert code == 0
     payload = json.loads(out.read_text())
@@ -567,10 +570,41 @@ def test_cli_check_report_byte_identical(tmp_path):
     outs = []
     for name in ("r1.json", "r2.json"):
         out = tmp_path / name
-        main(["check", "--names", "monotonicity", "--seed", "5", "--trials", "5",
-              "--out", str(out)])
+        main(["check", "--names", "monotonicity", "--seed", "5", "--out", str(out)])
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_check_runs_each_check_at_its_fixed_trial_count(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["check", "--out", str(out)]) == 0
+    trials = {c["name"]: c["trials"] for c in json.loads(out.read_text())["checks"]}
+    assert trials == {
+        "convexity": 100, "monotonicity": 100, "newton_diff": 6, "contraction": 100,
+        "lipschitz": 20,
+    }
+
+
+def test_cli_solve_scaled_by_1e_150_reports_its_residue(capsys):
+    # the residual norms lie near 1e-150 and below, where their squares
+    # underflow; the scaled paper run still takes the paper's 6 steps
+    argv = ["solve", "--preset", "paper", "--n", "32", "--y-d", "affine:0,-1e-150,-1e-150",
+            "--psi", "const:-5e-150", "--tol", "1e-157"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "status=converged iterations=6 " in out
+    assert 0.0 < float(out.split("final_residue=")[1].split()[0]) <= 1e-157
+
+
+def test_sweep_scaled_by_1e_159_does_not_converge_at_tol_0():
+    # at tol 0 only a residual that reads 0 stops the run; the residuals of
+    # this problem start near 1e-159 and fall, so a norm that squared
+    # before its root read 0 at step 5 and reported convergence
+    result = run_sweep(alpha=1e-5, tol=0.0, y_d_spec="affine:0,-1e-159,-1e-159",
+                       psi_spec="const:-5e-159", sizes=[8], max_iter=8)
+    row = result.rows[0]
+    assert (row.status, row.iterations) == ("max_iter_reached", 8)
+    assert type(row.final_residue) is float and row.final_residue > 0.0
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):

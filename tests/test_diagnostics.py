@@ -17,48 +17,27 @@ from conftest import mesh_and_mats
 
 def test_convexity_small_run_passes():
     mesh, mats = mesh_and_mats(8)
-    report = check_pointwise_convexity(mesh, mats, trials=10, seed=1)
+    report = check_pointwise_convexity(mesh, mats, seed=1)
     assert report.passed
     assert report.max_violation <= 1e-9
 
 
 def test_convexity_deterministic():
     mesh, mats = mesh_and_mats(8)
-    a = check_pointwise_convexity(mesh, mats, trials=5, seed=3)
-    b = check_pointwise_convexity(mesh, mats, trials=5, seed=3)
+    a = check_pointwise_convexity(mesh, mats, seed=3)
+    b = check_pointwise_convexity(mesh, mats, seed=3)
     assert a.max_violation == b.max_violation
-
-
-def test_convexity_rejects_zero_trials():
-    mesh, mats = mesh_and_mats(8)
-    with pytest.raises(ValueError):
-        check_pointwise_convexity(mesh, mats, trials=0)
-
-
-@pytest.mark.parametrize(
-    "check",
-    [
-        lambda: check_derivative_monotonicity(*mesh_and_mats(8), trials=0),
-        lambda: check_contraction(*mesh_and_mats(8), alpha=1e-5, trials=0),
-        lambda: check_lipschitz_scaling(trials=0),
-    ],
-    ids=["monotonicity", "contraction", "lipschitz"],
-)
-def test_trial_checks_reject_zero_trials(check, monkeypatch):
-    monkeypatch.setattr(diagnostics, "LIPSCHITZ_SIZES", (4, 8))
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        check()
 
 
 def test_monotonicity_passes():
     mesh, mats = mesh_and_mats(8)
-    report = check_derivative_monotonicity(mesh, mats, trials=25, seed=2)
+    report = check_derivative_monotonicity(mesh, mats, seed=2)
     assert report.passed
 
 
 def test_contraction_passes():
     mesh, mats = mesh_and_mats(8)
-    report = check_contraction(mesh, mats, trials=25, seed=2, alpha=1e-5)
+    report = check_contraction(mesh, mats, alpha=1e-5, seed=2)
     assert report.passed
     assert report.max_violation <= 1e-9
 
@@ -70,7 +49,7 @@ def test_contraction_passes_through_the_pcg_at_n32(monkeypatch):
 
     monkeypatch.setattr(newton, "solve_block_newton", block_solve)
     mesh, mats = mesh_and_mats(32)
-    report = check_contraction(mesh, mats, trials=10, seed=3, alpha=1e-5)
+    report = check_contraction(mesh, mats, alpha=1e-5, seed=3)
     assert report.passed
 
 
@@ -80,7 +59,7 @@ def test_contraction_fails_on_expanding_solve_and_run_raises(monkeypatch):
         newton, "solve_block_newton", lambda block, free, rhs: 2.0 * rhs
     )
     mesh, mats = mesh_and_mats(8)
-    report = check_contraction(mesh, mats, trials=3, seed=0, alpha=1e-5)
+    report = check_contraction(mesh, mats, alpha=1e-5, seed=0)
     assert not report.passed
     assert report.max_violation == pytest.approx(1.0)
     with pytest.raises(newton.ContractionViolationError):
@@ -116,7 +95,7 @@ def test_newton_diff_generic_base_decays():
 def test_newton_diff_round_off_remainder_passes(seed):
     # at these seeds the remainder at t = 1e-6 is round-off of the two
     # obstacle solves, about 0.6 eps (||S(b+z)|| + ||S(b)||), but above 1e-9 t
-    report = registered_checks()["newton_diff"].run(seed)
+    report = registered_checks()["newton_diff"](seed)
     assert report.passed
 
 
@@ -124,13 +103,13 @@ def test_newton_diff_fails_with_a_wrong_derivative(monkeypatch):
     monkeypatch.setattr(
         diagnostics, "apply_G", lambda selector, a, mats: np.zeros(mats.interior.size)
     )
-    report = registered_checks()["newton_diff"].run(0)
+    report = registered_checks()["newton_diff"](0)
     assert report.passed is False
 
 
 def test_lipschitz_report_structure(monkeypatch):
     monkeypatch.setattr(diagnostics, "LIPSCHITZ_SIZES", (4, 8))
-    report = check_lipschitz_scaling(trials=3, seed=7)
+    report = check_lipschitz_scaling(seed=7)
     assert set(report.details["per_mesh_maxima"]) == {"4", "8"}
     assert report.max_violation > 0.0
 
@@ -147,7 +126,7 @@ def test_registry_names():
 
 def test_report_serializes():
     mesh, mats = mesh_and_mats(8)
-    report = check_contraction(mesh, mats, trials=3, seed=0, alpha=1e-5)
+    report = check_contraction(mesh, mats, alpha=1e-5, seed=0)
     d = report.as_dict()
     assert d["name"] == "contraction"
     assert isinstance(d["passed"], bool)
