@@ -7,14 +7,12 @@ Dirichlet subspace V_h are plain arrays on the interior index set;
 operators.extend_interior zero-extends them.
 
 Each mesh keeps one factor of K + M and one of K_int[free, free], for
-the last free set, the whole interior included; meshes with n up to
-BANDED_MAX_N factor them by band Cholesky, cutting the band of K + M
-and of each K_int[free, free] from the upper-triangle entries of the
-matrix, finer ones by SuperLU.  From RED_BLACK_MIN_N on, a banded mesh
-factors K_int[free, free] through its red-black reduced system instead,
-whose band is written from the free mask.  A mesh with n up to
-SCHUR_MAX_N solves its Newton block systems through their dense Schur
-complement, a finer one by SuperLU.
+the last free set, the whole interior included.  From RED_BLACK_MIN_N
+on, it factors K_int[free, free] through its red-black reduced system,
+written from the free mask.  Meshes with n up to BANDED_MAX_N factor by
+band Cholesky, finer ones by SuperLU in a nested-dissection order.  A
+mesh with n up to SCHUR_MAX_N solves its Newton block systems through
+their dense Schur complement, a finer one by SuperLU.
 
 The meshes n, n/2, n/4, ... are nested: each coarse triangle is the
 union of four fine ones.  FEMatrices.coarse and FEMatrices.prolongation
@@ -32,20 +30,20 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .mesh import Mesh, build_friedrichs_keller
+from .mesh import Mesh, _nested_dissection, build_friedrichs_keller
 
 COARSEST_N = 16  # no mesh coarser than this is built as a level of the hierarchy
-# A level with n up to this factors K + M and each K_int[free, free] in
+# A level with n up to this factors K + M and each free-set factor in
 # natural node order by band Cholesky (linalg.Factorization without an
-# order); a finer level factors them by SuperLU in
-# Mesh.nested_dissection order.  A band factor costs about n^4 and
-# falls behind between n = 96 and 128 (the README has the kernel
+# order); a finer level factors them by SuperLU, K + M in
+# Mesh.nested_dissection order and each reduced system in that of its
+# black lattice (FEMatrices.black_rank).  A band factor costs about n^4
+# and falls behind between n = 96 and 128 (the README has the kernel
 # times).  64 is the largest level the benchmark workloads run, so the
-# gain is measured end to end only up to it; n = 96 is left on SuperLU,
-# which keeps the iterates of every run finer than 64 as they were.
+# gain is measured end to end only up to it.
 BANDED_MAX_N = 64
-# A banded level with n at least this factors each K_int[free, free]
-# through its red-black reduced system on the free nodes with i + j odd
+# A level with n at least this factors each K_int[free, free] through
+# its red-black reduced system on the free nodes with i + j odd
 # (linalg.RedBlackFactorization): about half the unknowns, half-bandwidth
 # at most n - 1.  Plain band cut -> reduced system, cut included, on the
 # free sets of paper runs, one BLAS thread (the README has the table):
@@ -256,11 +254,15 @@ class FEMatrices:
         return (node // side + node % side) % 2 == 1, neighbours
 
     @cached_property
-    def kint_nd(self) -> linalg.OrderedMatrix:
-        """K_int with the interior nodes in Mesh.nested_dissection order,
-        from which a level that is not banded cuts its free-set submatrices."""
-        nd_rank = np.argsort(self.mesh.nested_dissection)  # the ND position of each node
-        return linalg.reorder(self.K_int, np.argsort(nd_rank[self.interior]))
+    def black_rank(self) -> np.ndarray:
+        """The position of each black interior node (i, j) in a nested
+        dissection of the black lattice, in which a level that is not
+        banded factors its reduced systems: the node sits at (a, b) =
+        ((i + j) // 2, (i - j + side) // 2) of a side x side grid, side =
+        n - 1, and each coupling of S changes a and b by at most 1."""
+        side = self.mesh.n - 1
+        j, i = np.divmod(np.arange(side * side), side)
+        return np.argsort(_nested_dissection(side - 1))[(i - j + side) // 2 * side + (i + j) // 2]
 
     @cached_property
     def a_factorization(self) -> linalg.Factorization:
@@ -354,13 +356,10 @@ class FEMatrices:
     def free_factorization(self, free: np.ndarray):
         """Factorization of K_int[free, free] for sorted unique interior
         indices; the only place K_int or a submatrix of it is factorized.
-        On a banded level with n >= RED_BLACK_MIN_N it is a
-        linalg.RedBlackFactorization on the graph red_black, which
-        factors the reduced system on the free nodes with i + j odd, in
-        natural order; on a coarser banded level the band of
-        K_int[free, free] is cut from kint_upper, so in natural order;
-        neither builds a sparse submatrix.  On any other level the
-        submatrix is cut from kint_nd, so in Mesh.nested_dissection order.
+        From RED_BLACK_MIN_N on it is a linalg.RedBlackFactorization on
+        the graph red_black, its reduced system in natural order on a
+        banded level, else in black_rank order; below, the band of
+        K_int[free, free] is cut from kint_upper, with no submatrix built.
         Each factor's solve takes the right-hand side in free-set order.
 
         Keeps the factor of the last free set only, the whole interior
@@ -372,25 +371,19 @@ class FEMatrices:
             if not np.array_equal(self._free_key, free):
                 # release the old factor first: holding two at once raises peak memory
                 self._free_key = self._free_fact = None
-                keep = np.zeros(self.interior.size, dtype=bool)
-                if self.banded and self.mesh.n >= RED_BLACK_MIN_N:
+                if self.mesh.n >= RED_BLACK_MIN_N:
                     black, neighbours = self.red_black
                     slot = np.full(self.interior.size + 1, free.size)  # index into free
                     slot[free] = np.arange(free.size)
+                    order = None if self.banded else np.argsort(self.black_rank[free[black[free]]])
                     self._free_fact = linalg.RedBlackFactorization(
-                        black[free], slot[neighbours[free]]
+                        black[free], slot[neighbours[free]], order
                     )
-                elif self.banded:
+                else:
+                    keep = np.zeros(self.interior.size, dtype=bool)
                     keep[free] = True
                     band = linalg.upper_band(self.kint_upper, keep)
                     self._free_fact = linalg.Factorization(band)
-                else:
-                    nd = self.kint_nd
-                    keep[nd.rank[free]] = True
-                    sub = linalg.principal_submatrix(nd.matrix, keep)
-                    slot = np.empty(self.interior.size, dtype=np.int64)  # index into free
-                    slot[free] = np.arange(free.size)
-                    self._free_fact = linalg.Factorization(sub, slot[nd.order[keep]])
                 self._free_key = np.array(free)
             return self._free_fact
         except linalg.NotPositiveDefiniteError as exc:

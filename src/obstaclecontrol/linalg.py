@@ -6,21 +6,20 @@ band of a matrix in natural node order, whose band is narrow on the
 small meshes, goes to LAPACK's band Cholesky (dpbtrf, then dpbtrs per
 solve), which certifies positive definiteness as it factors; the band
 of any principal submatrix is cut straight from the upper-triangle
-entries of the matrix (upper_band), with no sparse submatrix built, and
-RedBlackFactorization hands it the band of the red-black reduced system
-of a matrix such as K_int[free, free], written straight from its graph.  A
+entries of the matrix (upper_band), with no sparse submatrix built.  A
 CSC matrix in a fill-reducing order, such as Mesh.nested_dissection,
 goes to SuperLU in symmetric mode with diagonal pivoting disabled,
 which makes it behave like a Cholesky factorization, and is certified
 positive definite from its entries: its positive diagonal must dominate
-every column, as it does in K + M, K_int and every K_int[free, free],
-at every mesh size, since K is exact.  SuperLU factors in the order it
-is given (NATURAL): the caller puts the unknowns in that order once per
-matrix, so no ordering pass runs on each factorization.  The Newton
-block system, which is not symmetric, is factored by SuperLU, or, on
-the small levels, reduced to a dense symmetric positive definite Schur
-complement on its w-unknowns, which LAPACK's dense Cholesky (dpotrf)
-factors.
+every column, as it does in K + M at every mesh size, since K is exact,
+and in the red-black reduced system of every K_int[free, free], which
+RedBlackFactorization writes straight from the graph of the matrix and
+hands to either kernel.  SuperLU factors in the order it is given
+(NATURAL): the caller puts the unknowns in that order once per matrix,
+so no ordering pass runs on each factorization.  The Newton block
+system, which is not symmetric, is factored by SuperLU, or, on the
+small levels, reduced to a dense symmetric positive definite Schur
+complement on its w-unknowns, which LAPACK's dense Cholesky factors.
 """
 
 from typing import NamedTuple
@@ -192,17 +191,19 @@ class RedBlackFactorization:
 
     In red-black order the matrix is [[4I, -E], [-E^T, 4I]], so the
     red unknowns are eliminated and the reduced matrix on the black ones,
-    S = 4I - E^T E / 4, is factored as Factorization(band): its entries
-    are multiples of 1/4, so exact, and S is positive definite exactly
-    when the matrix is.  Two black unknowns couple in S when they share a
-    red neighbour.
+    S = 4I - E^T E / 4, is factored: its entries are multiples of 1/4, so
+    exact, and S is positive definite exactly when the matrix is.  Two
+    black unknowns couple in S when they share a red neighbour.
 
     black marks the black unknowns; neighbours holds the (up to 4)
     neighbours of each unknown, one row each, and the number of unknowns
-    in the slots of a row that have none.  The black unknowns keep their
-    order in S.  reduced is the Factorization of S."""
+    in the slots of a row that have none.  reduced is Factorization(band)
+    of S in the order of the black unknowns, or, given order (the black
+    unknown at each position), Factorization(csc, order): an unknown with
+    d <= 4 red neighbours has 4 - d/4 on the diagonal of S, 3d/4 at most
+    off it."""
 
-    def __init__(self, black: np.ndarray, neighbours: np.ndarray):
+    def __init__(self, black: np.ndarray, neighbours: np.ndarray, order: np.ndarray | None = None):
         size = black.size
         self.shape = (size, size)
         self._black, self._red = np.flatnonzero(black), np.flatnonzero(~black)
@@ -224,6 +225,12 @@ class RedBlackFactorization:
         cols = np.concatenate([diagonal, high[paired]])
         weights = np.full(rows.size, -0.25)
         weights[:nb] = 4.0
+        if order is not None:  # both triangles in the order; COO -> CSC sums duplicates
+            rank, off = np.argsort(order), slice(diagonal.size, None)
+            ij = rank[np.concatenate([rows, cols[off]])], rank[np.concatenate([cols, rows[off]])]
+            s = sp.csc_matrix((np.concatenate([weights, weights[off]]), ij), shape=(nb, nb))
+            self.reduced = Factorization(s, order)
+            return
         b = int((cols - rows).max(initial=0))
         # entry (i, j), i <= j, at row b + i - j of column j, in Fortran order
         band = np.bincount((cols + 1) * b + rows, weights=weights, minlength=(b + 1) * nb)

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from obstaclecontrol import assembly
 from obstaclecontrol.assembly import (
     FEMatrices,
     NodalFunction,
@@ -103,6 +104,13 @@ def recursive_nested_dissection(n: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def superlu_levels(monkeypatch):
+    """Make every level a SuperLU level that factors each free set through
+    its red-black reduced system, as the levels above BANDED_MAX_N do."""
+    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)
+    monkeypatch.setattr(assembly, "RED_BLACK_MIN_N", 0)
+
+
 def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
     return f.solve(b)
 
@@ -174,17 +182,71 @@ def reference_upper_band(a: sp.spmatrix) -> np.ndarray:
     return band
 
 
-def reference_red_black_band(mats: FEMatrices, free: np.ndarray) -> np.ndarray:
-    """The reference_upper_band of the red-black reduced system of
-    K_int[free, free], S = 4I - E^T E / 4 on the free black nodes (i + j
-    odd) in ascending order, with E = -K_int[red, black] cut by fancy
-    indexing at the free red and black nodes, and S formed by scipy's
-    sparse product and sum."""
+def reference_red_black_system(mats: FEMatrices, free: np.ndarray) -> sp.csr_matrix:
+    """The red-black reduced system of K_int[free, free], S = 4I - E^T E / 4
+    on the free black nodes (i + j odd) in ascending order, with
+    E = -K_int[red, black] cut by fancy indexing at the free red and black
+    nodes, and S formed by scipy's sparse product and sum."""
     nodes = mats.interior[free]
     side = mats.mesh.n + 1
     black = (nodes % side + nodes // side) % 2 == 1
     e = -mats.K_int.tocsr()[np.ix_(free[~black], free[black])]
-    return reference_upper_band(4.0 * sp.identity(e.shape[1]) - (e.T @ e) / 4.0)
+    return (4.0 * sp.identity(e.shape[1]) - (e.T @ e) / 4.0).tocsr()
+
+
+def reference_red_black_band(mats: FEMatrices, free: np.ndarray) -> np.ndarray:
+    """The reference_upper_band of reference_red_black_system."""
+    return reference_upper_band(reference_red_black_system(mats, free))
+
+
+def black_lattice(mats: FEMatrices, nodes: np.ndarray):
+    """The rotated coordinates (a, b) = ((i + j) // 2, (i - j + side) // 2)
+    of interior nodes (i, j), counted from the first interior node, with
+    side = n - 1 interior nodes per grid line."""
+    full = mats.mesh.n + 1
+    i, j = nodes % full - 1, nodes // full - 1
+    return (i + j) // 2, (i - j + mats.mesh.n - 1) // 2
+
+
+def reference_black_order(mats: FEMatrices, free: np.ndarray) -> np.ndarray:
+    """The free black nodes in a nested dissection of the black lattice:
+    the index, among them in ascending order, of the node at each
+    position, with node (a, b) of black_lattice at a + b side of the
+    side x side grid ordered by recursive_nested_dissection."""
+    nodes = mats.interior[free]
+    side = mats.mesh.n + 1
+    nodes = nodes[(nodes % side + nodes // side) % 2 == 1]
+    a, b = black_lattice(mats, nodes)
+    grid = mats.mesh.n - 1
+    rank = np.empty(grid * grid, dtype=int)
+    rank[recursive_nested_dissection(grid - 1)] = np.arange(grid * grid)
+    return np.argsort(rank[b * grid + a])
+
+
+def reference_free_cut(mats: FEMatrices, free: np.ndarray):
+    """What FEMatrices.free_factorization hands to Factorization for the
+    free interior nodes, and its order: below RED_BLACK_MIN_N the
+    reference_upper_band of K_int[free, free] and no order; from it on,
+    the reference_red_black_band on a banded level, else the
+    reference_red_black_system in reference_black_order, cut by fancy
+    indexing in CSR form and converted to CSC, and that order."""
+    if mats.mesh.n < assembly.RED_BLACK_MIN_N:
+        nodes = mats.interior[free]
+        return reference_upper_band(mats.K.tocsr()[np.ix_(nodes, nodes)]), None
+    if mats.banded:
+        return reference_red_black_band(mats, free), None
+    order = reference_black_order(mats, free)
+    return reference_red_black_system(mats, free)[np.ix_(order, order)].tocsc(), order
+
+
+def fresh_free_solve(mats: FEMatrices, free: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solve of K_int[free, free] by a factor built afresh: a
+    Factorization of the reference_free_cut below RED_BLACK_MIN_N, else
+    the free_factorization of a new level of the same mesh, whose reduced
+    system the caller compares with reference_free_cut."""
+    if mats.mesh.n < assembly.RED_BLACK_MIN_N:
+        return Factorization(*reference_free_cut(mats, free)).solve(b)
+    return build_matrices(mats.mesh).free_factorization(free).solve(b)
 
 
 def factor_kernel(fact):

@@ -393,9 +393,10 @@ def test_cli_indefinite_stiffness_is_one_error_line_exit_1(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_matrices", negated_k_int)
     # n = 8 factors the band of K_int[free, free], which dpbtrf refuses;
-    # n = 48 factors the red-black reduced system, written from the graph
-    # of K_int alone, so the level compares K_int with that matrix first
-    for n in (8, 48):
+    # n = 48 and 96 factor the red-black reduced system, as a band and by
+    # SuperLU, written from the graph of K_int alone, so the level
+    # compares K_int with that matrix first
+    for n in (8, 48, 96):
         assert main(["solve", "--preset", "paper", "--n", str(n)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1

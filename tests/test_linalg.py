@@ -19,17 +19,22 @@ from obstaclecontrol.operators import DerivativeSelector
 from conftest import (
     assert_same_band,
     assert_same_csc,
+    black_lattice,
     factor_kernel,
     mesh_and_mats,
     reference_block_matrix,
     reference_block_newton,
+    reference_black_order,
+    reference_free_cut,
     reference_free_submatrix,
     reference_level_cut,
     reference_nd_cut,
     reference_red_black_band,
+    reference_red_black_system,
     reference_upper_band,
     singular_splu,
     solve,
+    superlu_levels,
 )
 
 
@@ -302,9 +307,10 @@ def test_two_dimensional_solve_is_the_solve_of_each_column(banded, rng):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16])
 def test_free_factorization_factors_the_reference_submatrix(n, rng, monkeypatch):
-    # K_int[free, free] in nested-dissection order, explicit zeros of K_int
-    # kept, and every solve is that of a fresh factorization of the cut
-    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)
+    # the red-black reduced system of K_int[free, free] in the
+    # nested-dissection order of its black lattice, and every solve of it
+    # is that of a fresh factorization of that matrix
+    superlu_levels(monkeypatch)
     mats = build_matrices(build_friedrichs_keller(n))
     m = mats.interior.size
     captured = _capture_splu(monkeypatch)
@@ -314,29 +320,38 @@ def test_free_factorization_factors_the_reference_submatrix(n, rng, monkeypatch)
             continue
         captured.clear()
         fact = mats.free_factorization(free)
-        assert len(captured) == 1
-        expected, order = reference_free_submatrix(mats, free)
-        assert_same_csc(captured[0], expected)
-        b = np.sin(np.arange(free.size) + 1.0)  # keeps the free sets drawn from rng
-        assert np.array_equal(fact.solve(b), Factorization(expected, order).solve(b))
+        expected, order = reference_free_cut(mats, free)
+        assert len(captured) == (expected.shape[0] > 0)  # a 0 x 0 matrix is not factored
+        if captured:
+            assert_same_csc(captured[0], expected)
+        c = np.sin(np.arange(expected.shape[0]) + 1.0)  # keeps the free sets drawn from rng
+        fresh = Factorization(expected, order)
+        assert np.array_equal(factor_kernel(fact).solve(c), fresh.solve(c))
+        b = np.cos(np.arange(free.size))  # and the whole solve is that of K_int[free, free]
+        residual = mats.K_int.toarray()[np.ix_(free, free)] @ fact.solve(b) - b
+        assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16])
 def test_kint_and_a_factorizations_factor_the_reference_nd_matrices(n, rng, monkeypatch):
-    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)
+    # K + M in nested-dissection order, and the reduced system of the
+    # whole interior in that of the black lattice
+    superlu_levels(monkeypatch)
     mats = build_matrices(build_friedrichs_keller(n))
     captured = _capture_splu(monkeypatch)
+    every = np.arange(mats.interior.size)
     cases = [
-        (lambda: mats.free_factorization(np.arange(mats.interior.size)), mats.K, mats.interior),
-        (lambda: mats.a_factorization, mats.K + mats.M, np.arange(mats.mesh.num_nodes)),
+        (lambda: mats.free_factorization(every), reference_free_cut(mats, every)),
+        (lambda: mats.a_factorization,
+         reference_nd_cut(mats.K + mats.M, mats.mesh, np.arange(mats.mesh.num_nodes))),
     ]
-    for factorization, a, nodes in cases:
+    for factorization, (expected, order) in cases:
         captured.clear()
-        fact = factorization()
-        assert len(captured) == 1
-        expected, order = reference_nd_cut(a, mats.mesh, nodes)
-        assert_same_csc(captured[0], expected)
-        b = rng.standard_normal(nodes.size)
+        fact = factor_kernel(factorization())
+        assert len(captured) == (expected.shape[0] > 0)  # n = 2 has no black interior node
+        if captured:
+            assert_same_csc(captured[0], expected)
+        b = rng.standard_normal(expected.shape[0])
         assert np.array_equal(fact.solve(b), Factorization(expected, order).solve(b))
 
 
@@ -350,7 +365,7 @@ def test_every_superlu_call_of_a_paper_solve_is_natural(monkeypatch):
         return real_splu(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg.spla, "splu", recording_splu)
-    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)
+    superlu_levels(monkeypatch)
     monkeypatch.setattr(assembly, "SCHUR_MAX_N", 0)
     mesh = build_friedrichs_keller(16)
     mats = build_matrices(mesh)
@@ -444,27 +459,74 @@ def test_cg_raises_on_nonpositive_curvature(sign, rng):
         cg_self_adjoint(lambda v: sign * v, rhs, mats.M, 1e-13, 10, lambda r, mr: r)
 
 
-def _random_cuts(mats, rng, count=3):
-    """K_int[free, free] cut from kint_nd at random free sets."""
-    nd = mats.kint_nd
-    for fraction in rng.uniform(0.2, 0.9, count):
-        keep = rng.random(mats.interior.size) < fraction
-        if keep.any():
-            yield linalg.principal_submatrix(nd.matrix, keep)
+def _four_neighbour_set(mats) -> np.ndarray:
+    """Every red interior node and every black one whose four neighbours
+    are interior: each free black node has d = 4 free red neighbours, so
+    the diagonal of its column of the reduced system is 3, and the other
+    entries add up to 3 where each red neighbour has 4 free black ones."""
+    black, neighbours = mats.red_black
+    return np.flatnonzero(~black | (neighbours < mats.interior.size).all(axis=1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 10, 12, 16, 24, 32, 64, 65, 96, 100, 128, 129, 256])
-def test_solver_matrices_are_certified_and_their_pivots_agree(n, rng):
-    # K + M, K_int and every K_int[free, free] are diagonally dominant at
-    # every n, powers of two or not, so Factorization certifies each from
-    # its entries; the pivots of their SuperLU factors are positive
+def test_solver_matrices_are_certified_and_their_pivots_agree(n, rng, monkeypatch):
+    # K + M and the red-black reduced system of every K_int[free, free],
+    # in its black-lattice order, are diagonally dominant at every n,
+    # powers of two or not, so Factorization certifies each from its
+    # entries; the pivots of their SuperLU factors are positive.  The set
+    # with d = 4 at every free black node is dominant with no room to spare
+    superlu_levels(monkeypatch)  # no change above 64
     mats = build_matrices(build_friedrichs_keller(n))
-    a_nd = linalg.reorder(mats.A, mats.mesh.nested_dissection).matrix
-    matrices = [a_nd, mats.kint_nd.matrix, *_random_cuts(mats, rng)]
+    m = mats.interior.size
+    captured = _capture_splu(monkeypatch)
+    tight = _four_neighbour_set(mats)
+    sets = [np.arange(m), tight]
+    sets += [np.flatnonzero(rng.random(m) < p) for p in rng.uniform(0.2, 0.9, 3)]
+    for free in sets:
+        mats.free_factorization(free)
+    matrices = [linalg.reorder(mats.A, mats.mesh.nested_dissection).matrix, *captured]
+    assert len(matrices) == 1 + sum(reference_black_order(mats, free).size > 0 for free in sets)
     for a in matrices:
         assert linalg.diagonally_dominant(a)
         assert np.all(linalg._splu(a).U.diagonal() > 0.0)
         Factorization(a, np.arange(a.shape[0]))
+    if n >= 9:  # a black node whose 4 red neighbours keep their 4 black ones
+        s = captured[1]
+        assert np.all(s.diagonal() == 3.0)
+        assert (abs(s).sum(axis=0).A1 == 6.0).any()
+
+
+@pytest.mark.parametrize("n", [3, 17, 65, 96, 129])
+def test_every_coupling_of_the_reduced_system_moves_one_lattice_step(n):
+    # in the rotated coordinates (a, b) of the black lattice, so the nested
+    # dissection of a grid separates the graph of S, and (a, b) fits the
+    # (n - 1) x (n - 1) grid, one black node to a point
+    mats = build_matrices(build_friedrichs_keller(n))
+    every = np.arange(mats.interior.size)
+    black = mats.interior[mats.red_black[0]]
+    a, b = black_lattice(mats, black)
+    s = reference_red_black_system(mats, every).tocoo()
+    assert s.nnz > black.size  # there are couplings to check
+    assert np.abs(a[s.row] - a[s.col]).max() <= 1
+    assert np.abs(b[s.row] - b[s.col]).max() <= 1
+    grid = n - 1
+    assert a.min() >= 0 and b.min() >= 0 and a.max() < grid and b.max() < grid
+    assert np.unique(b * grid + a).size == black.size
+    if n > 64:  # the order of a level above BANDED_MAX_N, in black_rank
+        assert np.array_equal(np.argsort(mats.black_rank[mats.red_black[0]]),
+                              reference_black_order(mats, every))
+
+
+def test_reduced_system_has_little_more_than_half_the_fill_of_k_int():
+    # n = 128 with every node free: the reduced factor against that of
+    # K_int in Mesh.nested_dissection order, which levels above
+    # BANDED_MAX_N factored before (0.53M against 0.91M)
+    mats = build_matrices(build_friedrichs_keller(128))
+    every = np.arange(mats.interior.size)
+    lu = factor_kernel(mats.free_factorization(every))._lu
+    k_int, _ = reference_nd_cut(mats.K, mats.mesh, mats.interior)
+    whole = linalg._splu(k_int)
+    assert lu.L.nnz + lu.U.nnz <= 0.65 * (whole.L.nnz + whole.U.nnz)
 
 
 @pytest.mark.parametrize("dense", [
@@ -495,7 +557,7 @@ class _FactorsNotRead:
 def test_solver_factorizations_never_read_l_or_u(rng, monkeypatch):
     real_splu = linalg._splu
     monkeypatch.setattr(linalg, "_splu", lambda a: _FactorsNotRead(real_splu(a)))
-    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)
+    superlu_levels(monkeypatch)
     monkeypatch.setattr(assembly, "SCHUR_MAX_N", 0)
     mats = build_matrices(build_friedrichs_keller(16))
     m = mats.interior.size
@@ -505,7 +567,7 @@ def test_solver_factorizations_never_read_l_or_u(rng, monkeypatch):
         (mats.free_factorization(np.arange(m)), m),
         (mats.free_factorization(free), free.size),
     ]:
-        assert isinstance(fact._lu, _FactorsNotRead)
+        assert isinstance(factor_kernel(fact)._lu, _FactorsNotRead)
         assert np.all(np.isfinite(fact.solve(np.ones(size))))
     # whole paper runs, coarse levels and block solves included; n = 48
     # is not a power of two, and neither is its coarse level 24
@@ -623,13 +685,19 @@ def test_free_factorization_error_names_the_level_and_the_free_set(rng):
 
 
 def test_free_factorization_error_on_a_superlu_level(rng, monkeypatch):
-    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)
+    # the reduced system is written from the graph of K_int, so a K_int
+    # other than the 5-point matrix is refused before it; a reduced system
+    # that fails the certificate is refused with its size
+    superlu_levels(monkeypatch)
     mats, free = _negated_kint_cut(rng)
-    size = free.size
-    message = (
-        rf"^level n=8, K_int\[free, free\] with \|free\| = {size}: "
-        rf"{size} x {size} matrix: not diagonally dominant, so not certified positive definite$"
-    )
+    prefix = rf"^level n=8, K_int\[free, free\] with \|free\| = {free.size}: "
+    message = prefix + "K_int is not the 5-point matrix whose red-black reduced system"
+    with pytest.raises(NotPositiveDefiniteError, match=message):
+        mats.free_factorization(free)
+    mats = build_matrices(build_friedrichs_keller(8))
+    size = int(np.count_nonzero(mats.red_black[0][free]))  # the black free nodes
+    monkeypatch.setattr(linalg, "diagonally_dominant", lambda a: False)
+    message = prefix + rf"{size} x {size} matrix: not diagonally dominant, so not certified "
     with pytest.raises(NotPositiveDefiniteError, match=message):
         mats.free_factorization(free)
 
@@ -662,8 +730,8 @@ def _spy_kernels(monkeypatch):
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_levels_up_to_banded_max_n_factor_by_band_cholesky(n, rng, monkeypatch):
     # K + M, K_int and a free-set cut of one level all go to one kernel,
-    # chosen by n alone: band Cholesky in natural order, or SuperLU in
-    # nested-dissection order; from RED_BLACK_MIN_N on, a band level
+    # chosen by n alone: band Cholesky in natural order, or SuperLU in a
+    # nested-dissection order; from RED_BLACK_MIN_N on, every level
     # factors each free set through its red-black reduced system
     mats = build_matrices(build_friedrichs_keller(n))
     m = mats.interior.size
@@ -674,7 +742,7 @@ def test_levels_up_to_banded_max_n_factor_by_band_cholesky(n, rng, monkeypatch):
         mats.free_factorization(np.flatnonzero(rng.random(m) < 0.6)),
     ]
     banded = n <= assembly.BANDED_MAX_N
-    reduced = banded and n >= assembly.RED_BLACK_MIN_N
+    reduced = n >= assembly.RED_BLACK_MIN_N
     assert [isinstance(fact, linalg.RedBlackFactorization) for fact in facts] == [
         False, reduced, reduced
     ]

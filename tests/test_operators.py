@@ -22,7 +22,14 @@ from obstaclecontrol.operators import (
     extend_interior,
 )
 
-from conftest import assert_same_level_cut, mesh_and_mats, reference_level_cut
+from conftest import (
+    assert_same_level_cut,
+    fresh_free_solve,
+    mesh_and_mats,
+    reference_free_cut,
+    reference_level_cut,
+    superlu_levels,
+)
 
 
 def test_p_fixes_constants():
@@ -166,15 +173,14 @@ def _alternating_sets_match_fresh_factorizations(rng, monkeypatch):
     for free in (set_a, set_b, set_a, whole, set_a, whole):
         built.clear()
         got = mats.free_factorization(free).solve(load[free])
-        cut, order = reference_level_cut(mats.K, mats, mats.interior[free])
+        cut, order = reference_free_cut(mats, free)
         assert len(built) == 1
         assert_same_level_cut(built[0][0], cut, order)
-        fresh = linalg.Factorization(cut, order)
-        assert np.array_equal(got, fresh.solve(load[free]))
+        assert np.array_equal(got, fresh_free_solve(mats, free, load[free]))
 
 
 def test_free_factorization_alternating_sets_match_fresh_factorizations(rng, monkeypatch):
-    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)  # nested-dissection order
+    superlu_levels(monkeypatch)
     _alternating_sets_match_fresh_factorizations(rng, monkeypatch)
 
 
@@ -267,15 +273,16 @@ def _paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
     assert len(factorized) > 1
     for prev, cur in zip(factorized, factorized[1:]):
         assert not np.array_equal(prev[1], cur[1])
-    # each is the cut of its level, solved as by a fresh factorization of it
-    for mats, free, handed, solution, b in factorized:
-        cut, order = reference_level_cut(mats.K, mats, mats.interior[free])
+    # each is the cut of its level, solved as by a fresh factorization of
+    # it; a fresh level records its own factorizations, so take a copy
+    for mats, free, handed, solution, b in list(factorized):
+        cut, order = reference_free_cut(mats, free)
         assert_same_level_cut(handed, cut, order)
-        assert np.array_equal(solution, linalg.Factorization(cut, order).solve(b))
+        assert np.array_equal(solution, fresh_free_solve(mats, free, b))
 
 
 def test_paper_solve_never_refactorizes_the_same_free_set(monkeypatch):
-    monkeypatch.setattr(assembly, "BANDED_MAX_N", 0)  # nested-dissection order
+    superlu_levels(monkeypatch)
     monkeypatch.setattr(assembly, "SCHUR_MAX_N", 0)
     _paper_solve_never_refactorizes_the_same_free_set(monkeypatch)
 
